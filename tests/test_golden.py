@@ -1,0 +1,102 @@
+"""Golden output digests: the sha256 of every file a small fixed
+experiment writes, pinned so that a change which moves any output byte
+fails here even when it moves it identically on every rerun.
+
+The digests cover both domains and both methods, and on vector_pair UCB
+selection with one snapshot. They depend on numpy's floating-point
+results; a deliberate output change re-pins them and says so in
+CHANGES.md.
+"""
+from __future__ import annotations
+
+import hashlib
+
+from melita.harness import ExperimentConfig, run_experiment
+
+VECTOR_PAIR = {
+    "labels": [{"name": "golden", "seed": 4242}],
+    "runs_per_method": 1,
+    "run": {
+        "domain": "vector_pair",
+        "selection": "ucb",
+        "ucb_c": 0.5,
+        "init_count": 30,
+        "steps": 300,
+        "snapshot_every": 200,
+    },
+}
+
+TOY_MEDIA = {
+    "labels": [{"name": "golden", "seed": 4243}],
+    "runs_per_method": 1,
+    "run": {
+        "domain": "toy_media",
+        "domain_params": {"width": 8, "height": 8},
+        "init_count": 40,
+        "steps": 200,
+    },
+}
+
+GOLDEN = {
+    "vector_pair": {
+        "manifest.json": (
+            "1c7584611a0530c78739c8b061fb8334d023e385c5d2c375373cea16f8df7bd0"
+        ),
+        "mapelites/golden_run0_archive.json": (
+            "069577961e3c7530272f4921ee00a68850f4f81e2c3e75fad089d7f4a31edd53"
+        ),
+        "mapelites/golden_run0_metrics.csv": (
+            "0ab46da1a557d7f701f04d1b57ba0b70fb8ac39b742dea893a1e9af6b88e5a08"
+        ),
+        "mapelites/golden_run0_snapshot200_archive.json": (
+            "848089be5986fbdd458f687026bb3f7fc4087139a2d3654f238d291a0628c09c"
+        ),
+        "melita/golden_run0_archive.json": (
+            "070707c3274162b8a192a39c062ef8653efc977fb4bb84a8c3851fea4016757e"
+        ),
+        "melita/golden_run0_metrics.csv": (
+            "f7a5893c857351eb3c206bcd782c5a7c6600a972a6786823bf9559bc6cf25c10"
+        ),
+        "melita/golden_run0_snapshot200_archive.json": (
+            "475581b6d6fd28641e0a99505a31ed952f5edd81bd5487539a2392ed24d5e420"
+        ),
+    },
+    "toy_media": {
+        "constants.json": (
+            "e35a8b946843d268a9b9b0f91a253b9cb6f773498956dc3218af81b361700bb8"
+        ),
+        "manifest.json": (
+            "197f39980f7bd67c5096873b16e55a7fbffaa5129a4e7f9ad4667f1bcc7ae0f9"
+        ),
+        "mapelites/golden_run0_archive.json": (
+            "94acafa5372f0a7627f025c1a4223bd31ff78cab695ab114f6cd5c322928c426"
+        ),
+        "mapelites/golden_run0_metrics.csv": (
+            "f6862da233dc5682b579b86e0f3a63cfbc92c9111d2c75d24b696cedc8dba479"
+        ),
+        "melita/golden_run0_archive.json": (
+            "df8ab5b7d133b42771c2c638c21dda04e0a0a2ffc8cae8348f829bf6f39a6a87"
+        ),
+        "melita/golden_run0_metrics.csv": (
+            "b7b7bcecf828105ea841bc928f07145938286531b1221e20ebe218fd6c5807d1"
+        ),
+    },
+}
+
+
+def _digests(directory) -> dict[str, str]:
+    return {
+        path.relative_to(directory).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
+    }
+
+
+def test_vector_pair_outputs_match_golden_digests(tmp_path):
+    run_experiment(ExperimentConfig.from_dict(VECTOR_PAIR), tmp_path)
+    assert _digests(tmp_path) == GOLDEN["vector_pair"]
+
+
+def test_toy_media_outputs_match_golden_digests(tmp_path):
+    run_experiment(ExperimentConfig.from_dict(TOY_MEDIA), tmp_path)
+    assert _digests(tmp_path) == GOLDEN["toy_media"]
