@@ -1,7 +1,7 @@
 """Grid archive of elites with per-occupant selection statistics."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .types import INSERTED_EMPTY, REJECTED, REPLACED, Coords, Outcome, Solution
 
@@ -41,6 +41,16 @@ class Archive:
 
     def __len__(self) -> int:
         return len(self.cells)
+
+    def __deepcopy__(self, memo: dict) -> Archive:
+        """Copy the grid and every cell's statistics, sharing the frozen
+        solutions, so a snapshot costs no payload copies."""
+        return Archive(
+            self.axis_sizes,
+            {coords: replace(cell) for coords, cell in self.cells.items()},
+            self.total_selections,
+            self.evicted_selections,
+        )
 
     @property
     def cell_count(self) -> int:

@@ -14,9 +14,18 @@ class DomainBinding(abc.ABC):
     behavioural descriptors, and the cross-modality coherence function.
 
     ``describe`` and ``cohere`` must be pure functions of the payloads.
-    ``vary`` and ``generate`` draw only from the rng handle they are given.
+    ``vary`` and ``generate`` draw only from the rng handle they are given
+    and never mutate a payload in place.
     Invalid results are signalled with ``None``; malformed payloads are a
     contract violation and raise.
+
+    Coherence may be split in two: ``features`` is the per-artefact part
+    (an embedding, say), computed once per artefact and carried on it by
+    the step procedures, and ``combine`` the cheap cross-modality part.
+    ``combine(tuple(features(i, p) for i, p in enumerate(payloads)))``
+    must equal ``cohere(payloads)`` bit for bit. The defaults pass the
+    payloads straight to ``cohere``, so a binding that implements only
+    ``cohere`` behaves as before.
     """
 
     name: str = "domain"
@@ -44,3 +53,11 @@ class DomainBinding(abc.ABC):
     @abc.abstractmethod
     def cohere(self, payloads: tuple[Any, ...]) -> float:
         """Coherence across modalities, in [0, 1]."""
+
+    def features(self, modality: int, payload: Any) -> Any:
+        """The per-artefact part of coherence; must not mutate the payload."""
+        return payload
+
+    def combine(self, features: tuple[Any, ...]) -> float:
+        """Coherence from one ``features`` result per modality, in order."""
+        return self.cohere(features)

@@ -6,6 +6,8 @@ an unclassifiable text is a death penalty. Images are small RGB float
 arrays binned by edge complexity crossed with colourfulness. Coherence
 embeds the image as 16 summary statistics, projects them through a
 fixed matrix, and takes the cosine against the text's topic posterior.
+The two embeddings with their norms are the binding's per-artefact
+``features``; ``combine`` only takes the cosine.
 
 Everything here is reproducible from first principles: the projection
 matrix comes from a SplitMix64 stream with a documented seed, and
@@ -203,17 +205,33 @@ def image_vector(pixels: np.ndarray) -> np.ndarray:
     return np.array(features, dtype=np.float64)
 
 
-def media_coherence(tokens: np.ndarray, pixels: np.ndarray) -> float:
+def text_features(tokens: np.ndarray) -> tuple[np.ndarray, float]:
+    """A text's coherence features: its topic posterior and that
+    vector's norm."""
+    e_txt = topic_posterior(tokens)
+    return e_txt, float(np.linalg.norm(e_txt))
+
+
+def image_features(pixels: np.ndarray) -> tuple[np.ndarray, float]:
+    """An image's coherence features: M @ image_vector and its norm."""
+    mapped = PROJECTION @ image_vector(pixels)
+    return mapped, float(np.linalg.norm(mapped))
+
+
+def combine_features(text: tuple[np.ndarray, float], image: tuple[np.ndarray, float]) -> float:
     """(1 + cos(M @ e_img, e_txt)) / 2, or the neutral 0.5 when either
     side has zero norm."""
-    e_txt = topic_posterior(tokens)
-    mapped = PROJECTION @ image_vector(pixels)
-    tn = float(np.linalg.norm(e_txt))
-    mn = float(np.linalg.norm(mapped))
+    e_txt, tn = text
+    mapped, mn = image
     if tn == 0.0 or mn == 0.0:
         return 0.5
     cos = float(np.dot(mapped, e_txt)) / (tn * mn)
     return (1.0 + max(-1.0, min(1.0, cos))) / 2.0
+
+
+def media_coherence(tokens: np.ndarray, pixels: np.ndarray) -> float:
+    """Coherence of a text and an image; see ``combine_features``."""
+    return combine_features(text_features(tokens), image_features(pixels))
 
 
 def box_blur(pixels: np.ndarray) -> np.ndarray:
@@ -304,3 +322,11 @@ class ToyMediaDomain(DomainBinding):
 
     def cohere(self, payloads: tuple[np.ndarray, ...]) -> float:
         return media_coherence(payloads[0], payloads[1])
+
+    def features(self, modality: int, payload: np.ndarray) -> tuple[np.ndarray, float]:
+        if modality == 0:
+            return text_features(payload)
+        return image_features(payload)
+
+    def combine(self, features: tuple[tuple[np.ndarray, float], ...]) -> float:
+        return combine_features(features[0], features[1])

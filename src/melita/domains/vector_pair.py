@@ -43,13 +43,22 @@ def describe_visual(values: np.ndarray) -> int:
     return 4 * norm_bin + bin4(roughness, ROUGHNESS_THRESHOLDS)
 
 
-def cosine_coherence(t: np.ndarray, v: np.ndarray) -> float:
-    tn = float(np.linalg.norm(t))
-    vn = float(np.linalg.norm(v))
+def vector_features(values: np.ndarray) -> tuple[np.ndarray, float]:
+    """A vector's coherence features: the vector and its norm."""
+    return values, float(np.linalg.norm(values))
+
+
+def combine_features(t: tuple[np.ndarray, float], v: tuple[np.ndarray, float]) -> float:
+    """(1 + cos(t, v)) / 2 from two ``vector_features`` results."""
+    (t_values, tn), (v_values, vn) = t, v
     if tn == 0.0 or vn == 0.0:
         raise ValueError("coherence is undefined for zero-norm vectors")
-    cos = float(np.dot(t, v)) / (tn * vn)
+    cos = float(np.dot(t_values, v_values)) / (tn * vn)
     return (1.0 + max(-1.0, min(1.0, cos))) / 2.0
+
+
+def cosine_coherence(t: np.ndarray, v: np.ndarray) -> float:
+    return combine_features(vector_features(t), vector_features(v))
 
 
 class VectorPairDomain(DomainBinding):
@@ -95,3 +104,9 @@ class VectorPairDomain(DomainBinding):
 
     def cohere(self, payloads: tuple[np.ndarray, ...]) -> float:
         return cosine_coherence(payloads[0], payloads[1])
+
+    def features(self, modality: int, payload: np.ndarray) -> tuple[np.ndarray, float]:
+        return vector_features(payload)
+
+    def combine(self, features: tuple[tuple[np.ndarray, float], ...]) -> float:
+        return combine_features(features[0], features[1])

@@ -50,6 +50,16 @@ def characterize(domain: DomainBinding, artefacts: tuple[Artefact, ...]) -> Solu
     return Solution(tuple(artefacts), fitness, tuple(coords))
 
 
+def _coherence(domain: DomainBinding, artefacts: tuple[Artefact, ...]) -> float:
+    """Coherence through the binding's split form, filling each
+    artefact's features slot the first time the steps need it."""
+    for artefact in artefacts:
+        if artefact.features is None:
+            features = domain.features(artefact.modality, artefact.payload)
+            object.__setattr__(artefact, "features", features)
+    return float(domain.combine(tuple(a.features for a in artefacts)))
+
+
 def _invalid_report(parent_coords: Coords, modality: int) -> StepReport:
     return StepReport(
         parent_coords=parent_coords,
@@ -69,9 +79,10 @@ def _make_offspring(
     """Shared stochastic prefix of both step procedures.
 
     Selects a parent, mutates one uniformly chosen modality, and builds
-    the direct offspring with cached descriptors carried over for the
-    unchanged modalities (one coherence evaluation). The offspring is
-    None when variation failed or the new artefact is unclassified.
+    the direct offspring with cached descriptors and features carried
+    over for the unchanged modalities (one coherence evaluation). The
+    offspring is None when variation failed or the new artefact is
+    unclassified.
     """
     parent_coords = select(archive, rng)
     parent = archive.cells[parent_coords].solution
@@ -94,8 +105,7 @@ def _make_offspring(
     coords = tuple(
         int(new_bin) if i == modality else c for i, c in enumerate(parent.coords)
     )
-    fitness = float(domain.cohere(tuple(a.payload for a in artefacts)))
-    return parent_coords, modality, Solution(artefacts, fitness, coords)
+    return parent_coords, modality, Solution(artefacts, _coherence(domain, artefacts), coords)
 
 
 def vanilla_step(
@@ -124,39 +134,33 @@ def vanilla_step(
 def transverse_candidates(
     archive: Archive,
     domain: DomainBinding,
-    new_artefact: Artefact,
-    parent: Solution,
+    offspring: Solution,
+    modality: int,
 ) -> list[Solution]:
-    """Pair a mutated artefact with every elite sharing its bin.
+    """Pair the offspring's mutated artefact with every elite sharing its
+    bin.
 
-    For each elite whose coordinate on the mutated axis equals the new
-    artefact's bin, builds the candidate that keeps the elite's other
+    For each elite whose coordinate on the mutated axis equals the
+    offspring's, builds the candidate that keeps the elite's other
     artefacts (so it maps to the elite's own cell, with cached bins) and
-    re-scores coherence. The direct offspring — the new artefact joined
-    with the parent's other artefacts — is not a member; candidates
-    payload-identical to it are dropped so it appears exactly once in
-    the caller's ordered list.
+    re-scores coherence. The direct offspring is not a member; a
+    candidate payload-identical to it is dropped so it appears exactly
+    once in the caller's ordered list. Equal payloads give equal bins, so
+    only the elite in the offspring's own cell can produce one.
     """
-    m = new_artefact.modality
-    new_bin = domain.describe(m, new_artefact.payload)
-    if new_bin is None:
-        raise ValueError("transverse_candidates requires a classifiable artefact")
-    offspring_artefacts = tuple(
-        new_artefact if i == m else a for i, a in enumerate(parent.artefacts)
-    )
-    offspring_stub = Solution(offspring_artefacts, 0.0, parent.coords)
+    new_artefact = offspring.artefacts[modality]
+    new_bin = offspring.coords[modality]
     candidates: list[Solution] = []
     for coords in archive.occupied():
-        if coords[m] != int(new_bin):
+        if coords[modality] != new_bin:
             continue
         elite = archive.cells[coords].solution
         artefacts = tuple(
-            new_artefact if i == m else a for i, a in enumerate(elite.artefacts)
+            new_artefact if i == modality else a for i, a in enumerate(elite.artefacts)
         )
-        if payloads_equal(Solution(artefacts, 0.0, elite.coords), offspring_stub):
+        if coords == offspring.coords and payloads_equal(artefacts, offspring.artefacts):
             continue
-        fitness = float(domain.cohere(tuple(a.payload for a in artefacts)))
-        candidates.append(Solution(artefacts, fitness, elite.coords))
+        candidates.append(Solution(artefacts, _coherence(domain, artefacts), elite.coords))
     return candidates
 
 
@@ -183,9 +187,7 @@ def melita_step(
 
     candidates: list[Solution] = []
     if transverse:
-        parent = archive.cells[parent_coords].solution
-        new_artefact = offspring.artefacts[modality]
-        candidates = transverse_candidates(archive, domain, new_artefact, parent)
+        candidates = transverse_candidates(archive, domain, offspring, modality)
 
     ordered = [offspring] + candidates
     ordered.sort(key=lambda s: (-s.fitness, 0 if s is offspring else 1, s.coords))

@@ -1,7 +1,7 @@
 """Core value types shared across the archive and step procedures."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -15,10 +15,19 @@ class Artefact:
 
     The payload is opaque to the archive machinery; only the owning
     domain binding knows how to vary, describe, or score it.
+
+    ``features`` holds the binding's ``features(modality, payload)``
+    once the step code has needed it (None until then). It is filled at
+    most once, by the step procedures and through the run's binding, so
+    each artefact's coherence features are computed once per run. It is
+    not an init argument, so ``dataclasses.replace`` never carries it to
+    a new payload, and it takes no part in equality, repr or
+    serialization.
     """
 
     modality: int
     payload: Any
+    features: Any = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -46,13 +55,13 @@ class Solution:
         return tuple(a.payload for a in self.artefacts)
 
 
-def payloads_equal(a: Solution, b: Solution) -> bool:
-    """True when two solutions carry identical payloads in every modality."""
-    if len(a.artefacts) != len(b.artefacts):
+def payloads_equal(a: tuple[Artefact, ...], b: tuple[Artefact, ...]) -> bool:
+    """True when two artefact tuples carry identical payloads in every
+    modality."""
+    if len(a) != len(b):
         return False
     return all(
-        np.array_equal(np.asarray(x.payload), np.asarray(y.payload))
-        for x, y in zip(a.artefacts, b.artefacts)
+        np.array_equal(np.asarray(x.payload), np.asarray(y.payload)) for x, y in zip(a, b)
     )
 
 

@@ -1,13 +1,19 @@
+import copy
+
 import numpy as np
 import pytest
 
 from melita import (
+    Archive,
     NoElitesError,
     RunConfig,
     VectorPairDomain,
+    melita_step,
     run,
+    seed_archive,
+    select_ucb,
 )
-from melita.harness.serialize import archive_to_dict
+from melita.harness.serialize import archive_to_dict, canonical_json, save_archive
 from tests.conftest import ScriptedDomain
 
 
@@ -98,6 +104,55 @@ def test_snapshots():
     # snapshots are frozen copies, not views of the live archive
     coverage = [len(archive) for _, archive in record.snapshots]
     assert coverage == sorted(coverage)
+
+
+def archive_state(archive):
+    """Saved form plus every selection counter the saved form omits."""
+    counters = [
+        (coords, cell.times_selected, cell.offspring_inserted)
+        for coords, cell in sorted(archive.cells.items())
+    ]
+    return (
+        canonical_json(archive_to_dict(archive)),
+        archive.total_selections,
+        archive.evicted_selections,
+        counters,
+    )
+
+
+def test_snapshot_copies_cells_and_shares_solutions(tmp_path):
+    domain = VectorPairDomain()
+    rng = np.random.default_rng(11)
+    archive = Archive(domain.axis_sizes)
+    seed_archive(archive, domain, 30, rng)
+
+    def select(a, r):
+        return select_ucb(a, r, c=0.5)
+
+    for _ in range(100):
+        melita_step(archive, domain, rng, select)
+    snapshot = copy.deepcopy(archive)
+    for coords, cell in archive.cells.items():
+        assert snapshot.cells[coords] is not cell
+        assert snapshot.cells[coords].solution is cell.solution
+    before = archive_state(archive)
+    save_archive(tmp_path / "before.json", snapshot)
+
+    for _ in range(300):
+        melita_step(archive, domain, rng, select)
+    assert archive_state(archive) != before
+    assert archive_state(snapshot) == before
+    save_archive(tmp_path / "after.json", snapshot)
+    assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
+
+
+def test_snapshot_equals_shorter_run():
+    config = vp_config(method="melita", selection="ucb", steps=200, snapshot_every=100)
+    record = run(VectorPairDomain(), config, np.random.default_rng(config.seed))
+    shorter = vp_config(method="melita", selection="ucb", steps=100)
+    short = run(VectorPairDomain(), shorter, np.random.default_rng(shorter.seed))
+    assert archive_state(record.snapshots[0][1]) == archive_state(short.archive)
+    assert archive_state(record.snapshots[1][1]) == archive_state(record.archive)
 
 
 def test_ucb_selection_runs():

@@ -30,6 +30,14 @@ def find_seed(n_occupied, parent_index, modality, max_seed=100000):
     raise AssertionError("no matching seed found")
 
 
+def with_artefact(domain, parent, new_artefact):
+    """The direct offspring: the parent with one artefact replaced."""
+    m = new_artefact.modality
+    return characterize(
+        domain, tuple(new_artefact if i == m else a for i, a in enumerate(parent.artefacts))
+    )
+
+
 def test_characterize_builds_solution():
     domain = ScriptedDomain(fitness_table={(1.0, 2.0): 0.8})
     solution = scripted_solution(domain, 1, 2)
@@ -100,7 +108,8 @@ def test_transverse_candidates_empty_row():
     parent = scripted_solution(domain, 1, 1)
     archive.insert(parent)
     # Mutated visual artefact lands in bin 3: no elite has visual bin 3.
-    candidates = transverse_candidates(archive, domain, Artefact(1, np.array([3.0])), parent)
+    offspring = with_artefact(domain, parent, Artefact(1, np.array([3.0])))
+    candidates = transverse_candidates(archive, domain, offspring, 1)
     assert candidates == []
 
 
@@ -111,7 +120,8 @@ def test_transverse_candidates_dedups_direct_offspring():
     archive = Archive(domain.axis_sizes)
     parent = scripted_solution(domain, 1, 1)
     archive.insert(parent)
-    candidates = transverse_candidates(archive, domain, Artefact(1, np.array([1.5])), parent)
+    offspring = with_artefact(domain, parent, Artefact(1, np.array([1.5])))
+    candidates = transverse_candidates(archive, domain, offspring, 1)
     assert candidates == []
 
 
@@ -130,8 +140,8 @@ def test_transverse_candidates_two_foreign_elites():
     archive.insert(scripted_solution(domain, 2, 1.2))
     archive.insert(scripted_solution(domain, 3, 1.4))
 
-    new_artefact = Artefact(1, np.array([1.5]))
-    candidates = transverse_candidates(archive, domain, new_artefact, parent)
+    offspring = with_artefact(domain, parent, Artefact(1, np.array([1.5])))
+    candidates = transverse_candidates(archive, domain, offspring, 1)
     assert [c.coords for c in candidates] == [(2, 1), (3, 1)]
     assert [c.fitness for c in candidates] == [0.65, 0.75]
     for candidate in candidates:
@@ -148,7 +158,8 @@ def test_transverse_candidates_map_to_borrowed_cells():
     parent = archive.cells[archive.occupied()[0]].solution
     new_artefact = domain.vary(1, parent, rng)
     new_bin = domain.describe(1, new_artefact.payload)
-    for candidate in transverse_candidates(archive, domain, new_artefact, parent):
+    offspring = with_artefact(domain, parent, new_artefact)
+    for candidate in transverse_candidates(archive, domain, offspring, 1):
         assert candidate.coords in archive.cells
         assert candidate.coords[1] == new_bin
         elite = archive.cells[candidate.coords].solution
