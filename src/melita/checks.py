@@ -1,0 +1,20 @@
+"""Argument checks shared by RunConfig and the built-in domains. Each
+returns a plain int or float, or raises a ValueError naming the field."""
+from __future__ import annotations
+
+import math
+from numbers import Integral, Real
+
+
+def require_int(name: str, value: object, minimum: int) -> int:
+    """An integer of at least ``minimum``; bools and floats are rejected."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def require_finite(name: str, value: object) -> float:
+    """A finite, non-negative number; bools are rejected."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
+    return float(value)

@@ -1,11 +1,12 @@
 """k-medoids clustering (PAM) for picking representative elites."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .metrics import pairwise_distances
 
 
 @dataclass(frozen=True)
@@ -42,13 +43,7 @@ def k_medoids(
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
 
-    matrix = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = float(distance(items[i], items[j]))
-            if d < 0.0 or not math.isfinite(d):
-                raise ValueError(f"invalid distance {d!r} between items {i} and {j}")
-            matrix[i][j] = matrix[j][i] = d
+    matrix = pairwise_distances(items, distance)
 
     medoids = sorted(int(m) for m in rng.choice(n, size=k, replace=False))
     labels, cost = _assign(matrix, medoids)

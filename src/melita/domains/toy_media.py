@@ -30,6 +30,7 @@ import math
 import numpy as np
 
 from ..binding import DomainBinding
+from ..checks import require_finite, require_int
 from ..steps import characterize
 from ..types import Artefact, Solution
 from .common import bin4
@@ -268,13 +269,9 @@ class ToyMediaDomain(DomainBinding):
     name = "toy_media"
 
     def __init__(self, width: int = 32, height: int = 32, noise_sigma: float = 0.1):
-        if width < 3 or height < 3:
-            raise ValueError(f"images must be at least 3x3, got {width}x{height}")
-        if noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
-        self.width = int(width)
-        self.height = int(height)
-        self.noise_sigma = float(noise_sigma)
+        self.width = require_int("width", width, 3)
+        self.height = require_int("height", height, 3)
+        self.noise_sigma = require_finite("noise_sigma", noise_sigma)
 
     @property
     def modality_count(self) -> int:

@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from ..binding import DomainBinding
+from ..checks import require_finite
 from ..steps import characterize
 from ..types import Artefact, Solution
 from .common import bin4
@@ -65,9 +66,7 @@ class VectorPairDomain(DomainBinding):
     name = "vector_pair"
 
     def __init__(self, sigma: float = 0.3):
-        if sigma < 0:
-            raise ValueError(f"sigma must be non-negative, got {sigma}")
-        self.sigma = float(sigma)
+        self.sigma = require_finite("sigma", sigma)
 
     @property
     def modality_count(self) -> int:

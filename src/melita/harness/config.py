@@ -4,29 +4,26 @@ A config names a set of labels (each a seed base), a run template shared
 by both methods, and a run count. Method and seed are never part of the
 template: the harness runs both methods per label, and per-run seeds are
 derived as label seed + run index so paired runs start from identical
-populations.
+populations. The template's keys, defaults, types and ranges are those
+of RunConfig; this module adds only what JSON itself needs.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..checks import require_int
 from ..domains import make_domain
-from ..run import RunConfig
+from ..run import METHODS, RunConfig
 
 _LABEL_NAME = re.compile(r"^[A-Za-z0-9_-]+$")
 
-_RUN_DEFAULTS = {
-    "domain_params": {},
-    "selection": "uniform",
-    "ucb_c": 1.0,
-    "axis_sizes": [16, 16],
-    "init_count": 100,
-    "steps": 2000,
-    "snapshot_every": 0,
-}
+# Every RunConfig field but these is a key of the config's "run" object.
+_DERIVED = ("method", "seed")
+_RUN_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig) if f.name not in _DERIVED)
 
 
 class ConfigError(ValueError):
@@ -43,18 +40,11 @@ def _require_mapping(value: object, path: str) -> dict:
     return value
 
 
-def _require_int(value: object, path: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        _fail(path, f"must be >= {minimum}, got {value}")
-    return value
-
-
-def _require_number(value: object, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, f"expected a number, got {value!r}")
-    return float(value)
+def _require_int(value: object, path: str, minimum: int) -> int:
+    try:
+        return require_int(path, value, minimum)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _require_str(value: object, path: str) -> str:
@@ -84,9 +74,7 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def run_config(self, label: Label, run_index: int, method: str) -> RunConfig:
-        template = dict(self.run_template)
-        template["axis_sizes"] = tuple(template["axis_sizes"])
-        return RunConfig(seed=label.seed + run_index, method=method, **template)
+        return RunConfig(seed=label.seed + run_index, method=method, **self.run_template)
 
     def to_dict(self) -> dict:
         """Fully resolved, output-dir-independent form; hashing this
@@ -129,43 +117,28 @@ class ExperimentConfig:
             output_dir = _require_str(output_dir, "output_dir")
 
         raw_run = _require_mapping(data.get("run"), "run")
-        known = {"domain"} | set(_RUN_DEFAULTS)
-        _reject_unknown(raw_run, known, "run")
-        if "method" in raw_run or "seed" in raw_run:
+        if any(key in raw_run for key in _DERIVED):
             _fail("run", "method and seed are derived by the harness, not configured")
-        template: dict = {"domain": _require_str(raw_run.get("domain"), "run.domain")}
-        for key, default in _RUN_DEFAULTS.items():
-            template[key] = raw_run.get(key, default)
-
-        template["selection"] = _require_str(template["selection"], "run.selection")
-        template["ucb_c"] = _require_number(template["ucb_c"], "run.ucb_c")
-        template["init_count"] = _require_int(template["init_count"], "run.init_count", minimum=1)
-        template["steps"] = _require_int(template["steps"], "run.steps", minimum=0)
-        template["snapshot_every"] = _require_int(template["snapshot_every"], "run.snapshot_every", minimum=0)
-        axes = template["axis_sizes"]
-        if not isinstance(axes, list) or not axes:
-            _fail("run.axis_sizes", f"expected a non-empty list, got {axes!r}")
-        template["axis_sizes"] = [_require_int(a, "run.axis_sizes", minimum=1) for a in axes]
-        params = _require_mapping(template["domain_params"], "run.domain_params")
-        for key in params:
-            _require_str(key, "run.domain_params key")
-        template["domain_params"] = dict(params)
+        _reject_unknown(raw_run, set(_RUN_KEYS), "run")
+        try:
+            # A missing domain is reported by RunConfig, like a bad one.
+            run = RunConfig(seed=0, method=METHODS[0], **{"domain": None, **raw_run})
+        except ValueError as exc:
+            raise ConfigError(f"run.{exc}") from None
+        template = {key: getattr(run, key) for key in _RUN_KEYS}
+        template["axis_sizes"] = list(run.axis_sizes)  # the one tuple field, as plain JSON
 
         try:
-            domain = make_domain(template["domain"], template["domain_params"])
+            domain = make_domain(run.domain, run.domain_params)
         except ValueError as exc:
             raise ConfigError(f"run.domain: {exc}") from None
         except TypeError as exc:
             raise ConfigError(f"run.domain_params: {exc}") from None
-        if tuple(template["axis_sizes"]) != domain.axis_sizes:
+        if run.axis_sizes != domain.axis_sizes:
             _fail(
                 "run.axis_sizes",
                 f"must match the domain's bins {list(domain.axis_sizes)}, got {template['axis_sizes']}",
             )
-        try:
-            RunConfig(seed=0, method="mapelites", **{**template, "axis_sizes": tuple(template["axis_sizes"])})
-        except ValueError as exc:
-            raise ConfigError(f"run: {exc}") from None
 
         return cls(
             labels=tuple(labels),

@@ -16,6 +16,7 @@ from ..domains.toy_media import constants_dict, topic_posterior
 from ..metrics import auc, diversity
 from ..run import METHODS, run
 from ..stats import rank_sum_test
+from ..types import Solution
 from .config import ExperimentConfig
 from .serialize import (
     config_hash,
@@ -243,6 +244,14 @@ DISTANCES: dict[str, Callable[[np.ndarray, np.ndarray], float]] = {
 }
 
 
+def _load_elites(archive_path: str | Path) -> list[Solution]:
+    """A stored archive's elites in ascending coordinate order."""
+    solutions = load_archive(archive_path).solutions()
+    if not solutions:
+        raise ValueError(f"{archive_path}: archive holds no elites")
+    return solutions
+
+
 def analyze_diversity(archive_path: str | Path, modality: int, distance_name: str) -> dict:
     """Per-elite mean and nearest-neighbour payload distances for one
     modality of a stored archive."""
@@ -250,11 +259,7 @@ def analyze_diversity(archive_path: str | Path, modality: int, distance_name: st
         raise ValueError(
             f"unknown distance {distance_name!r}; available: {sorted(DISTANCES)}"
         )
-    archive = load_archive(archive_path)
-    coords = archive.occupied()
-    if not coords:
-        raise ValueError(f"{archive_path}: archive holds no elites")
-    solutions = [archive.cells[c].solution for c in coords]
+    solutions = _load_elites(archive_path)
     if not 0 <= modality < len(solutions[0].artefacts):
         raise ValueError(f"modality {modality} out of range")
     payloads = [s.artefacts[modality].payload for s in solutions]
@@ -263,17 +268,17 @@ def analyze_diversity(archive_path: str | Path, modality: int, distance_name: st
         "archive": str(archive_path),
         "modality": modality,
         "distance": distance_name,
-        "elites": len(coords),
+        "elites": len(solutions),
         "single_elite": report.single_elite,
         "mean_distance": report.mean_distance,
         "mean_nearest": report.mean_nearest,
         "per_elite": [
             {
-                "coords": list(c),
+                "coords": list(s.coords),
                 "mean": report.per_elite_mean[i],
                 "nearest": report.per_elite_nearest[i],
             }
-            for i, c in enumerate(coords)
+            for i, s in enumerate(solutions)
         ],
     }
 
@@ -285,12 +290,9 @@ def medoid_exemplars(
     seed: int = 0,
 ) -> dict:
     """k representative elites under a weighted per-modality Euclidean
-    distance: d = sqrt(sum_m w_m * d_m^2)."""
-    archive = load_archive(archive_path)
-    coords = archive.occupied()
-    if not coords:
-        raise ValueError(f"{archive_path}: archive holds no elites")
-    solutions = [archive.cells[c].solution for c in coords]
+    distance: d = sqrt(sum_m w_m * d_m^2). Modalities of weight zero are
+    never compared, so their payloads need no common shape."""
+    solutions = _load_elites(archive_path)
     modalities = len(solutions[0].artefacts)
     if weights is None:
         weights = (1.0,) * modalities
@@ -299,10 +301,12 @@ def medoid_exemplars(
     if any(w < 0 for w in weights):
         raise ValueError("weights must be non-negative")
 
+    weighted = [(m, w) for m, w in enumerate(weights) if w != 0]
+
     def combined(a, b):
         parts = [
-            w * _euclidean(pa.payload, pb.payload) ** 2
-            for w, pa, pb in zip(weights, a.artefacts, b.artefacts)
+            w * _euclidean(a.artefacts[m].payload, b.artefacts[m].payload) ** 2
+            for m, w in weighted
         ]
         return math.sqrt(math.fsum(parts))
 
@@ -317,14 +321,14 @@ def medoid_exemplars(
         "total_cost": result.cost,
         "medoids": [
             {
-                "coords": list(coords[m]),
+                "coords": list(solutions[m].coords),
                 "fitness": solutions[m].fitness,
                 "cluster_size": sizes[i],
             }
             for i, m in enumerate(result.medoids)
         ],
         "assignments": [
-            {"coords": list(c), "cluster": int(result.labels[i])}
-            for i, c in enumerate(coords)
+            {"coords": list(s.coords), "cluster": int(result.labels[i])}
+            for i, s in enumerate(solutions)
         ],
     }

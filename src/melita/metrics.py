@@ -46,6 +46,23 @@ def auc(series: Sequence[float]) -> float:
     return math.fsum(series)
 
 
+def pairwise_distances(
+    items: Sequence, distance: Callable[[object, object], float]
+) -> list[list[float]]:
+    """Symmetric matrix of ``distance(items[i], items[j])`` over every
+    pair i < j in row order, as nested lists (zero diagonal). A negative
+    or non-finite distance raises ValueError."""
+    n = len(items)
+    matrix = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = float(distance(items[i], items[j]))
+            if d < 0.0 or not math.isfinite(d):
+                raise ValueError(f"invalid distance {d!r} between items {i} and {j}")
+            matrix[i][j] = matrix[j][i] = d
+    return matrix
+
+
 @dataclass(frozen=True)
 class DistanceReport:
     per_elite_mean: tuple[float, ...]
@@ -68,13 +85,7 @@ def diversity(items: Sequence, distance: Callable[[object, object], float]) -> D
     if n == 1:
         return DistanceReport((0.0,), (0.0,), 0.0, 0.0, True)
 
-    matrix = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = float(distance(items[i], items[j]))
-            if d < 0.0 or not math.isfinite(d):
-                raise ValueError(f"invalid distance {d!r} between items {i} and {j}")
-            matrix[i][j] = matrix[j][i] = d
+    matrix = pairwise_distances(items, distance)
     for i in range(min(n - 1, 8)):
         back = float(distance(items[i + 1], items[i]))
         if not math.isclose(back, matrix[i][i + 1], rel_tol=1e-9, abs_tol=1e-12):

@@ -10,24 +10,28 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .archive import Archive
 from .binding import DomainBinding
+from .checks import require_finite, require_int
 from .metrics import MetricsSample, archive_metrics
 from .selection import select_ucb, select_uniform
 from .steps import SelectFn, melita_step, seed_archive, vanilla_step
 from .types import StepReport
 
 METHODS = ("mapelites", "melita")
-_METHOD_ALIASES = {"vanilla": "mapelites"}
 SELECTIONS = ("uniform", "ucb")
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's settings: the only owner of their names, defaults, types
+    and ranges, which the experiment config's ``run`` object reuses.
+    Every ValueError it raises begins with the field's name."""
+
     domain: str
     seed: int
     method: str = "mapelites"
@@ -40,25 +44,25 @@ class RunConfig:
     domain_params: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        method = _METHOD_ALIASES.get(self.method, self.method)
-        if method not in METHODS:
+        if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        object.__setattr__(self, "method", method)
         if self.selection not in SELECTIONS:
             raise ValueError(f"selection must be one of {SELECTIONS}, got {self.selection!r}")
-        if not self.domain:
-            raise ValueError("domain name must be non-empty")
-        if not (0 <= self.seed < 2**64):
+        if not isinstance(self.domain, str) or not self.domain:
+            raise ValueError(f"domain must be a non-empty string, got {self.domain!r}")
+        for name, minimum in (("seed", 0), ("init_count", 1), ("steps", 0), ("snapshot_every", 0)):
+            object.__setattr__(self, name, require_int(name, getattr(self, name), minimum))
+        if self.seed >= 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.ucb_c < 0:
-            raise ValueError(f"ucb_c must be non-negative, got {self.ucb_c}")
-        if not self.axis_sizes or any(s < 1 for s in self.axis_sizes):
-            raise ValueError(f"axis_sizes must be positive, got {self.axis_sizes}")
-        object.__setattr__(self, "axis_sizes", tuple(int(s) for s in self.axis_sizes))
-        for name in ("init_count", "steps", "snapshot_every"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        object.__setattr__(self, "domain_params", dict(self.domain_params))
+        object.__setattr__(self, "ucb_c", require_finite("ucb_c", self.ucb_c))
+        axes = self.axis_sizes
+        if isinstance(axes, str) or not isinstance(axes, Sequence) or not axes:
+            raise ValueError(f"axis_sizes must be a non-empty sequence, got {axes!r}")
+        object.__setattr__(self, "axis_sizes", tuple(require_int("axis_sizes", a, 1) for a in axes))
+        params = self.domain_params
+        if not isinstance(params, Mapping) or not all(isinstance(k, str) for k in params):
+            raise ValueError(f"domain_params must be a mapping with string keys, got {params!r}")
+        object.__setattr__(self, "domain_params", dict(params))
 
 
 @dataclass(frozen=True)

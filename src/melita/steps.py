@@ -64,7 +64,6 @@ def _invalid_report(parent_coords: Coords, modality: int) -> StepReport:
     return StepReport(
         parent_coords=parent_coords,
         mutated_modality=modality,
-        candidate_count=0,
         evaluations=0,
         outcome=Outcome(OFFSPRING_INVALID),
     )
@@ -125,7 +124,6 @@ def vanilla_step(
     return StepReport(
         parent_coords=parent_coords,
         mutated_modality=modality,
-        candidate_count=1,
         evaluations=1,
         outcome=outcome,
     )
@@ -203,7 +201,6 @@ def melita_step(
     return StepReport(
         parent_coords=parent_coords,
         mutated_modality=modality,
-        candidate_count=len(ordered),
         evaluations=len(ordered),
         outcome=outcome,
     )

@@ -51,9 +51,6 @@ class Solution:
         if not 0.0 <= self.fitness <= 1.0:
             raise ValueError(f"fitness must lie in [0, 1], got {self.fitness}")
 
-    def payloads(self) -> tuple[Any, ...]:
-        return tuple(a.payload for a in self.artefacts)
-
 
 def payloads_equal(a: tuple[Artefact, ...], b: tuple[Artefact, ...]) -> bool:
     """True when two artefact tuples carry identical payloads in every
@@ -88,10 +85,10 @@ class Outcome:
 
 @dataclass(frozen=True)
 class StepReport:
-    """Observability record for one evolutionary step."""
+    """Observability record for one evolutionary step. ``evaluations`` counts
+    the candidates scored: 0 for an invalid offspring, else 1 plus any transverse ones."""
 
     parent_coords: Coords
     mutated_modality: int
-    candidate_count: int
     evaluations: int
     outcome: Outcome

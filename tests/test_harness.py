@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from melita import Archive, Artefact, MetricsSample, Solution
+from melita import Archive, Artefact, MetricsSample, RunConfig, Solution, ToyMediaDomain, run
 from melita.harness import (
     ConfigError,
     ExperimentConfig,
@@ -101,6 +101,18 @@ def test_invalid_json_is_config_error(tmp_path):
             "unique",
         ),
         (lambda d: d.update(runs_per_method=0), "runs_per_method"),
+        (lambda d: d["run"].update(ucb_c=float("nan")), "run.ucb_c"),
+        (lambda d: d["run"].update(ucb_c=float("inf")), "run.ucb_c"),
+        (lambda d: d["run"].update(domain_params={"sigma": float("nan")}), "run.domain: sigma"),
+        (lambda d: d["run"].update(domain_params={"sigma": True}), "run.domain: sigma"),
+        (
+            lambda d: d["run"].update(domain="toy_media", domain_params={"width": 8.7}),
+            "run.domain: width",
+        ),
+        (
+            lambda d: d["run"].update(domain="toy_media", domain_params={"noise_sigma": float("nan")}),
+            "run.domain: noise_sigma",
+        ),
     ],
 )
 def test_config_validation_names_the_field(tmp_path, mutate, needle):
@@ -385,6 +397,22 @@ def test_medoid_weights_select_modality(tmp_path):
         frozenset({(0, 0), (3, 0)}),
         frozenset({(0, 1), (3, 1)}),
     }
+
+
+def test_medoid_zero_weight_skips_toy_media_text(tmp_path):
+    # Token payloads differ in length, so only the image modality can be
+    # compared; a zero text weight must leave it out entirely.
+    config = RunConfig(domain="toy_media", seed=4, steps=20, init_count=30,
+                       domain_params={"width": 8, "height": 8})
+    record = run(ToyMediaDomain(width=8, height=8), config, np.random.default_rng(4))
+    path = tmp_path / "archive.json"
+    save_archive(path, record.archive)
+
+    report = medoid_exemplars(path, 3, weights=(0.0, 1.0))
+    assert sum(m["cluster_size"] for m in report["medoids"]) == len(record.archive)
+    assert len(report["assignments"]) == len(record.archive)
+    with pytest.raises(ValueError):
+        medoid_exemplars(path, 3, weights=(1.0, 1.0))
 
 
 # ----------------------------------------------------------------------- CLI

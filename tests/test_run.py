@@ -54,10 +54,6 @@ def test_methods_diverge():
     assert archive_to_dict(a.archive) != archive_to_dict(b.archive)
 
 
-def test_vanilla_alias_normalizes():
-    assert vp_config(method="vanilla").method == "mapelites"
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         vp_config(method="hillclimb")
@@ -75,6 +71,10 @@ def test_config_validation():
         vp_config(axis_sizes=())
     with pytest.raises(ValueError):
         RunConfig(domain="", seed=0)
+    with pytest.raises(ValueError, match="^ucb_c"):
+        vp_config(ucb_c=float("nan"))
+    with pytest.raises(ValueError, match="^steps"):
+        vp_config(steps=True)
 
 
 def test_domain_mismatch_rejected():

@@ -70,7 +70,6 @@ def test_vanilla_replaces_own_cell():
     report = vanilla_step(archive, domain, np.random.default_rng(seed))
     assert report.outcome.kind == REPLACED
     assert report.outcome.coords == (1, 1)
-    assert report.candidate_count == 1
     assert report.evaluations == 1
     assert archive.cells[(1, 1)].solution.fitness == 0.7
     assert archive.cells[(1, 1)].offspring_inserted == 1
@@ -97,7 +96,6 @@ def test_vanilla_invalid_offspring():
     domain.push(1, -1.0)  # unclassifiable
     report = vanilla_step(archive, domain, np.random.default_rng(find_seed(1, 0, 1)))
     assert report.outcome.kind == OFFSPRING_INVALID
-    assert report.candidate_count == 0
     assert report.evaluations == 0
     assert len(archive) == 1
 
@@ -190,7 +188,7 @@ def test_melita_replaces_row_elite():
     report = melita_step(archive, domain, np.random.default_rng(seed))
     assert report.outcome.kind == REPLACED
     assert report.outcome.coords == (3, 1)
-    assert report.candidate_count == 3
+    assert report.evaluations == 3
     assert archive.cells[(3, 1)].solution.fitness == 0.90
     # E' was payload-identical to the parent's cell content only on the
     # text side; its own cell keeps the parent.
@@ -218,7 +216,7 @@ def test_melita_falls_back_to_empty_cell():
     report = melita_step(archive, domain, np.random.default_rng(seed))
     assert report.outcome.kind == INSERTED_EMPTY
     assert report.outcome.coords == (1, 2)
-    assert report.candidate_count == 1  # row at visual bin 2 is empty
+    assert report.evaluations == 1  # row at visual bin 2 is empty
     assert archive.cells[(1, 2)].solution.fitness == 0.40
 
 

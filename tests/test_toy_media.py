@@ -454,6 +454,10 @@ def test_domain_validation():
         ToyMediaDomain(width=2)
     with pytest.raises(ValueError):
         ToyMediaDomain(noise_sigma=-1.0)
+    bad = [("width", True), ("height", 8.7), ("noise_sigma", float("nan")), ("noise_sigma", False)]
+    for name, value in bad:
+        with pytest.raises(ValueError, match=f"^{name}"):
+            ToyMediaDomain(**{name: value})
 
 
 def test_constants_dict_is_complete():

@@ -133,3 +133,6 @@ def test_full_mutation_frequency():
 def test_sigma_validation():
     with pytest.raises(ValueError):
         VectorPairDomain(sigma=-0.1)
+    for bad in (True, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^sigma"):
+            VectorPairDomain(sigma=bad)
