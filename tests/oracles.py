@@ -1,5 +1,6 @@
-"""Independent straight-line reimplementation of the vector-pair search
-step, used as the oracle for step-procedure tests.
+"""Independent straight-line reimplementations used as oracles: the
+vector-pair search step for step-procedure tests, and PAM k-medoids for
+the clustering tests.
 
 Nothing here imports the library's archive or step code. Archive state
 is a plain dict mapping coords -> (fitness, text_payload, visual_payload)
@@ -159,3 +160,45 @@ def assert_same_archive(archive, cells: dict) -> None:
         assert solution.fitness == fitness, (coords, solution.fitness, fitness)
         assert np.array_equal(solution.artefacts[0].payload, t), coords
         assert np.array_equal(solution.artefacts[1].payload, v), coords
+
+
+def k_medoids(items, distance, k: int, rng: np.random.Generator):
+    """PAM as (medoids, labels, cost): every (slot, candidate) swap is
+    scored by a full reassignment, one point at a time, and the best
+    swap that lowers the cost by more than 1e-12 is applied until none
+    does. Assignment ties go to the lowest medoid position."""
+    n = len(items)
+    matrix = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            matrix[i][j] = matrix[j][i] = float(distance(items[i], items[j]))
+
+    def assign(medoids):
+        labels = []
+        cost = 0.0
+        for i in range(n):
+            best = min(range(len(medoids)), key=lambda m: (matrix[i][medoids[m]], m))
+            labels.append(best)
+            cost += matrix[i][medoids[best]]
+        return labels, cost
+
+    medoids = sorted(int(m) for m in rng.choice(n, size=k, replace=False))
+    labels, cost = assign(medoids)
+    while True:
+        best_swap = None
+        best_cost = cost
+        for slot in range(k):
+            for candidate in range(n):
+                if candidate in medoids:
+                    continue
+                trial = list(medoids)
+                trial[slot] = candidate
+                _, trial_cost = assign(trial)
+                if trial_cost < best_cost - 1e-12:
+                    best_cost = trial_cost
+                    best_swap = (slot, candidate)
+        if best_swap is None:
+            break
+        medoids[best_swap[0]] = best_swap[1]
+        labels, cost = assign(medoids)
+    return tuple(medoids), tuple(labels), cost

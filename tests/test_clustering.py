@@ -1,9 +1,13 @@
+import copy
 import itertools
 
 import numpy as np
+import oracles
 import pytest
 
-from melita import k_medoids
+from melita import RunConfig, VectorPairDomain, k_medoids, run
+from melita.harness import experiment, medoid_exemplars
+from melita.harness.serialize import save_archive
 
 
 def euclid(a, b):
@@ -91,3 +95,79 @@ def test_invalid_k():
         k_medoids([1.0, 2.0], euclid, 0, np.random.default_rng(0))
     with pytest.raises(ValueError):
         k_medoids([1.0, 2.0], euclid, 3, np.random.default_rng(0))
+
+
+# ------------------------------------------- straight-line PAM as the oracle
+
+
+def assert_matches_oracle(items, distance, k, seed):
+    result = k_medoids(items, distance, k, np.random.default_rng(seed))
+    medoids, labels, cost = oracles.k_medoids(items, distance, k, np.random.default_rng(seed))
+    assert (result.medoids, result.labels) == (medoids, labels)
+    assert result.cost.hex() == cost.hex()
+
+
+def plane(a, b):
+    return float(np.hypot(*(a - b)))
+
+
+def manhattan(a, b):
+    return float(np.abs(a - b).sum())
+
+
+def test_matches_oracle_on_random_points():
+    rng = np.random.default_rng(30)
+    for trial in range(60):
+        n = int(rng.integers(2, 18))
+        points = list(rng.random((n, 2)))
+        for k in {1, int(rng.integers(1, n + 1)), n}:
+            assert_matches_oracle(points, plane, k, trial)
+
+
+def test_matches_oracle_with_tied_integer_distances():
+    # Points on a 4x4 grid under the Manhattan distance: every distance is
+    # a small integer, so many swaps tie exactly.
+    rng = np.random.default_rng(31)
+    for trial in range(60):
+        n = int(rng.integers(2, 18))
+        points = list(rng.integers(0, 4, size=(n, 2)))
+        for k in {1, int(rng.integers(1, n + 1)), n}:
+            assert_matches_oracle(points, manhattan, k, trial)
+
+
+def test_matches_oracle_with_rounding_near_ties():
+    # Multiples of 0.1 give distances such as 0.30000000000000004, so swaps
+    # that tie exactly in real arithmetic differ by an ulp or two here:
+    # the summation order and the 1e-12 tolerance decide which one wins.
+    rng = np.random.default_rng(32)
+    for trial in range(80):
+        n = int(rng.integers(8, 24))
+        items = list(rng.integers(0, 12, size=n) * 0.1)
+        for k in {1, int(rng.integers(1, n + 1)), n}:
+            assert_matches_oracle(items, euclid, k, trial)
+
+
+def test_matches_oracle_on_vector_pair_medoid_exemplars(tmp_path, monkeypatch):
+    # The library and the oracle see the same items, combined distance
+    # and initial draw inside the harness's medoid_exemplars.
+    config = RunConfig(domain="vector_pair", seed=7, method="melita", steps=300, init_count=30)
+    record = run(VectorPairDomain(), config, np.random.default_rng(7))
+    path = tmp_path / "archive.json"
+    save_archive(path, record.archive)
+
+    calls = []
+
+    def checked(items, distance, k, rng):
+        expected = oracles.k_medoids(items, distance, k, copy.deepcopy(rng))
+        result = k_medoids(items, distance, k, rng)
+        calls.append((result, expected))
+        return result
+
+    monkeypatch.setattr(experiment, "k_medoids", checked)
+    for seed in (0, 1):
+        medoid_exemplars(path, 5, seed=seed)
+    assert len(calls) == 2
+    for result, (medoids, labels, cost) in calls:
+        assert len(labels) == len(record.archive) > 40
+        assert (result.medoids, result.labels) == (medoids, labels)
+        assert result.cost.hex() == cost.hex()

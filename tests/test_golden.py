@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import hashlib
 
-from melita.harness import ExperimentConfig, run_experiment
+from melita.harness import ExperimentConfig, analyze_diversity, medoid_exemplars, run_experiment
+from melita.harness.serialize import canonical_json
 
 VECTOR_PAIR = {
     "labels": [{"name": "golden", "seed": 4242}],
@@ -84,6 +85,19 @@ GOLDEN = {
 }
 
 
+# sha256 of the canonical JSON of each analysis of the vector_pair
+# experiment's melita archive, called with the path relative to the
+# output directory so that the reports do not depend on where it lies.
+# At k=2 both medoid seeds reach the same partition; at k=5 they do not.
+GOLDEN_ANALYSIS = {
+    "medoids_k2_seed0": "dc0bb4c2e69834e3d67f2ec5a39393e3ed26978210ab14dc40fdabb7d0f82d7c",
+    "medoids_k2_seed1": "dc0bb4c2e69834e3d67f2ec5a39393e3ed26978210ab14dc40fdabb7d0f82d7c",
+    "medoids_k5_seed0": "66ff1669eb404ad5ae84c5aef3ce21234dedb13a2022f9a853f9b5f7a4fa5f41",
+    "medoids_k5_seed1": "2ccaee215bc5774d17494a776945babbd4d4b139cf9ec678d091dcb2007045ff",
+    "diversity_0_euclidean": "4cda907c034a02bc34d8040ea8acf9aeb40bb5dd6bd9257e9160e621bf276731",
+}
+
+
 def _digests(directory) -> dict[str, str]:
     return {
         path.relative_to(directory).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
@@ -100,3 +114,20 @@ def test_vector_pair_outputs_match_golden_digests(tmp_path):
 def test_toy_media_outputs_match_golden_digests(tmp_path):
     run_experiment(ExperimentConfig.from_dict(TOY_MEDIA), tmp_path)
     assert _digests(tmp_path) == GOLDEN["toy_media"]
+
+
+def test_vector_pair_analysis_matches_golden_digests(tmp_path, monkeypatch):
+    run_experiment(ExperimentConfig.from_dict(VECTOR_PAIR), tmp_path)
+    monkeypatch.chdir(tmp_path)
+    archive = "melita/golden_run0_archive.json"
+    reports = {
+        f"medoids_k{k}_seed{seed}": medoid_exemplars(archive, k, seed=seed)
+        for k in (2, 5)
+        for seed in (0, 1)
+    }
+    reports["diversity_0_euclidean"] = analyze_diversity(archive, 0, "euclidean")
+    digests = {
+        name: hashlib.sha256(canonical_json(report).encode()).hexdigest()
+        for name, report in reports.items()
+    }
+    assert digests == GOLDEN_ANALYSIS

@@ -114,3 +114,26 @@ def test_validation():
         rank_sum_test([], [1.0])
     with pytest.raises(ValueError):
         rank_sum_test([1.0], [1.0], alternative="less")
+
+
+def test_matches_scipy_mannwhitneyu_with_ties():
+    # scipy is an independent implementation of the same statistic: the
+    # asymptotic two-sided test with tie-corrected variance and continuity
+    # correction. Integer draws from a small range make ties common. U
+    # must agree exactly; p only to 1e-9, because the erf-based normal
+    # tail keeps fewer digits than scipy's at p near 1e-5.
+    from scipy.stats import mannwhitneyu
+
+    rng = np.random.default_rng(14)
+    for trial in range(200):
+        n1 = int(rng.integers(1, 16))
+        n2 = int(rng.integers(1, 16))
+        high = int(rng.integers(2, 12))
+        a = list(rng.integers(0, high, size=n1).astype(float))
+        b = list(rng.integers(0, high, size=n2).astype(float) + (trial % 3))
+        if len(set(a + b)) == 1:
+            continue  # scipy reports nan where every value ties
+        ours = rank_sum_test(a, b)
+        theirs = mannwhitneyu(a, b, alternative="two-sided", use_continuity=True, method="asymptotic")
+        assert ours.statistic == theirs.statistic
+        assert math.isclose(ours.p_value, theirs.pvalue, rel_tol=1e-9), (a, b)
