@@ -32,18 +32,25 @@ def k_medoids(
     k: int,
     rng: np.random.Generator,
 ) -> KMedoidsResult:
-    """Partition items around k medoids (PAM).
+    """Partition items around k medoids (PAM), exactly and
+    deterministically for a given rng.
 
-    Initial medoids are drawn without replacement from rng; thereafter
-    the best strictly-improving (medoid, candidate) swap is applied each
-    iteration until none exists, which is deterministic given the seed.
-    Ties in assignment go to the lowest medoid position.
+    Initial medoids are drawn without replacement from rng. Each
+    iteration scans swaps slot by slot, candidates in index order, and
+    keeps one only if it lowers the best cost so far by more than 1e-12;
+    the kept swap is applied until none is left. A swap's cost adds each
+    point's distance to its nearest trial medoid over points 0..n-1 in
+    that order (np.add.accumulate, where np.sum would add pairwise and
+    move the bits). One numpy pass scores every candidate for a slot, so
+    an iteration does O(k*n^2) array work. Assignment ties go to the
+    lowest medoid position.
     """
     n = len(items)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
 
     matrix = pairwise_distances(items, distance)
+    dist = np.array(matrix, dtype=np.float64)
 
     medoids = sorted(int(m) for m in rng.choice(n, size=k, replace=False))
     labels, cost = _assign(matrix, medoids)
@@ -51,13 +58,11 @@ def k_medoids(
         best_swap = None
         best_cost = cost
         for slot in range(k):
-            for candidate in range(n):
-                if candidate in medoids:
-                    continue
-                trial = list(medoids)
-                trial[slot] = candidate
-                _, trial_cost = _assign(matrix, trial)
-                if trial_cost < best_cost - 1e-12:
+            others = medoids[:slot] + medoids[slot + 1 :]
+            nearest = dist[:, others].min(axis=1) if others else np.full(n, np.inf)
+            trial_costs = np.add.accumulate(np.minimum(nearest[:, None], dist), axis=0)[-1]
+            for candidate, trial_cost in enumerate(trial_costs.tolist()):
+                if candidate not in medoids and trial_cost < best_cost - 1e-12:
                     best_cost = trial_cost
                     best_swap = (slot, candidate)
         if best_swap is None:

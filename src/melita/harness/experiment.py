@@ -10,6 +10,7 @@ from typing import Callable
 import numpy as np
 
 from .. import __version__
+from ..checks import require_finite
 from ..clustering import k_medoids
 from ..domains import make_domain
 from ..domains.toy_media import constants_dict, topic_posterior
@@ -298,8 +299,8 @@ def medoid_exemplars(
         weights = (1.0,) * modalities
     if len(weights) != modalities:
         raise ValueError(f"expected {modalities} weights, got {len(weights)}")
-    if any(w < 0 for w in weights):
-        raise ValueError("weights must be non-negative")
+    for m, w in enumerate(weights):
+        require_finite(f"weights[{m}]", w)
 
     weighted = [(m, w) for m, w in enumerate(weights) if w != 0]
 
@@ -311,9 +312,7 @@ def medoid_exemplars(
         return math.sqrt(math.fsum(parts))
 
     result = k_medoids(solutions, combined, k, np.random.default_rng(seed))
-    sizes = [0] * k
-    for cluster in result.labels:
-        sizes[cluster] += 1
+    sizes = [result.labels.count(cluster) for cluster in range(k)]
     return {
         "archive": str(archive_path),
         "k": k,

@@ -8,6 +8,7 @@ exact enumerator lives in the test suite as the oracle for tiny n.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -62,12 +63,7 @@ def rank_sum_test(
     u2 = n1 * n2 - u1
 
     n = n1 + n2
-    tie_term = 0.0
-    seen: dict[float, int] = {}
-    for v in pooled:
-        seen[v] = seen.get(v, 0) + 1
-    for count in seen.values():
-        tie_term += count**3 - count
+    tie_term = sum(count**3 - count for count in Counter(pooled).values())
     variance = (n1 * n2 / 12.0) * ((n + 1) - tie_term / (n * (n - 1)))
     mean = n1 * n2 / 2.0
 

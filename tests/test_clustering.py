@@ -137,14 +137,17 @@ def test_matches_oracle_with_tied_integer_distances():
 
 def test_matches_oracle_with_rounding_near_ties():
     # Multiples of 0.1 give distances such as 0.30000000000000004, so swaps
-    # that tie exactly in real arithmetic differ by an ulp or two here:
-    # the summation order and the 1e-12 tolerance decide which one wins.
+    # that tie exactly in real arithmetic differ by an ulp or two, and the
+    # 1e-12 tolerance decides which one wins. Multiples of 1000.1 give
+    # costs whose ulp exceeds 1e-12, so the order in which each cost is
+    # summed decides instead.
     rng = np.random.default_rng(32)
-    for trial in range(80):
-        n = int(rng.integers(8, 24))
-        items = list(rng.integers(0, 12, size=n) * 0.1)
-        for k in {1, int(rng.integers(1, n + 1)), n}:
-            assert_matches_oracle(items, euclid, k, trial)
+    for scale in (0.1, 1000.1):
+        for trial in range(80):
+            n = int(rng.integers(8, 24))
+            items = list(rng.integers(0, 12, size=n) * scale)
+            for k in {1, int(rng.integers(1, n + 1)), n}:
+                assert_matches_oracle(items, euclid, k, trial)
 
 
 def test_matches_oracle_on_vector_pair_medoid_exemplars(tmp_path, monkeypatch):

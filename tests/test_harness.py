@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -397,6 +398,23 @@ def test_medoid_weights_select_modality(tmp_path):
         frozenset({(0, 0), (3, 0)}),
         frozenset({(0, 1), (3, 1)}),
     }
+
+
+def test_medoid_weights_must_be_finite_and_non_negative(tmp_path, capsys):
+    path = tmp_path / "archive.json"
+    save_pair_archive(
+        path,
+        [
+            pair_solution((0, 0), 0.5, [0.0], [0.0]),
+            pair_solution((3, 1), 0.8, [10.0], [10.0]),
+        ],
+    )
+    for weights, field in (((math.nan, 1.0), "weights[0]"), ((1.0, math.inf), "weights[1]"),
+                           ((1.0, -1.0), "weights[1]")):
+        with pytest.raises(ValueError, match=re.escape(field)):
+            medoid_exemplars(path, 2, weights=weights)
+    assert cli_main(["medoids", "--archive", str(path), "-k", "2", "--weights", "nan,1"]) == 2
+    assert "weights[0] must be a finite non-negative number" in capsys.readouterr().err
 
 
 def test_medoid_zero_weight_skips_toy_media_text(tmp_path):
