@@ -32,18 +32,17 @@ def k_medoids(
     k: int,
     rng: np.random.Generator,
 ) -> KMedoidsResult:
-    """Partition items around k medoids (PAM), exactly and
-    deterministically for a given rng.
+    """Partition items around k medoids (PAM); deterministic given rng.
 
-    Initial medoids are drawn without replacement from rng. Each
-    iteration scans swaps slot by slot, candidates in index order, and
-    keeps one only if it lowers the best cost so far by more than 1e-12;
-    the kept swap is applied until none is left. A swap's cost adds each
-    point's distance to its nearest trial medoid over points 0..n-1 in
-    that order (np.add.accumulate, where np.sum would add pairwise and
-    move the bits). One numpy pass scores every candidate for a slot, so
-    an iteration does O(k*n^2) array work. Assignment ties go to the
-    lowest medoid position.
+    Initial medoids are drawn from rng without replacement. Swaps are
+    scanned slot by slot, candidates in index order; one is kept only if
+    it lowers the best cost so far by more than 1e-12, and the kept swap
+    is applied until none is. A swap's cost adds each point's distance
+    to its nearest trial medoid in point order (np.add.accumulate, as
+    np.sum adds pairwise), so costs and tie-breaks keep the bits of a
+    point-by-point reassignment. One numpy pass per slot scores every
+    candidate: O(k*n^2) array work per iteration. Assignment ties go to
+    the lowest medoid position.
     """
     n = len(items)
     if not 1 <= k <= n:
@@ -58,8 +57,7 @@ def k_medoids(
         best_swap = None
         best_cost = cost
         for slot in range(k):
-            others = medoids[:slot] + medoids[slot + 1 :]
-            nearest = dist[:, others].min(axis=1) if others else np.full(n, np.inf)
+            nearest = dist[:, medoids[:slot] + medoids[slot + 1 :]].min(axis=1, initial=np.inf)
             trial_costs = np.add.accumulate(np.minimum(nearest[:, None], dist), axis=0)[-1]
             for candidate, trial_cost in enumerate(trial_costs.tolist()):
                 if candidate not in medoids and trial_cost < best_cost - 1e-12:

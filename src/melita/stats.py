@@ -8,7 +8,6 @@ exact enumerator lives in the test suite as the oracle for tiny n.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -63,7 +62,10 @@ def rank_sum_test(
     u2 = n1 * n2 - u1
 
     n = n1 + n2
-    tie_term = sum(count**3 - count for count in Counter(pooled).values())
+    seen: dict[float, int] = {}
+    for v in pooled:
+        seen[v] = seen.get(v, 0) + 1
+    tie_term = sum(count**3 - count for count in seen.values())
     variance = (n1 * n2 / 12.0) * ((n + 1) - tie_term / (n * (n - 1)))
     mean = n1 * n2 / 2.0
 

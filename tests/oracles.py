@@ -163,10 +163,11 @@ def assert_same_archive(archive, cells: dict) -> None:
 
 
 def k_medoids(items, distance, k: int, rng: np.random.Generator):
-    """PAM as (medoids, labels, cost): every (slot, candidate) swap is
-    scored by a full reassignment, one point at a time, and the best
-    swap that lowers the cost by more than 1e-12 is applied until none
-    does. Assignment ties go to the lowest medoid position."""
+    """PAM as (medoids, labels, cost). Every (slot, candidate) swap is
+    scored by a full reassignment, one point at a time; a swap is kept
+    only if it lowers the best cost so far by more than 1e-12, and the
+    kept swap is applied until none is. Assignment ties go to the lowest
+    medoid position."""
     n = len(items)
     matrix = [[0.0] * n for _ in range(n)]
     for i in range(n):
