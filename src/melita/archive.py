@@ -26,13 +26,20 @@ class Archive:
     """N-dimensional grid holding at most one elite per cell.
 
     Replacement uses strict fitness inequality, so per-cell occupant
-    fitness never decreases over a run.
+    fitness never decreases over a run. Cells are filled or replaced but
+    never removed, by ``insert`` and by direct writes to ``cells`` alike,
+    so the cached occupied order is stale exactly when ``cells`` has
+    grown past it; it and its rows are rebuilt lazily on the next read.
     """
 
     axis_sizes: tuple[int, ...]
     cells: dict[Coords, Cell] = field(default_factory=dict)
     total_selections: int = 0
     evicted_selections: int = 0
+    _order: tuple[Coords, ...] = field(default=(), init=False, repr=False, compare=False)
+    _rows: dict[tuple[int, int], tuple[Coords, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.axis_sizes = tuple(int(s) for s in self.axis_sizes)
@@ -59,12 +66,29 @@ class Archive:
             total *= s
         return total
 
+    def ordered(self) -> tuple[Coords, ...]:
+        """Occupied coordinates in ascending lexicographic order, sorted
+        again only after a new cell has been filled."""
+        if len(self._order) != len(self.cells):
+            self._order = tuple(sorted(self.cells))
+            self._rows = {}
+        return self._order
+
     def occupied(self) -> list[Coords]:
-        """Occupied coordinates in ascending lexicographic order."""
-        return sorted(self.cells)
+        """A fresh list of ``ordered()``, safe for the caller to change."""
+        return list(self.ordered())
+
+    def row(self, axis: int, index: int) -> tuple[Coords, ...]:
+        """Occupied coordinates whose ``axis`` coordinate is ``index``, in
+        ascending lexicographic order."""
+        order = self.ordered()
+        row = self._rows.get((axis, index))
+        if row is None:
+            row = self._rows[axis, index] = tuple(c for c in order if c[axis] == index)
+        return row
 
     def solutions(self) -> list[Solution]:
-        return [self.cells[c].solution for c in self.occupied()]
+        return [self.cells[c].solution for c in self.ordered()]
 
     def check_coords(self, coords: Coords) -> None:
         if len(coords) != len(self.axis_sizes) or any(

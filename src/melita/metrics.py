@@ -1,8 +1,9 @@
 """Archive-level quality and diversity measurements.
 
-Sums use math.fsum over elites in sorted-coordinate order, so a metric
-recomputed from a serialized archive reproduces the value recorded
-during the run bit for bit.
+Sums use math.fsum, which is correctly rounded, and maxima use max over
+never-NaN fitness values; neither depends on the order of the elites,
+so a metric recomputed from a serialized archive reproduces the value
+recorded during the run bit for bit.
 """
 from __future__ import annotations
 
@@ -27,15 +28,14 @@ def archive_metrics(archive: Archive, step: int = 0) -> MetricsSample:
 
     An empty archive reports zeros so time series stay total.
     """
-    occupied = archive.occupied()
-    if not occupied:
+    if not archive.cells:
         return MetricsSample(step, 0.0, 0.0, 0.0, 0.0)
-    fitnesses = [archive.cells[c].solution.fitness for c in occupied]
+    fitnesses = [cell.solution.fitness for cell in archive.cells.values()]
     qd = math.fsum(fitnesses)
     return MetricsSample(
         step=step,
-        coverage=len(occupied) / archive.cell_count,
-        mean_fitness=qd / len(occupied),
+        coverage=len(fitnesses) / archive.cell_count,
+        mean_fitness=qd / len(fitnesses),
         max_fitness=max(fitnesses),
         qd_score=qd,
     )

@@ -20,7 +20,7 @@ class NoElitesError(RuntimeError):
 
 def select_uniform(archive: Archive, rng: np.random.Generator) -> Coords:
     """Pick an occupied cell uniformly at random and update its counters."""
-    occupied = archive.occupied()
+    occupied = archive.ordered()
     if not occupied:
         raise NoElitesError("cannot select a parent from an empty archive")
     coords = occupied[int(rng.integers(len(occupied)))]
@@ -37,21 +37,22 @@ def select_ucb(archive: Archive, rng: np.random.Generator, c: float = 1.0) -> Co
     occupants score infinite and are chosen first; exact score ties are
     broken uniformly at random.
     """
-    occupied = archive.occupied()
+    occupied = archive.ordered()
     if not occupied:
         raise NoElitesError("cannot select a parent from an empty archive")
 
-    unvisited = [coords for coords in occupied if archive.cells[coords].times_selected == 0]
+    cells = archive.cells
+    unvisited = [coords for coords in occupied if cells[coords].times_selected == 0]
     if unvisited:
         coords = unvisited[int(rng.integers(len(unvisited)))]
     else:
-        t = max(archive.total_selections, 1)
+        two_log_t = 2.0 * math.log(max(archive.total_selections, 1))
         best_score = -math.inf
         best: list[Coords] = []
         for coords in occupied:
-            cell = archive.cells[coords]
+            cell = cells[coords]
             n = cell.times_selected
-            score = cell.offspring_inserted / max(1, n) + c * math.sqrt(2.0 * math.log(t) / n)
+            score = cell.offspring_inserted / n + c * math.sqrt(two_log_t / n)
             if score > best_score:
                 best_score = score
                 best = [coords]

@@ -34,10 +34,6 @@ def _midranks(values: Sequence[float]) -> list[float]:
     return ranks
 
 
-def _normal_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
 def rank_sum_test(
     sample_a: Sequence[float],
     sample_b: Sequence[float],
@@ -73,10 +69,11 @@ def rank_sum_test(
         return RankSumResult(u1, 1.0, alternative)
     sd = math.sqrt(variance)
 
+    # Normal tails through erfc, which keeps its digits where p is small.
     if alternative == "greater":
         z = (u1 - mean - 0.5) / sd
-        p = 1.0 - _normal_cdf(z)
+        p = 0.5 * math.erfc(z / math.sqrt(2.0))
     else:
         z = (min(u1, u2) - mean + 0.5) / sd
-        p = 2.0 * _normal_cdf(z)
+        p = math.erfc(-z / math.sqrt(2.0))
     return RankSumResult(u1, min(1.0, max(0.0, p)), alternative)

@@ -119,13 +119,15 @@ def vanilla_step(
     if offspring is None:
         return _invalid_report(parent_coords, modality)
     outcome = archive.insert(offspring)
-    if outcome.kind in (INSERTED_EMPTY, REPLACED):
+    inserted = outcome.kind in (INSERTED_EMPTY, REPLACED)
+    if inserted:
         archive.credit_insertion(parent_coords)
     return StepReport(
         parent_coords=parent_coords,
         mutated_modality=modality,
         evaluations=1,
         outcome=outcome,
+        source="offspring" if inserted else "none",
     )
 
 
@@ -149,9 +151,7 @@ def transverse_candidates(
     new_artefact = offspring.artefacts[modality]
     new_bin = offspring.coords[modality]
     candidates: list[Solution] = []
-    for coords in archive.occupied():
-        if coords[modality] != new_bin:
-            continue
+    for coords in archive.row(modality, new_bin):
         elite = archive.cells[coords].solution
         artefacts = tuple(
             new_artefact if i == modality else a for i, a in enumerate(elite.artefacts)
@@ -190,19 +190,20 @@ def melita_step(
     ordered = [offspring] + candidates
     ordered.sort(key=lambda s: (-s.fitness, 0 if s is offspring else 1, s.coords))
 
-    outcome = Outcome(REJECTED)
+    outcome, source = Outcome(REJECTED), "none"
     for candidate in ordered:
         cell = archive.cells.get(candidate.coords)
         if cell is None or candidate.fitness > cell.solution.fitness:
             outcome = archive.insert(candidate)
+            source = "offspring" if candidate is offspring else "transverse"
+            archive.credit_insertion(parent_coords)
             break
-    if outcome.kind in (INSERTED_EMPTY, REPLACED):
-        archive.credit_insertion(parent_coords)
     return StepReport(
         parent_coords=parent_coords,
         mutated_modality=modality,
         evaluations=len(ordered),
         outcome=outcome,
+        source=source,
     )
 
 

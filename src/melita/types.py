@@ -86,9 +86,12 @@ class Outcome:
 @dataclass(frozen=True)
 class StepReport:
     """Observability record for one evolutionary step. ``evaluations`` counts
-    the candidates scored: 0 for an invalid offspring, else 1 plus any transverse ones."""
+    the candidates scored: 0 for an invalid offspring, else 1 plus any transverse ones.
+    ``source`` names what changed the archive: "offspring" (the direct
+    offspring), "transverse" (another candidate) or "none" (rejected or invalid)."""
 
     parent_coords: Coords
     mutated_modality: int
     evaluations: int
     outcome: Outcome
+    source: str = "none"

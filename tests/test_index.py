@@ -1,11 +1,16 @@
-"""The archive's occupied-cell index: lexicographic order after every kind
-of write the library makes, and callers cannot corrupt it."""
+"""The archive's occupied-cell index: lexicographic order and rows after
+every kind of write the library makes, callers cannot corrupt it, and a
+step that fills no new cell does not sort the archive again."""
 import copy
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from melita import Archive, Artefact, Solution
+import melita.archive
+import melita.metrics
+import melita.selection
+import melita.steps
+from melita import INSERTED_EMPTY, Archive, Artefact, RunConfig, Solution, VectorPairDomain, run
 from melita.archive import Cell
 from melita.harness.serialize import archive_from_dict, archive_to_dict
 
@@ -16,7 +21,11 @@ def solution(coords, fitness):
 
 
 def assert_index(archive):
-    assert archive.occupied() == sorted(archive.cells)
+    scan = sorted(archive.cells)
+    assert archive.occupied() == scan
+    for axis, size in enumerate(archive.axis_sizes):
+        for index in range(size):
+            assert archive.row(axis, index) == tuple(c for c in scan if c[axis] == index)
 
 
 @st.composite
@@ -72,3 +81,19 @@ def test_snapshot_index_is_independent():
     snapshot.insert(solution((2, 2), 0.5))
     assert archive.occupied() == [(0, 0), (1, 1)]
     assert snapshot.occupied() == [(1, 1), (2, 2)]
+
+
+def test_steps_that_fill_no_cell_do_not_sort(monkeypatch):
+    sorts = []
+
+    def counting_sorted(*args, **kwargs):
+        sorts.append(1)
+        return sorted(*args, **kwargs)
+
+    for module in (melita.archive, melita.metrics, melita.selection, melita.steps):
+        monkeypatch.setattr(module, "sorted", counting_sorted, raising=False)
+    config = RunConfig(domain="vector_pair", seed=101000, method="melita", steps=2000)
+    record = run(VectorPairDomain(), config, np.random.default_rng(101000))
+    filled = sum(r.outcome.kind == INSERTED_EMPTY for r in record.reports)
+    assert 0 < filled < 2000
+    assert 0 < len(sorts) <= filled + 1

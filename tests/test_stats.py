@@ -119,12 +119,14 @@ def test_validation():
 def test_matches_scipy_mannwhitneyu_with_ties():
     # scipy is an independent implementation of the same statistic: the
     # asymptotic two-sided test with tie-corrected variance and continuity
-    # correction. Integer draws from a small range make ties common. U
-    # must agree exactly; p only to 1e-9, because the erf-based normal
-    # tail keeps fewer digits than scipy's at p near 1e-5.
+    # correction. Integer draws from a small range make ties common, and
+    # fully separated 20-vs-20 and 30-vs-30 samples reach p near 7e-8 and
+    # 3e-11, where a tail computed as 1 + erf cancels. U must agree
+    # exactly and p to 5e-14; the worst difference seen is 4.3e-15.
     mannwhitneyu = pytest.importorskip("scipy.stats").mannwhitneyu
 
     rng = np.random.default_rng(14)
+    samples = []
     for trial in range(200):
         n1 = int(rng.integers(1, 16))
         n2 = int(rng.integers(1, 16))
@@ -133,7 +135,13 @@ def test_matches_scipy_mannwhitneyu_with_ties():
         b = list(rng.integers(0, high, size=n2).astype(float) + (trial % 3))
         if len(set(a + b)) == 1:
             continue  # scipy reports nan where every value ties
+        samples.append((a, b))
+    for n in (20, 30):
+        low, high = [float(v) for v in range(n)], [float(v + n) for v in range(n)]
+        samples += [(low, high), (high, low)]
+    for a, b in samples:
         ours = rank_sum_test(a, b)
         theirs = mannwhitneyu(a, b, alternative="two-sided", use_continuity=True, method="asymptotic")
         assert ours.statistic == theirs.statistic
-        assert math.isclose(ours.p_value, theirs.pvalue, rel_tol=1e-9), (a, b)
+        assert math.isclose(ours.p_value, theirs.pvalue, rel_tol=5e-14), (a, b)
+    assert min(rank_sum_test(a, b).p_value for a, b in samples) < 1e-10

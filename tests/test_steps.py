@@ -339,3 +339,38 @@ def test_vanilla_thousand_step_oracle():
         oracles.vanilla_step(cells, oracle_rng)
 
     oracles.assert_same_archive(archive, cells)
+
+
+def seeded_reports(step, steps=600, **kwargs):
+    domain = VectorPairDomain()
+    rng = np.random.default_rng(101000)
+    archive = Archive(domain.axis_sizes)
+    seed_archive(archive, domain, 100, rng)
+    reports = []
+    for _ in range(steps):
+        report = step(archive, domain, rng, **kwargs)
+        # The direct offspring differs from its parent on the mutated axis only.
+        if report.source == "offspring":
+            parent, coords = report.parent_coords, report.outcome.coords
+            assert [c for i, c in enumerate(coords) if i != report.mutated_modality] == [
+                c for i, c in enumerate(parent) if i != report.mutated_modality
+            ]
+        reports.append(report)
+    return reports
+
+
+def test_step_source_names_the_winner():
+    reports = seeded_reports(melita_step)
+    sources = [r.source for r in reports]
+    assert sources.count("transverse") > 0
+    assert sources.count("offspring") > 0
+    for report in reports:
+        assert report.source in ("offspring", "transverse", "none")
+        assert (report.source == "none") == (report.outcome.kind in (REJECTED, OFFSPRING_INVALID))
+
+
+def test_step_source_is_never_transverse_without_transverse_candidates():
+    for reports in (seeded_reports(vanilla_step), seeded_reports(melita_step, transverse=False)):
+        assert {r.source for r in reports} == {"offspring", "none"}
+        for report in reports:
+            assert (report.source == "none") == (report.outcome.kind in (REJECTED, OFFSPRING_INVALID))
