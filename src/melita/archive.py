@@ -1,6 +1,7 @@
 """Grid archive of elites with per-occupant selection statistics."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .types import INSERTED_EMPTY, REJECTED, REPLACED, Coords, Outcome, Solution
@@ -61,10 +62,7 @@ class Archive:
 
     @property
     def cell_count(self) -> int:
-        total = 1
-        for s in self.axis_sizes:
-            total *= s
-        return total
+        return math.prod(self.axis_sizes)
 
     def ordered(self) -> tuple[Coords, ...]:
         """Occupied coordinates in ascending lexicographic order, sorted

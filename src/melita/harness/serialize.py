@@ -65,7 +65,7 @@ def decode_payload(data: object) -> np.ndarray:
 
 def archive_to_dict(archive: Archive, config_digest: str = "") -> dict:
     cells = []
-    for coords in archive.occupied():
+    for coords in archive.ordered():
         cell = archive.cells[coords]
         cells.append(
             {
