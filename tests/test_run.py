@@ -1,13 +1,18 @@
 import copy
+import dataclasses
+import importlib
 
 import numpy as np
 import pytest
 
 from melita import (
+    METHODS,
+    SELECTIONS,
     Archive,
     NoElitesError,
     RunConfig,
     VectorPairDomain,
+    archive_metrics,
     melita_step,
     run,
     seed_archive,
@@ -15,6 +20,9 @@ from melita import (
 )
 from melita.harness.serialize import archive_to_dict, canonical_json, save_archive
 from tests.conftest import ScriptedDomain
+
+# The package exports the run function under the module's own name.
+run_module = importlib.import_module("melita.run")
 
 
 def vp_config(**overrides):
@@ -163,3 +171,30 @@ def test_ucb_selection_runs():
     )
     assert len(record.samples) == 60
     assert record.archive.total_selections == 60
+
+
+def hexed(sample):
+    return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(sample))
+
+
+@pytest.mark.parametrize("selection", SELECTIONS)
+@pytest.mark.parametrize("method", METHODS)
+def test_samples_equal_recomputed_metrics_bit_for_bit(monkeypatch, method, selection):
+    recomputed = []
+
+    def recording(step):
+        def wrapped(archive, *args, **kwargs):
+            report = step(archive, *args, **kwargs)
+            recomputed.append(archive_metrics(archive, step=len(recomputed) + 1))
+            return report
+
+        return wrapped
+
+    for name in ("melita_step", "vanilla_step"):
+        monkeypatch.setattr(run_module, name, recording(getattr(run_module, name)))
+    for seed in (1, 2, 3):
+        recomputed.clear()
+        config = RunConfig(domain="vector_pair", seed=seed, method=method, selection=selection)
+        record = run(VectorPairDomain(), config, np.random.default_rng(seed))
+        assert len(recomputed) == config.steps
+        assert [hexed(s) for s in record.samples] == [hexed(s) for s in recomputed]

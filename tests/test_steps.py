@@ -285,6 +285,51 @@ def test_melita_tie_order_prefers_offspring_then_coords():
     assert archive.cells[(3, 1)].solution.fitness == 0.50
 
 
+def test_melita_tie_between_eligible_members_goes_to_offspring():
+    # The offspring and a transverse candidate both beat their occupants
+    # at one fitness; the candidate's coords sort first, but the direct
+    # offspring still wins the tie.
+    table = {
+        (0.0, 1.2): 0.50,  # R1 at (0, 1)
+        (2.0, 1.0): 0.50,  # parent at (2, 1)
+        (0.0, 1.5): 0.70,  # R1' at (0, 1): eligible, loses the tie
+        (2.0, 1.5): 0.70,  # E' at (2, 1): eligible, wins
+    }
+    domain = ScriptedDomain(fitness_table=table)
+    archive = Archive(domain.axis_sizes)
+    archive.insert(scripted_solution(domain, 0, 1.2))
+    archive.insert(scripted_solution(domain, 2, 1.0))
+
+    domain.push(1, 1.5)
+    report = melita_step(archive, domain, np.random.default_rng(find_seed(2, 1, 1)))
+    assert report.source == "offspring"
+    assert report.outcome.kind == REPLACED
+    assert report.outcome.coords == (2, 1)
+    assert float(archive.cells[(2, 1)].solution.artefacts[1].payload[0]) == 1.5
+    assert archive.cells[(0, 1)].solution.fitness == 0.50
+
+
+@pytest.mark.parametrize("coherence", [-0.1, float("nan")])
+def test_out_of_range_coherence_raises_for_a_losing_candidate(coherence):
+    # The direct offspring would win; the transverse candidate's
+    # coherence is checked all the same.
+    table = {
+        (0.0, 1.0): 0.50,  # parent at (0, 1)
+        (2.0, 1.2): 0.60,  # R1 at (2, 1)
+        (0.0, 1.5): 0.90,  # E' replaces the parent
+        (2.0, 1.5): coherence,  # R1': out of range
+    }
+    domain = ScriptedDomain(fitness_table=table)
+    archive = Archive(domain.axis_sizes)
+    archive.insert(scripted_solution(domain, 0, 1.0))
+    archive.insert(scripted_solution(domain, 2, 1.2))
+
+    domain.push(1, 1.5)
+    with pytest.raises(ValueError, match=r"^fitness must lie in \[0, 1\]"):
+        melita_step(archive, domain, np.random.default_rng(find_seed(2, 0, 1)))
+    assert archive.cells[(0, 1)].solution.fitness == 0.50
+
+
 def test_seed_archive():
     domain = VectorPairDomain()
     archive = Archive(domain.axis_sizes)
