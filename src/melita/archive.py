@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .types import INSERTED_EMPTY, REJECTED, REPLACED, Coords, Outcome, Solution
+from .types import INSERTED_EMPTY, REJECTED, REPLACED, Candidate, Coords, Outcome, Solution
 
 
 @dataclass
@@ -94,25 +94,28 @@ class Archive:
         ):
             raise ValueError(f"coords {coords} out of range for axes {self.axis_sizes}")
 
-    def insert(self, candidate: Solution) -> Outcome:
-        """Place a candidate at its own coordinates if the cell is empty
-        or the candidate is strictly fitter than the occupant."""
-        self.check_coords(candidate.coords)
+    def accepts(self, candidate: Candidate | Solution) -> bool:
+        """True when the candidate's cell is empty or the candidate is
+        strictly fitter than the occupant: the rule ``insert`` applies."""
         cell = self.cells.get(candidate.coords)
+        return cell is None or candidate.fitness > cell.solution.fitness
+
+    def insert(self, candidate: Solution) -> Outcome:
+        """Place a candidate at its own coordinates if ``accepts`` it."""
+        self.check_coords(candidate.coords)
+        if not self.accepts(candidate):
+            return Outcome(REJECTED)
+        cell = self.cells.get(candidate.coords)
+        self.cells[candidate.coords] = Cell(candidate, birth_step=self.total_selections)
         if cell is None:
-            self.cells[candidate.coords] = Cell(candidate, birth_step=self.total_selections)
             return Outcome(INSERTED_EMPTY, coords=candidate.coords)
-        if candidate.fitness > cell.solution.fitness:
-            old = cell.solution.fitness
-            self.evicted_selections += cell.times_selected
-            self.cells[candidate.coords] = Cell(candidate, birth_step=self.total_selections)
-            return Outcome(
-                REPLACED,
-                coords=candidate.coords,
-                old_fitness=old,
-                new_fitness=candidate.fitness,
-            )
-        return Outcome(REJECTED)
+        self.evicted_selections += cell.times_selected
+        return Outcome(
+            REPLACED,
+            coords=candidate.coords,
+            old_fitness=cell.solution.fitness,
+            new_fitness=candidate.fitness,
+        )
 
     def record_selection(self, coords: Coords) -> None:
         self.cells[coords].times_selected += 1

@@ -4,6 +4,11 @@ Sums use math.fsum, which is correctly rounded, and maxima use max over
 never-NaN fitness values; neither depends on the order of the elites,
 so a metric recomputed from a serialized archive reproduces the value
 recorded during the run bit for bit.
+
+A run does not recompute its metrics after every step: RunningMetrics
+keeps the QD score as running Shewchuk partials, floats that sum to the
+elite fitnesses exactly, so ``math.fsum`` of the partials is the same
+correctly rounded sum that ``archive_metrics`` takes.
 """
 from __future__ import annotations
 
@@ -12,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .archive import Archive
+from .types import INSERTED_EMPTY, REPLACED, Outcome
 
 
 @dataclass(frozen=True)
@@ -39,6 +45,70 @@ def archive_metrics(archive: Archive, step: int = 0) -> MetricsSample:
         max_fitness=max(fitnesses),
         qd_score=qd,
     )
+
+
+class RunningMetrics:
+    """The ``archive_metrics`` of one archive, kept current by folding
+    in each insertion's Outcome instead of scanning every elite.
+
+    An insertion adds the new fitness to the partials and a replacement
+    also subtracts the evicted one. The maximum only grows, because a
+    replacement is strictly fitter than the elite it evicts. Every
+    sample therefore equals ``archive_metrics`` of the archive bit for
+    bit, as long as every change to the archive is recorded.
+    """
+
+    def __init__(self, archive: Archive) -> None:
+        self.archive = archive
+        self.cell_count = archive.cell_count
+        fitnesses = [cell.solution.fitness for cell in archive.cells.values()]
+        self.count = len(fitnesses)
+        self.max_fitness = max(fitnesses, default=0.0)
+        self._partials: list[float] = []
+        for fitness in fitnesses:
+            self._add(fitness)
+        self.qd_score = math.fsum(self._partials)
+
+    def _add(self, x: float) -> None:
+        """Add x exactly: Shewchuk's grow-expansion, keeping the partials
+        non-overlapping and ordered by increasing magnitude."""
+        partials = self._partials
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        partials[i:] = [x]
+
+    def record(self, outcome: Outcome) -> None:
+        """Fold in one insertion attempt; only inserted_empty and
+        replaced outcomes change anything."""
+        if outcome.kind == REPLACED:
+            self._add(-outcome.old_fitness)
+        elif outcome.kind == INSERTED_EMPTY:
+            self.count += 1
+        else:
+            return
+        fitness = self.archive.cells[outcome.coords].solution.fitness
+        self._add(fitness)
+        self.max_fitness = max(self.max_fitness, fitness)
+        self.qd_score = math.fsum(self._partials)
+
+    def sample(self, step: int = 0) -> MetricsSample:
+        if not self.count:
+            return MetricsSample(step, 0.0, 0.0, 0.0, 0.0)
+        return MetricsSample(
+            step=step,
+            coverage=self.count / self.cell_count,
+            mean_fitness=self.qd_score / self.count,
+            max_fitness=self.max_fitness,
+            qd_score=self.qd_score,
+        )
 
 
 def auc(series: Sequence[float]) -> float:

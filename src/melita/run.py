@@ -2,7 +2,8 @@
 
 A run seeds an empty archive, executes a fixed budget of step calls
 (every call counts, including rejected and invalid offspring), and
-records archive metrics after each one. All stochasticity flows through
+records archive metrics after each one, kept as running metrics and
+checked once against a full recompute at the end. All stochasticity flows through
 the single generator passed in, so (domain, config, seed) determines the
 RunRecord exactly.
 """
@@ -17,7 +18,7 @@ import numpy as np
 from .archive import Archive
 from .binding import DomainBinding
 from .checks import require_finite, require_int
-from .metrics import MetricsSample, archive_metrics
+from .metrics import MetricsSample, RunningMetrics, archive_metrics
 from .selection import select_ucb, select_uniform
 from .steps import SelectFn, melita_step, seed_archive, vanilla_step
 from .types import StepReport
@@ -95,12 +96,17 @@ def run(domain: DomainBinding, config: RunConfig, rng: np.random.Generator) -> R
     select = _select_fn(config)
     step = melita_step if config.method == "melita" else vanilla_step
 
+    metrics = RunningMetrics(archive)
     samples: list[MetricsSample] = []
     reports: list[StepReport] = []
     snapshots: list[tuple[int, Archive]] = []
     for i in range(1, config.steps + 1):
-        reports.append(step(archive, domain, rng, select))
-        samples.append(archive_metrics(archive, step=i))
+        report = step(archive, domain, rng, select)
+        reports.append(report)
+        metrics.record(report.outcome)
+        samples.append(metrics.sample(i))
         if config.snapshot_every and i % config.snapshot_every == 0:
             snapshots.append((i, copy.deepcopy(archive)))
+    if samples and samples[-1] != archive_metrics(archive, step=config.steps):
+        raise RuntimeError("running metrics diverged from the archive")
     return RunRecord(config, tuple(samples), archive, tuple(reports), tuple(snapshots))

@@ -17,16 +17,16 @@ from .archive import Archive
 from .binding import DomainBinding
 from .selection import select_uniform
 from .types import (
-    INSERTED_EMPTY,
     OFFSPRING_INVALID,
     REJECTED,
-    REPLACED,
     Artefact,
+    Candidate,
     Coords,
     Outcome,
     Solution,
     StepReport,
     payloads_equal,
+    require_fitness,
 )
 
 SelectFn = Callable[[Archive, np.random.Generator], Coords]
@@ -52,12 +52,13 @@ def characterize(domain: DomainBinding, artefacts: tuple[Artefact, ...]) -> Solu
 
 def _coherence(domain: DomainBinding, artefacts: tuple[Artefact, ...]) -> float:
     """Coherence through the binding's split form, filling each
-    artefact's features slot the first time the steps need it."""
+    artefact's features slot the first time the steps need it. Every
+    scored candidate passes the [0, 1] check here, inserted or not."""
     for artefact in artefacts:
         if artefact.features is None:
             features = domain.features(artefact.modality, artefact.payload)
             object.__setattr__(artefact, "features", features)
-    return float(domain.combine(tuple(a.features for a in artefacts)))
+    return require_fitness(float(domain.combine(tuple(a.features for a in artefacts))))
 
 
 def _invalid_report(parent_coords: Coords, modality: int) -> StepReport:
@@ -74,7 +75,7 @@ def _make_offspring(
     domain: DomainBinding,
     rng: np.random.Generator,
     select: SelectFn,
-) -> tuple[Coords, int, Solution | None]:
+) -> tuple[Coords, int, Candidate | None]:
     """Shared stochastic prefix of both step procedures.
 
     Selects a parent, mutates one uniformly chosen modality, and builds
@@ -104,7 +105,7 @@ def _make_offspring(
     coords = tuple(
         int(new_bin) if i == modality else c for i, c in enumerate(parent.coords)
     )
-    return parent_coords, modality, Solution(artefacts, _coherence(domain, artefacts), coords)
+    return parent_coords, modality, Candidate(artefacts, _coherence(domain, artefacts), coords)
 
 
 def vanilla_step(
@@ -118,25 +119,25 @@ def vanilla_step(
     parent_coords, modality, offspring = _make_offspring(archive, domain, rng, select)
     if offspring is None:
         return _invalid_report(parent_coords, modality)
-    outcome = archive.insert(offspring)
-    inserted = outcome.kind in (INSERTED_EMPTY, REPLACED)
-    if inserted:
+    outcome, source = Outcome(REJECTED), "none"
+    if archive.accepts(offspring):
+        outcome, source = archive.insert(Solution(*offspring)), "offspring"
         archive.credit_insertion(parent_coords)
     return StepReport(
         parent_coords=parent_coords,
         mutated_modality=modality,
         evaluations=1,
         outcome=outcome,
-        source="offspring" if inserted else "none",
+        source=source,
     )
 
 
 def transverse_candidates(
     archive: Archive,
     domain: DomainBinding,
-    offspring: Solution,
+    offspring: Candidate,
     modality: int,
-) -> list[Solution]:
+) -> list[Candidate]:
     """Pair the offspring's mutated artefact with every elite sharing its
     bin.
 
@@ -145,12 +146,12 @@ def transverse_candidates(
     artefacts (so it maps to the elite's own cell, with cached bins) and
     re-scores coherence. The direct offspring is not a member; a
     candidate payload-identical to it is dropped so it appears exactly
-    once in the caller's ordered list. Equal payloads give equal bins, so
+    once among the step's members. Equal payloads give equal bins, so
     only the elite in the offspring's own cell can produce one.
     """
     new_artefact = offspring.artefacts[modality]
     new_bin = offspring.coords[modality]
-    candidates: list[Solution] = []
+    candidates: list[Candidate] = []
     for coords in archive.row(modality, new_bin):
         elite = archive.cells[coords].solution
         artefacts = tuple(
@@ -158,7 +159,7 @@ def transverse_candidates(
         )
         if coords == offspring.coords and payloads_equal(artefacts, offspring.artefacts):
             continue
-        candidates.append(Solution(artefacts, _coherence(domain, artefacts), elite.coords))
+        candidates.append(Candidate(artefacts, _coherence(domain, artefacts), elite.coords))
     return candidates
 
 
@@ -171,37 +172,38 @@ def melita_step(
 ) -> StepReport:
     """One transverse-assessment cycle.
 
-    The direct offspring and all transverse candidates are sorted by
-    fitness (descending; ties put the direct offspring first, then
-    ascending cell coordinates) and walked in order: the first member
-    whose cell is empty is inserted, otherwise the first member strictly
-    fitter than its cell's occupant replaces it; at most one cell
-    changes. With ``transverse=False`` the candidate list degenerates to
-    the direct offspring and the step is exactly the plain cycle.
+    The members are the direct offspring and all transverse candidates.
+    Among those the archive accepts (the cell is empty, or the member is
+    strictly fitter than its occupant), the one with the least key
+    (-fitness, 0 for the direct offspring else 1, coords) is inserted:
+    the fittest, with ties going to the direct offspring, then to
+    ascending cell coordinates. At most one cell changes, so this is the
+    first accepted member of the list sorted by that key. With
+    ``transverse=False`` the direct offspring is the only member and the
+    step is exactly the plain cycle.
     """
     parent_coords, modality, offspring = _make_offspring(archive, domain, rng, select)
     if offspring is None:
         return _invalid_report(parent_coords, modality)
 
-    candidates: list[Solution] = []
+    members = [offspring]
     if transverse:
-        candidates = transverse_candidates(archive, domain, offspring, modality)
-
-    ordered = [offspring] + candidates
-    ordered.sort(key=lambda s: (-s.fitness, 0 if s is offspring else 1, s.coords))
+        members += transverse_candidates(archive, domain, offspring, modality)
+    winner = min(
+        filter(archive.accepts, members),
+        key=lambda c: (-c.fitness, c is not offspring, c.coords),
+        default=None,
+    )
 
     outcome, source = Outcome(REJECTED), "none"
-    for candidate in ordered:
-        cell = archive.cells.get(candidate.coords)
-        if cell is None or candidate.fitness > cell.solution.fitness:
-            outcome = archive.insert(candidate)
-            source = "offspring" if candidate is offspring else "transverse"
-            archive.credit_insertion(parent_coords)
-            break
+    if winner is not None:
+        outcome = archive.insert(Solution(*winner))
+        source = "offspring" if winner is offspring else "transverse"
+        archive.credit_insertion(parent_coords)
     return StepReport(
         parent_coords=parent_coords,
         mutated_modality=modality,
-        evaluations=len(ordered),
+        evaluations=len(members),
         outcome=outcome,
         source=source,
     )

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -48,8 +48,27 @@ class Solution:
             raise ValueError(f"artefacts must cover modalities 0..N-1 in order, got {modalities}")
         if len(self.coords) != len(self.artefacts):
             raise ValueError("coords must have one entry per modality")
-        if not 0.0 <= self.fitness <= 1.0:
-            raise ValueError(f"fitness must lie in [0, 1], got {self.fitness}")
+        require_fitness(self.fitness)
+
+
+class Candidate(NamedTuple):
+    """A scored set of artefacts that the step procedures may insert.
+
+    It has a Solution's fields but none of its validation: a step scores
+    every candidate as one of these and builds ``Solution(*candidate)``
+    only for the one it inserts.
+    """
+
+    artefacts: tuple[Artefact, ...]
+    fitness: float
+    coords: Coords
+
+
+def require_fitness(fitness: float) -> float:
+    """A fitness in [0, 1]; NaN and every value outside raise ValueError."""
+    if not 0.0 <= fitness <= 1.0:
+        raise ValueError(f"fitness must lie in [0, 1], got {fitness}")
+    return fitness
 
 
 def payloads_equal(a: tuple[Artefact, ...], b: tuple[Artefact, ...]) -> bool:

@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from melita import Archive, archive_metrics, auc, diversity
+from melita.metrics import RunningMetrics
 from tests.conftest import scalar_solution
 
 
@@ -39,6 +42,51 @@ def test_archive_metrics_full_grid():
     assert sample.mean_fitness == 1.0
     assert sample.max_fitness == 1.0
     assert sample.qd_score == 256.0
+
+
+TINY = 2.0**-1000
+EDGE_FITNESS = (
+    0.0,
+    1.0,
+    TINY,
+    math.nextafter(TINY, 1.0),
+    math.nextafter(TINY, 0.0),
+    2.0**-1074,
+    0.5,
+    math.nextafter(0.5, 0.0),
+    math.nextafter(0.5, 1.0),
+    math.nextafter(1.0, 0.0),
+)
+
+
+def hexed(sample):
+    return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(sample))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.tuples(st.integers(0, 2), st.integers(0, 2)),
+            st.one_of(st.sampled_from(EDGE_FITNESS), st.floats(0.0, 1.0)),
+        ),
+        max_size=60,
+    ),
+    st.integers(0, 60),
+)
+def test_running_metrics_equal_fsum_over_inserts_and_replacements(inserts, seeded):
+    # The first ``seeded`` inserts land before the running metrics start,
+    # as a run's seeding does; the rest are recorded one by one.
+    archive = Archive((3, 3))
+    for coords, fitness in inserts[:seeded]:
+        archive.insert(scalar_solution(coords, fitness))
+    running = RunningMetrics(archive)
+    assert hexed(running.sample()) == hexed(archive_metrics(archive))
+    for step, (coords, fitness) in enumerate(inserts[seeded:], 1):
+        running.record(archive.insert(scalar_solution(coords, fitness)))
+        values = [cell.solution.fitness for cell in archive.cells.values()]
+        assert running.sample(step).qd_score.hex() == math.fsum(values).hex()
+        assert hexed(running.sample(step)) == hexed(archive_metrics(archive, step))
 
 
 def test_auc_examples():

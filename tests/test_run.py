@@ -11,6 +11,7 @@ from melita import (
     Archive,
     NoElitesError,
     RunConfig,
+    Solution,
     VectorPairDomain,
     archive_metrics,
     melita_step,
@@ -198,3 +199,33 @@ def test_samples_equal_recomputed_metrics_bit_for_bit(monkeypatch, method, selec
         record = run(VectorPairDomain(), config, np.random.default_rng(seed))
         assert len(recomputed) == config.steps
         assert [hexed(s) for s in record.samples] == [hexed(s) for s in recomputed]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_step_loop_builds_one_solution_per_insertion(monkeypatch, method):
+    built, recomputes = [], []
+    post_init = Solution.__post_init__
+    seed_archive, recompute = run_module.seed_archive, run_module.archive_metrics
+
+    def counting_post_init(self):
+        built.append(1)
+        post_init(self)
+
+    def seeding(*args, **kwargs):
+        count = seed_archive(*args, **kwargs)
+        built.clear()
+        return count
+
+    def counting_recompute(*args, **kwargs):
+        recomputes.append(1)
+        return recompute(*args, **kwargs)
+
+    monkeypatch.setattr(Solution, "__post_init__", counting_post_init)
+    monkeypatch.setattr(run_module, "seed_archive", seeding)
+    monkeypatch.setattr(run_module, "archive_metrics", counting_recompute)
+    config = RunConfig(domain="vector_pair", seed=101000, method=method, steps=2000)
+    record = run(VectorPairDomain(), config, np.random.default_rng(101000))
+    inserted = sum(r.source != "none" for r in record.reports)
+    assert 0 < inserted < 2000
+    assert len(built) == inserted
+    assert len(recomputes) <= 1
