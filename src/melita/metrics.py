@@ -5,10 +5,9 @@ never-NaN fitness values; neither depends on the order of the elites,
 so a metric recomputed from a serialized archive reproduces the value
 recorded during the run bit for bit.
 
-A run does not recompute its metrics after every step: RunningMetrics
-keeps the QD score as running Shewchuk partials, floats that sum to the
-elite fitnesses exactly, so ``math.fsum`` of the partials is the same
-correctly rounded sum that ``archive_metrics`` takes.
+A run keeps RunningMetrics instead: its QD score is running Shewchuk
+partials, which sum to the elite fitnesses exactly, so their fsum is
+the correctly rounded sum archive_metrics takes, bit for bit.
 """
 from __future__ import annotations
 
@@ -29,86 +28,60 @@ class MetricsSample:
     qd_score: float
 
 
-def archive_metrics(archive: Archive, step: int = 0) -> MetricsSample:
-    """Coverage, mean/max fitness, and QD score (sum of elite fitness).
-
-    An empty archive reports zeros so time series stay total.
-    """
-    if not archive.cells:
+def _sample(step: int, count: int, cell_count: int, qd: float, best: float) -> MetricsSample:
+    """An empty archive reports zeros so time series stay total."""
+    if not count:
         return MetricsSample(step, 0.0, 0.0, 0.0, 0.0)
+    return MetricsSample(step, count / cell_count, qd / count, best, qd)
+
+
+def archive_metrics(archive: Archive, step: int = 0) -> MetricsSample:
+    """Coverage, mean/max fitness, and QD score (sum of elite fitness)."""
     fitnesses = [cell.solution.fitness for cell in archive.cells.values()]
-    qd = math.fsum(fitnesses)
-    return MetricsSample(
-        step=step,
-        coverage=len(fitnesses) / archive.cell_count,
-        mean_fitness=qd / len(fitnesses),
-        max_fitness=max(fitnesses),
-        qd_score=qd,
+    return _sample(
+        step, len(fitnesses), archive.cell_count, math.fsum(fitnesses), max(fitnesses, default=0.0)
     )
 
 
 class RunningMetrics:
-    """The ``archive_metrics`` of one archive, kept current by folding
-    in each insertion's Outcome instead of scanning every elite.
-
-    An insertion adds the new fitness to the partials and a replacement
-    also subtracts the evicted one. The maximum only grows, because a
-    replacement is strictly fitter than the elite it evicts. Every
-    sample therefore equals ``archive_metrics`` of the archive bit for
-    bit, as long as every change to the archive is recorded.
-    """
+    """``archive_metrics`` of one archive, kept current from the Outcome
+    of every change made to it. The maximum only grows, because a
+    replacement is strictly fitter than the elite it evicts."""
 
     def __init__(self, archive: Archive) -> None:
-        self.archive = archive
-        self.cell_count = archive.cell_count
-        fitnesses = [cell.solution.fitness for cell in archive.cells.values()]
-        self.count = len(fitnesses)
-        self.max_fitness = max(fitnesses, default=0.0)
-        self._partials: list[float] = []
-        for fitness in fitnesses:
-            self._add(fitness)
-        self.qd_score = math.fsum(self._partials)
+        self.archive, self.cell_count = archive, archive.cell_count
+        self.count, self.best, self.qd, self.partials = 0, 0.0, 0.0, []
+        for coords in archive.cells:
+            self.record(Outcome(INSERTED_EMPTY, coords))
+
+    def record(self, outcome: Outcome) -> None:
+        if outcome.kind == REPLACED:
+            self.count -= 1
+            self._add(-outcome.old_fitness)
+        elif outcome.kind != INSERTED_EMPTY:
+            return
+        fitness = self.archive.cells[outcome.coords].solution.fitness
+        self.count += 1
+        self.best = max(self.best, fitness)
+        self._add(fitness)
+        self.qd = math.fsum(self.partials)
 
     def _add(self, x: float) -> None:
-        """Add x exactly: Shewchuk's grow-expansion, keeping the partials
-        non-overlapping and ordered by increasing magnitude."""
-        partials = self._partials
+        """Shewchuk's exact addition into non-overlapping partials."""
         i = 0
-        for y in partials:
+        for y in self.partials:
             if abs(x) < abs(y):
                 x, y = y, x
             hi = x + y
             lo = y - (hi - x)
             if lo:
-                partials[i] = lo
+                self.partials[i] = lo
                 i += 1
             x = hi
-        partials[i:] = [x]
-
-    def record(self, outcome: Outcome) -> None:
-        """Fold in one insertion attempt; only inserted_empty and
-        replaced outcomes change anything."""
-        if outcome.kind == REPLACED:
-            self._add(-outcome.old_fitness)
-        elif outcome.kind == INSERTED_EMPTY:
-            self.count += 1
-        else:
-            return
-        fitness = self.archive.cells[outcome.coords].solution.fitness
-        self._add(fitness)
-        self.max_fitness = max(self.max_fitness, fitness)
-        self.qd_score = math.fsum(self._partials)
+        self.partials[i:] = [x]
 
     def sample(self, step: int = 0) -> MetricsSample:
-        if not self.count:
-            return MetricsSample(step, 0.0, 0.0, 0.0, 0.0)
-        return MetricsSample(
-            step=step,
-            coverage=self.count / self.cell_count,
-            mean_fitness=self.qd_score / self.count,
-            max_fitness=self.max_fitness,
-            qd_score=self.qd_score,
-        )
+        return _sample(step, self.count, self.cell_count, self.qd, self.best)
 
 
 def auc(series: Sequence[float]) -> float:

@@ -2,10 +2,10 @@
 
 A run seeds an empty archive, executes a fixed budget of step calls
 (every call counts, including rejected and invalid offspring), and
-records archive metrics after each one, kept as running metrics and
-checked once against a full recompute at the end. All stochasticity flows through
-the single generator passed in, so (domain, config, seed) determines the
-RunRecord exactly.
+records archive metrics after each one: running metrics, checked
+against a full recompute once at the end. All stochasticity flows
+through the single generator passed in, so (domain, config, seed)
+determines the RunRecord exactly.
 """
 from __future__ import annotations
 

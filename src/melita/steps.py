@@ -61,15 +61,6 @@ def _coherence(domain: DomainBinding, artefacts: tuple[Artefact, ...]) -> float:
     return require_fitness(float(domain.combine(tuple(a.features for a in artefacts))))
 
 
-def _invalid_report(parent_coords: Coords, modality: int) -> StepReport:
-    return StepReport(
-        parent_coords=parent_coords,
-        mutated_modality=modality,
-        evaluations=0,
-        outcome=Outcome(OFFSPRING_INVALID),
-    )
-
-
 def _make_offspring(
     archive: Archive,
     domain: DomainBinding,
@@ -115,21 +106,8 @@ def vanilla_step(
     select: SelectFn = select_uniform,
 ) -> StepReport:
     """One steady-state MAP-Elites cycle: the offspring competes only at
-    its own cell."""
-    parent_coords, modality, offspring = _make_offspring(archive, domain, rng, select)
-    if offspring is None:
-        return _invalid_report(parent_coords, modality)
-    outcome, source = Outcome(REJECTED), "none"
-    if archive.accepts(offspring):
-        outcome, source = archive.insert(Solution(*offspring)), "offspring"
-        archive.credit_insertion(parent_coords)
-    return StepReport(
-        parent_coords=parent_coords,
-        mutated_modality=modality,
-        evaluations=1,
-        outcome=outcome,
-        source=source,
-    )
+    its own cell, as in the transverse cycle without candidates."""
+    return melita_step(archive, domain, rng, select, transverse=False)
 
 
 def transverse_candidates(
@@ -172,19 +150,15 @@ def melita_step(
 ) -> StepReport:
     """One transverse-assessment cycle.
 
-    The members are the direct offspring and all transverse candidates.
-    Among those the archive accepts (the cell is empty, or the member is
-    strictly fitter than its occupant), the one with the least key
+    Of the direct offspring and all transverse candidates, the members
+    the archive accepts compete, and the one with the least key
     (-fitness, 0 for the direct offspring else 1, coords) is inserted:
-    the fittest, with ties going to the direct offspring, then to
-    ascending cell coordinates. At most one cell changes, so this is the
-    first accepted member of the list sorted by that key. With
-    ``transverse=False`` the direct offspring is the only member and the
-    step is exactly the plain cycle.
+    at most one cell changes. With ``transverse=False`` the direct
+    offspring is the only member: the plain cycle.
     """
     parent_coords, modality, offspring = _make_offspring(archive, domain, rng, select)
     if offspring is None:
-        return _invalid_report(parent_coords, modality)
+        return StepReport(parent_coords, modality, 0, Outcome(OFFSPRING_INVALID))
 
     members = [offspring]
     if transverse:

@@ -52,12 +52,8 @@ class Solution:
 
 
 class Candidate(NamedTuple):
-    """A scored set of artefacts that the step procedures may insert.
-
-    It has a Solution's fields but none of its validation: a step scores
-    every candidate as one of these and builds ``Solution(*candidate)``
-    only for the one it inserts.
-    """
+    """A Solution's fields without its validation: a step scores every
+    candidate as one and builds ``Solution(*candidate)`` for the winner."""
 
     artefacts: tuple[Artefact, ...]
     fitness: float
