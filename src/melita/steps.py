@@ -58,7 +58,7 @@ def _coherence(domain: DomainBinding, artefacts: tuple[Artefact, ...]) -> float:
         if artefact.features is None:
             features = domain.features(artefact.modality, artefact.payload)
             object.__setattr__(artefact, "features", features)
-    return require_fitness(float(domain.combine(tuple(a.features for a in artefacts))))
+    return require_fitness(float(domain.combine(tuple([a.features for a in artefacts]))))
 
 
 def _make_offspring(
@@ -90,12 +90,8 @@ def _make_offspring(
     if new_bin is None:
         return parent_coords, modality, None
 
-    artefacts = tuple(
-        new_artefact if i == modality else a for i, a in enumerate(parent.artefacts)
-    )
-    coords = tuple(
-        int(new_bin) if i == modality else c for i, c in enumerate(parent.coords)
-    )
+    artefacts = parent.artefacts[:modality] + (new_artefact,) + parent.artefacts[modality + 1 :]
+    coords = parent.coords[:modality] + (int(new_bin),) + parent.coords[modality + 1 :]
     return parent_coords, modality, Candidate(artefacts, _coherence(domain, artefacts), coords)
 
 
@@ -132,9 +128,7 @@ def transverse_candidates(
     candidates: list[Candidate] = []
     for coords in archive.row(modality, new_bin):
         elite = archive.cells[coords].solution
-        artefacts = tuple(
-            new_artefact if i == modality else a for i, a in enumerate(elite.artefacts)
-        )
+        artefacts = elite.artefacts[:modality] + (new_artefact,) + elite.artefacts[modality + 1 :]
         if coords == offspring.coords and payloads_equal(artefacts, offspring.artefacts):
             continue
         candidates.append(Candidate(artefacts, _coherence(domain, artefacts), elite.coords))
