@@ -1,6 +1,8 @@
 """Shared test fixtures and builders."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,12 @@ def scalar_solution(coords, fitness):
         Artefact(1, np.array([float(coords[1])])),
     )
     return Solution(artefacts, float(fitness), tuple(coords))
+
+
+def hexed(sample):
+    """A MetricsSample with every float as ``float.hex``, so that
+    comparisons are bit for bit."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(sample))
 
 
 class ScriptedDomain(DomainBinding):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from melita import Archive, archive_metrics, auc, diversity
 from melita.metrics import RunningMetrics
-from tests.conftest import scalar_solution
+from tests.conftest import hexed, scalar_solution
 
 
 def test_archive_metrics_empty():
@@ -57,10 +56,6 @@ EDGE_FITNESS = (
     math.nextafter(0.5, 1.0),
     math.nextafter(1.0, 0.0),
 )
-
-
-def hexed(sample):
-    return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(sample))
 
 
 @settings(max_examples=300, deadline=None, database=None)

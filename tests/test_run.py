@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import importlib
 
 import numpy as np
@@ -20,7 +19,7 @@ from melita import (
     select_ucb,
 )
 from melita.harness.serialize import archive_to_dict, canonical_json, save_archive
-from tests.conftest import ScriptedDomain
+from tests.conftest import ScriptedDomain, hexed
 
 # The package exports the run function under the module's own name.
 run_module = importlib.import_module("melita.run")
@@ -172,10 +171,6 @@ def test_ucb_selection_runs():
     )
     assert len(record.samples) == 60
     assert record.archive.total_selections == 60
-
-
-def hexed(sample):
-    return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(sample))
 
 
 @pytest.mark.parametrize("selection", SELECTIONS)
