@@ -1,6 +1,6 @@
 """Independent straight-line reimplementations used as oracles: the
-vector-pair search step for step-procedure tests, and PAM k-medoids for
-the clustering tests.
+vector-pair search step for step-procedure tests, and PAM k-medoids and
+the medoids report for the clustering tests.
 
 Nothing here imports the library's archive or step code. Archive state
 is a plain dict mapping coords -> (fitness, text_payload, visual_payload)
@@ -203,3 +203,22 @@ def k_medoids(items, distance, k: int, rng: np.random.Generator):
         medoids[best_swap[0]] = best_swap[1]
         labels, cost = assign(medoids)
     return tuple(medoids), tuple(labels), cost
+
+
+def medoid_exemplars(solutions, k: int, weights, seed: int):
+    """(total cost, cluster per elite) of the harness's medoids report,
+    straight from the payloads: each pair's distance is the square root
+    of the correctly rounded sum of w * norm(a - b) ** 2 over the
+    modalities of nonzero weight, computed one pair at a time."""
+
+    def distance(a, b):
+        parts = []
+        for m, w in enumerate(weights):
+            if w != 0:
+                x = np.asarray(a.artefacts[m].payload, dtype=np.float64).ravel()
+                y = np.asarray(b.artefacts[m].payload, dtype=np.float64).ravel()
+                parts.append(w * float(np.linalg.norm(x - y)) ** 2)
+        return math.sqrt(math.fsum(parts))
+
+    _, labels, cost = k_medoids(solutions, distance, k, np.random.default_rng(seed))
+    return cost, labels

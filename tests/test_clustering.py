@@ -174,3 +174,21 @@ def test_matches_oracle_on_vector_pair_medoid_exemplars(tmp_path, monkeypatch):
         assert len(labels) == len(record.archive) > 40
         assert (result.medoids, result.labels) == (medoids, labels)
         assert result.cost.hex() == cost.hex()
+
+
+def test_medoids_report_matches_payload_oracle(tmp_path):
+    # The report's cost and assignments, recomputed pair by pair from the
+    # payloads, for equal, unequal and zero weights.
+    config = RunConfig(domain="vector_pair", seed=11, method="melita", steps=300, init_count=30)
+    record = run(VectorPairDomain(), config, np.random.default_rng(11))
+    path = tmp_path / "archive.json"
+    save_archive(path, record.archive)
+    solutions = record.archive.solutions()
+    assert len(solutions) > 40
+    for weights in ((1.0, 1.0), (1.0, 0.5), (0.0, 1.0)):
+        for seed in (0, 1):
+            report = medoid_exemplars(path, 4, weights, seed)
+            cost, labels = oracles.medoid_exemplars(solutions, 4, weights, seed)
+            assert report["total_cost"].hex() == cost.hex()
+            assert [a["coords"] for a in report["assignments"]] == [list(s.coords) for s in solutions]
+            assert tuple(a["cluster"] for a in report["assignments"]) == labels

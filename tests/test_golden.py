@@ -97,6 +97,21 @@ GOLDEN_ANALYSIS = {
     "diversity_0_euclidean": "4cda907c034a02bc34d8040ea8acf9aeb40bb5dd6bd9257e9160e621bf276731",
 }
 
+# The same for the toy_media experiment's melita archive. Its texts have
+# ragged lengths, so medoids compare images alone (weights 0, 1).
+GOLDEN_MEDIA_ANALYSIS = {
+    "diversity_0_topic_posterior": "3eae89b23c6507fab85362972975126377b2476dcf822c95968810a4ba30d583",
+    "diversity_1_euclidean": "e48ab08793048c2f5fc70df332aa9589809f26cc2a9e9d1bd75d70b39b7adc64",
+    "medoids_k2_weights_0_1": "0e1dd47801d03c1497698ef8347515b39390e57d73b0c00caaa7a644f06b600f",
+}
+
+
+def _report_digests(reports: dict) -> dict[str, str]:
+    return {
+        name: hashlib.sha256(canonical_json(report).encode()).hexdigest()
+        for name, report in reports.items()
+    }
+
 
 def _digests(directory) -> dict[str, str]:
     return {
@@ -126,8 +141,16 @@ def test_vector_pair_analysis_matches_golden_digests(tmp_path, monkeypatch):
         for seed in (0, 1)
     }
     reports["diversity_0_euclidean"] = analyze_diversity(archive, 0, "euclidean")
-    digests = {
-        name: hashlib.sha256(canonical_json(report).encode()).hexdigest()
-        for name, report in reports.items()
+    assert _report_digests(reports) == GOLDEN_ANALYSIS
+
+
+def test_toy_media_analysis_matches_golden_digests(tmp_path, monkeypatch):
+    run_experiment(ExperimentConfig.from_dict(TOY_MEDIA), tmp_path)
+    monkeypatch.chdir(tmp_path)
+    archive = "melita/golden_run0_archive.json"
+    reports = {
+        "diversity_0_topic_posterior": analyze_diversity(archive, 0, "topic_posterior"),
+        "diversity_1_euclidean": analyze_diversity(archive, 1, "euclidean"),
+        "medoids_k2_weights_0_1": medoid_exemplars(archive, 2, weights=(0.0, 1.0)),
     }
-    assert digests == GOLDEN_ANALYSIS
+    assert _report_digests(reports) == GOLDEN_MEDIA_ANALYSIS
