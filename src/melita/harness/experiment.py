@@ -14,7 +14,7 @@ from ..checks import require_finite
 from ..clustering import k_medoids
 from ..domains import make_domain
 from ..domains.toy_media import constants_dict, topic_posterior
-from ..metrics import auc, diversity
+from ..metrics import auc, diversity, euclidean_matrix
 from ..run import METHODS, run
 from ..stats import rank_sum_test
 from ..types import Solution
@@ -229,20 +229,20 @@ def compare_summary(report: CompareReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _euclidean(a: np.ndarray, b: np.ndarray) -> float:
-    return float(
-        np.linalg.norm(np.asarray(a, dtype=np.float64).ravel() - np.asarray(b, dtype=np.float64).ravel())
-    )
-
-
-def _posterior_distance(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.linalg.norm(topic_posterior(a) - topic_posterior(b)))
-
-
-DISTANCES: dict[str, Callable[[np.ndarray, np.ndarray], float]] = {
-    "euclidean": _euclidean,
-    "topic_posterior": _posterior_distance,
+DISTANCES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+    "euclidean": lambda payload: np.asarray(payload, dtype=np.float64).ravel(),
+    "topic_posterior": topic_posterior,
 }
+
+
+def _distance_matrix(solutions: list[Solution], modality: int, name: str) -> np.ndarray:
+    """One modality's matrix of distance ``name``, each payload embedded once."""
+    vectors = [DISTANCES[name](s.artefacts[modality].payload) for s in solutions]
+    odd = next((v.shape for v in vectors if v.shape != vectors[0].shape), None)
+    if odd is not None:
+        shapes = f"shapes {vectors[0].shape} {odd}"
+        raise ValueError(f"modality {modality}: operands could not be broadcast together with {shapes}")
+    return euclidean_matrix(vectors)
 
 
 def _load_elites(archive_path: str | Path) -> list[Solution]:
@@ -263,8 +263,8 @@ def analyze_diversity(archive_path: str | Path, modality: int, distance_name: st
     solutions = _load_elites(archive_path)
     if not 0 <= modality < len(solutions[0].artefacts):
         raise ValueError(f"modality {modality} out of range")
-    payloads = [s.artefacts[modality].payload for s in solutions]
-    report = diversity(payloads, DISTANCES[distance_name])
+    matrix = _distance_matrix(solutions, modality, distance_name)
+    report = diversity(range(len(solutions)), matrix.item)
     return {
         "archive": str(archive_path),
         "modality": modality,
@@ -291,8 +291,10 @@ def medoid_exemplars(
     seed: int = 0,
 ) -> dict:
     """k representative elites under a weighted per-modality Euclidean
-    distance: d = sqrt(sum_m w_m * d_m^2). Modalities of weight zero are
-    never compared, so their payloads need no common shape."""
+    distance: d = sqrt(sum_m w_m * d_m^2), with one d_m matrix per
+    modality over payloads flattened once per elite. The combine keeps
+    Python's ``**`` (libm ``pow``, which is not always ``d * d``), so it
+    stays a scalar loop. Modalities of weight zero need no common shape."""
     solutions = _load_elites(archive_path)
     modalities = len(solutions[0].artefacts)
     if weights is None:
@@ -302,16 +304,12 @@ def medoid_exemplars(
     for m, w in enumerate(weights):
         require_finite(f"weights[{m}]", w)
 
-    weighted = [(m, w) for m, w in enumerate(weights) if w != 0]
+    matrices = [(w, _distance_matrix(solutions, m, "euclidean")) for m, w in enumerate(weights) if w]
 
-    def combined(a, b):
-        parts = [
-            w * _euclidean(a.artefacts[m].payload, b.artefacts[m].payload) ** 2
-            for m, w in weighted
-        ]
-        return math.sqrt(math.fsum(parts))
+    def combined(i: int, j: int) -> float:
+        return math.sqrt(math.fsum([w * matrix.item(i, j) ** 2 for w, matrix in matrices]))
 
-    result = k_medoids(solutions, combined, k, np.random.default_rng(seed))
+    result = k_medoids(range(len(solutions)), combined, k, np.random.default_rng(seed))
     sizes = [result.labels.count(cluster) for cluster in range(k)]
     return {
         "archive": str(archive_path),

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .archive import Archive
 from .types import INSERTED_EMPTY, REPLACED, Outcome
 
@@ -103,6 +105,18 @@ def pairwise_distances(
             if d < 0.0 or not math.isfinite(d):
                 raise ValueError(f"invalid distance {d!r} between items {i} and {j}")
             matrix[i][j] = matrix[j][i] = d
+    return matrix
+
+
+def euclidean_matrix(vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """Symmetric float64 matrix of the distances between equal-length 1-D
+    vectors. Each entry has the bits of ``float(np.linalg.norm(a - b))``:
+    ``np.vecdot`` reduces each row with the dot product ``norm`` takes."""
+    x = np.array(vectors, dtype=np.float64)
+    matrix = np.zeros((len(x), len(x)))
+    for i in range(len(x) - 1):
+        diff = x[i] - x[i + 1 :]
+        matrix[i, i + 1 :] = matrix[i + 1 :, i] = np.sqrt(np.vecdot(diff, diff))
     return matrix
 
 

@@ -336,12 +336,45 @@ def test_analyze_diversity_errors(tmp_path):
 
 def test_topic_posterior_distance(tmp_path):
     from melita.domains.toy_media import topic_posterior
-    from melita.harness.experiment import DISTANCES
 
     a = np.array([0, 1, 2, 3] * 3)
-    b = np.array([60, 61, 62, 63] * 3)
+    b = np.array([60, 61, 62, 63] * 2)
     expected = float(np.linalg.norm(topic_posterior(a) - topic_posterior(b)))
-    assert DISTANCES["topic_posterior"](a, b) == pytest.approx(expected)
+    path = tmp_path / "archive.json"
+    save_pair_archive(
+        path,
+        [
+            Solution((Artefact(0, a), Artefact(1, np.zeros(2))), 0.5, (0, 0)),
+            Solution((Artefact(0, b), Artefact(1, np.zeros(2))), 0.6, (1, 0)),
+        ],
+    )
+    report = analyze_diversity(path, 0, "topic_posterior")
+    assert report["mean_distance"] == report["mean_nearest"] == expected
+    assert [e["mean"] for e in report["per_elite"]] == [expected, expected]
+
+
+def test_mismatched_payload_shapes_name_the_modality(tmp_path, capsys):
+    # (1,) against (2,) would broadcast to a wrong distance. The shapes are
+    # rejected before any distance is computed, in numpy's words.
+    path = tmp_path / "archive.json"
+    save_pair_archive(
+        path,
+        [
+            pair_solution((0, 0), 0.5, [1.0], [0.0]),
+            pair_solution((1, 0), 0.6, [1.0, 2.0], [3.0]),
+        ],
+    )
+    message = "modality 0: operands could not be broadcast together with shapes (1,) (2,)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        analyze_diversity(path, 0, "euclidean")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        medoid_exemplars(path, 1)
+    assert medoid_exemplars(path, 1, weights=(0.0, 1.0))["total_cost"] == 3.0
+    assert analyze_diversity(path, 1, "euclidean")["mean_distance"] == 3.0
+
+    assert cli_main(["medoids", "--archive", str(path), "-k", "1"]) == 2
+    assert message in capsys.readouterr().err
+    assert cli_main(["medoids", "--archive", str(path), "-k", "1", "--weights", "0,1"]) == 0
 
 
 def test_medoid_exemplars(tmp_path):
@@ -429,7 +462,7 @@ def test_medoid_zero_weight_skips_toy_media_text(tmp_path):
     report = medoid_exemplars(path, 3, weights=(0.0, 1.0))
     assert sum(m["cluster_size"] for m in report["medoids"]) == len(record.archive)
     assert len(report["assignments"]) == len(record.archive)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="modality 0: operands could not be broadcast together"):
         medoid_exemplars(path, 3, weights=(1.0, 1.0))
 
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from melita import Archive, archive_metrics, auc, diversity
-from melita.metrics import RunningMetrics
+from melita.domains.toy_media import VOCAB, topic_posterior
+from melita.metrics import RunningMetrics, euclidean_matrix, pairwise_distances
 from tests.conftest import hexed, scalar_solution
 
 
@@ -145,3 +146,66 @@ def test_nearest_never_exceeds_mean():
             assert nearest <= mean + 1e-12
         assert report.mean_nearest <= report.mean_distance + 1e-12
         assert math.isfinite(report.mean_distance)
+
+
+# ------------------------------------- distance matrices against per-pair norms
+
+
+def norm_distance(a, b):
+    """The straight-line per-pair distance the matrix must reproduce."""
+    a = np.asarray(a, dtype=np.float64).ravel()
+    b = np.asarray(b, dtype=np.float64).ravel()
+    return float(np.linalg.norm(a - b))
+
+
+def assert_matrix_matches_norms(payloads, embed):
+    matrix = euclidean_matrix([embed(p) for p in payloads])
+    assert matrix.dtype == np.float64 and matrix.shape == (len(payloads),) * 2
+    for i, a in enumerate(payloads):
+        assert matrix[i, i] == 0.0
+        for j in range(i + 1, len(payloads)):
+            expected = norm_distance(embed(a), embed(payloads[j])).hex()
+            assert (float(matrix[i, j]).hex(), float(matrix[j, i]).hex()) == (expected, expected)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("shape", [(8,), (32, 32, 3)])
+def test_euclidean_matrix_has_the_bits_of_per_pair_norms(shape, scale):
+    rng = np.random.default_rng(40)
+    payloads = list(rng.random((24, *shape)) * scale)
+    assert_matrix_matches_norms(payloads, lambda p: np.asarray(p, dtype=np.float64).ravel())
+
+
+def test_euclidean_matrix_has_the_bits_of_topic_posterior_norms():
+    # Token texts of ragged lengths share one posterior length.
+    rng = np.random.default_rng(41)
+    texts = [rng.integers(0, VOCAB, size=int(rng.integers(4, 40))) for _ in range(40)]
+    assert_matrix_matches_norms(texts, topic_posterior)
+
+
+@pytest.mark.parametrize(
+    "poison", [[(3, 2, np.inf)], [(4, 0, np.nan)], [(1, 5, np.inf), (4, 5, np.inf)], [(2, 1, -np.inf)]]
+)
+def test_invalid_payloads_fail_at_the_same_pair_with_the_same_message(poison):
+    # Infinite and NaN payloads give the pairwise check the same first bad
+    # entry, alone and inside the weighted combine of medoid_exemplars.
+    rng = np.random.default_rng(42)
+    vectors = list(rng.random((7, 8)))
+    for i, k, value in poison:
+        vectors[i][k] = value
+
+    def combined_norm(a, b):
+        return math.sqrt(math.fsum([0.5 * norm_distance(a, b) ** 2]))
+
+    def combined_matrix(i, j):
+        return math.sqrt(math.fsum([0.5 * matrix.item(i, j) ** 2]))
+
+    with np.errstate(invalid="ignore"):
+        matrix = euclidean_matrix(vectors)
+        for old, new in ((norm_distance, matrix.item), (combined_norm, combined_matrix)):
+            with pytest.raises(ValueError) as expected:
+                pairwise_distances(vectors, old)
+            with pytest.raises(ValueError) as got:
+                pairwise_distances(range(len(vectors)), new)
+            assert str(got.value) == str(expected.value)
+            assert str(got.value).startswith("invalid distance")
