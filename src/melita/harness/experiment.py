@@ -290,11 +290,10 @@ def medoid_exemplars(
     weights: tuple[float, ...] | None = None,
     seed: int = 0,
 ) -> dict:
-    """k representative elites under a weighted per-modality Euclidean
-    distance: d = sqrt(sum_m w_m * d_m^2), with one d_m matrix per
-    modality over payloads flattened once per elite. The combine keeps
-    Python's ``**`` (libm ``pow``, which is not always ``d * d``), so it
-    stays a scalar loop. Modalities of weight zero need no common shape."""
+    """k representative elites under d = sqrt(sum_m w_m * d_m^2), with one
+    Euclidean d_m matrix per modality of nonzero weight (so only those need
+    a common payload shape). The combine keeps Python's ``**`` (libm
+    ``pow``, not always ``d * d``), so it stays a scalar loop per pair."""
     solutions = _load_elites(archive_path)
     modalities = len(solutions[0].artefacts)
     if weights is None:

@@ -110,8 +110,7 @@ def pairwise_distances(
 
 def euclidean_matrix(vectors: Sequence[np.ndarray]) -> np.ndarray:
     """Symmetric float64 matrix of the distances between equal-length 1-D
-    vectors. Each entry has the bits of ``float(np.linalg.norm(a - b))``:
-    ``np.vecdot`` reduces each row with the dot product ``norm`` takes."""
+    vectors, with the bits of ``np.linalg.norm(a - b)``: ``np.vecdot`` takes its dot product."""
     x = np.array(vectors, dtype=np.float64)
     matrix = np.zeros((len(x), len(x)))
     for i in range(len(x) - 1):

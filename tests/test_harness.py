@@ -450,6 +450,25 @@ def test_medoid_weights_must_be_finite_and_non_negative(tmp_path, capsys):
     assert "weights[0] must be a finite non-negative number" in capsys.readouterr().err
 
 
+def test_medoid_combine_squares_with_python_pow(tmp_path):
+    # x ** 2 (libm pow) and x * x differ in the last bit for some x, and
+    # the medoids report keeps the bits of **. A payload [x] against [0.0]
+    # is at distance exactly x, so the cost of a two-elite archive at k=1
+    # is the combine of (x, y) itself.
+    rng = np.random.default_rng(50)
+    for x, y in np.sqrt(rng.random((100000, 2)) * 10).tolist():
+        expected = math.sqrt(math.fsum([x**2, y**2]))
+        if expected != math.sqrt(math.fsum([x * x, y * y])):
+            break
+    else:
+        pytest.fail("no pair whose squares differ between ** and *")
+    path = tmp_path / "archive.json"
+    save_pair_archive(
+        path, [pair_solution((0, 0), 0.5, [0.0], [0.0]), pair_solution((1, 1), 0.6, [x], [y])]
+    )
+    assert medoid_exemplars(path, 1)["total_cost"].hex() == expected.hex()
+
+
 def test_medoid_zero_weight_skips_toy_media_text(tmp_path):
     # Token payloads differ in length, so only the image modality can be
     # compared; a zero text weight must leave it out entirely.
