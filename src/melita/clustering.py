@@ -2,11 +2,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .metrics import pairwise_distances
+from .metrics import checked_distances
 
 
 @dataclass(frozen=True)
@@ -26,13 +26,9 @@ def _assign(matrix: list[list[float]], medoids: Sequence[int]) -> tuple[list[int
     return labels, cost
 
 
-def k_medoids(
-    items: Sequence,
-    distance: Callable[[object, object], float],
-    k: int,
-    rng: np.random.Generator,
-) -> KMedoidsResult:
-    """Partition items around k medoids (PAM); deterministic given rng.
+def k_medoids(matrix: np.ndarray, k: int, rng: np.random.Generator) -> KMedoidsResult:
+    """Partition the items of a distance matrix (``metrics.checked_distances``)
+    around k medoids (PAM); deterministic given rng.
 
     Initial medoids are drawn from rng without replacement. Swaps are
     scanned slot by slot, candidates in index order; one is kept only if
@@ -44,15 +40,14 @@ def k_medoids(
     candidate: O(k*n^2) array work per iteration. Assignment ties go to
     the lowest medoid position.
     """
-    n = len(items)
+    dist = checked_distances(matrix)
+    n = len(dist)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-
-    matrix = pairwise_distances(items, distance)
-    dist = np.array(matrix, dtype=np.float64)
+    rows = dist.tolist()
 
     medoids = sorted(int(m) for m in rng.choice(n, size=k, replace=False))
-    labels, cost = _assign(matrix, medoids)
+    labels, cost = _assign(rows, medoids)
     while True:
         best_swap = None
         best_cost = cost
@@ -66,6 +61,6 @@ def k_medoids(
         if best_swap is None:
             break
         medoids[best_swap[0]] = best_swap[1]
-        labels, cost = _assign(matrix, medoids)
+        labels, cost = _assign(rows, medoids)
 
     return KMedoidsResult(tuple(medoids), tuple(labels), cost)

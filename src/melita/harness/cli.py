@@ -75,7 +75,10 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "medoids":
             weights = None
             if args.weights is not None:
-                weights = tuple(float(w) for w in args.weights.split(","))
+                try:
+                    weights = tuple(float(w) for w in args.weights.split(","))
+                except ValueError as exc:
+                    raise ValueError(f"--weights: {exc}") from None
             _emit(medoid_exemplars(args.archive, args.k, weights, args.seed), args.out)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ from typing import Callable
 import numpy as np
 
 from .. import __version__
-from ..checks import require_finite
+from ..checks import require_finite, require_int
 from ..clustering import k_medoids
 from ..domains import make_domain
 from ..domains.toy_media import constants_dict, topic_posterior
@@ -260,11 +260,11 @@ def analyze_diversity(archive_path: str | Path, modality: int, distance_name: st
         raise ValueError(
             f"unknown distance {distance_name!r}; available: {sorted(DISTANCES)}"
         )
+    modality = require_int("modality", modality, 0)
     solutions = _load_elites(archive_path)
-    if not 0 <= modality < len(solutions[0].artefacts):
+    if modality >= len(solutions[0].artefacts):
         raise ValueError(f"modality {modality} out of range")
-    matrix = _distance_matrix(solutions, modality, distance_name)
-    report = diversity(range(len(solutions)), matrix.item)
+    report = diversity(_distance_matrix(solutions, modality, distance_name))
     return {
         "archive": str(archive_path),
         "modality": modality,
@@ -292,8 +292,9 @@ def medoid_exemplars(
 ) -> dict:
     """k representative elites under d = sqrt(sum_m w_m * d_m^2), with one
     Euclidean d_m matrix per modality of nonzero weight (so only those need
-    a common payload shape). The combine keeps Python's ``**`` (libm
-    ``pow``, not always ``d * d``), so it stays a scalar loop per pair."""
+    a common payload shape); some weight must be positive. The combine keeps
+    Python's ``**`` (libm ``pow``, not always ``d * d``): a scalar loop per pair."""
+    k = require_int("k", k, 1)
     solutions = _load_elites(archive_path)
     modalities = len(solutions[0].artefacts)
     if weights is None:
@@ -302,13 +303,17 @@ def medoid_exemplars(
         raise ValueError(f"expected {modalities} weights, got {len(weights)}")
     for m, w in enumerate(weights):
         require_finite(f"weights[{m}]", w)
+    if not any(weights):
+        raise ValueError(f"weights must include a positive weight, got {list(weights)}")
 
     matrices = [(w, _distance_matrix(solutions, m, "euclidean")) for m, w in enumerate(weights) if w]
-
-    def combined(i: int, j: int) -> float:
-        return math.sqrt(math.fsum([w * matrix.item(i, j) ** 2 for w, matrix in matrices]))
-
-    result = k_medoids(range(len(solutions)), combined, k, np.random.default_rng(seed))
+    combined = np.zeros((len(solutions),) * 2)
+    for i in range(len(solutions) - 1):
+        combined[i, i + 1 :] = combined[i + 1 :, i] = [
+            math.sqrt(math.fsum([w * matrix.item(i, j) ** 2 for w, matrix in matrices]))
+            for j in range(i + 1, len(solutions))
+        ]
+    result = k_medoids(combined, k, np.random.default_rng(seed))
     sizes = [result.labels.count(cluster) for cluster in range(k)]
     return {
         "archive": str(archive_path),

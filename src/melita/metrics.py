@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -91,21 +91,20 @@ def auc(series: Sequence[float]) -> float:
     return math.fsum(series)
 
 
-def pairwise_distances(
-    items: Sequence, distance: Callable[[object, object], float]
-) -> list[list[float]]:
-    """Symmetric matrix of ``distance(items[i], items[j])`` over every
-    pair i < j in row order, as nested lists (zero diagonal). A negative
-    or non-finite distance raises ValueError."""
-    n = len(items)
-    matrix = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = float(distance(items[i], items[j]))
-            if d < 0.0 or not math.isfinite(d):
-                raise ValueError(f"invalid distance {d!r} between items {i} and {j}")
-            matrix[i][j] = matrix[j][i] = d
-    return matrix
+def checked_distances(matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` as a float64 array, if it is a square matrix of distances.
+    ValueError names its first negative or non-finite entry above the
+    diagonal in row order, then any asymmetry or nonzero diagonal entry."""
+    dist = np.asarray(matrix, dtype=np.float64)
+    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
+        raise ValueError(f"distance matrix must be square, got shape {dist.shape}")
+    bad = np.argwhere(np.triu((dist < 0.0) | ~np.isfinite(dist), 1))
+    if len(bad):
+        i, j = bad[0].tolist()
+        raise ValueError(f"invalid distance {dist.item(i, j)!r} between items {i} and {j}")
+    if not np.array_equal(dist, dist.T) or dist.diagonal().any():
+        raise ValueError("distance matrix must be symmetric with a zero diagonal")
+    return dist
 
 
 def euclidean_matrix(vectors: Sequence[np.ndarray]) -> np.ndarray:
@@ -128,27 +127,21 @@ class DistanceReport:
     single_elite: bool
 
 
-def diversity(items: Sequence, distance: Callable[[object, object], float]) -> DistanceReport:
-    """Mean and nearest-neighbour distance per item, plus their averages.
-
-    The distance must be a symmetric non-negative dissimilarity; symmetry
-    is spot-checked on adjacent pairs and violations raise ValueError. A
-    single item yields zeros with the single_elite flag set.
+def diversity(matrix: np.ndarray) -> DistanceReport:
+    """Mean and nearest-neighbour distance per item, plus their averages,
+    from the square matrix of distances between the items (see
+    ``checked_distances``). A single item yields zeros with the
+    single_elite flag set.
     """
-    n = len(items)
+    rows = checked_distances(matrix).tolist()
+    n = len(rows)
     if n == 0:
         raise ValueError("diversity requires at least one item")
     if n == 1:
         return DistanceReport((0.0,), (0.0,), 0.0, 0.0, True)
 
-    matrix = pairwise_distances(items, distance)
-    for i in range(min(n - 1, 8)):
-        back = float(distance(items[i + 1], items[i]))
-        if not math.isclose(back, matrix[i][i + 1], rel_tol=1e-9, abs_tol=1e-12):
-            raise ValueError(f"asymmetric distance between items {i} and {i + 1}")
-
-    per_mean = tuple(math.fsum(matrix[i][j] for j in range(n) if j != i) / (n - 1) for i in range(n))
-    per_nearest = tuple(min(matrix[i][j] for j in range(n) if j != i) for i in range(n))
+    per_mean = tuple(math.fsum(row[j] for j in range(n) if j != i) / (n - 1) for i, row in enumerate(rows))
+    per_nearest = tuple(min(row[j] for j in range(n) if j != i) for i, row in enumerate(rows))
     return DistanceReport(
         per_elite_mean=per_mean,
         per_elite_nearest=per_nearest,

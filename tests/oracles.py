@@ -1,6 +1,7 @@
 """Independent straight-line reimplementations used as oracles: the
-vector-pair search step for step-procedure tests, and PAM k-medoids and
-the medoids report for the clustering tests.
+vector-pair search step for step-procedure tests, and a pair-by-pair
+distance matrix, PAM k-medoids and the medoids report for the analysis
+tests.
 
 Nothing here imports the library's archive or step code. Archive state
 is a plain dict mapping coords -> (fitness, text_payload, visual_payload)
@@ -162,17 +163,25 @@ def assert_same_archive(archive, cells: dict) -> None:
         assert np.array_equal(solution.artefacts[1].payload, v), coords
 
 
-def k_medoids(items, distance, k: int, rng: np.random.Generator):
-    """PAM as (medoids, labels, cost). Every (slot, candidate) swap is
-    scored by a full reassignment, one point at a time; a swap is kept
-    only if it lowers the best cost so far by more than 1e-12, and the
-    kept swap is applied until none is. Assignment ties go to the lowest
-    medoid position."""
+def distance_matrix(items, distance) -> np.ndarray:
+    """float64 matrix of ``distance(items[i], items[j])``, filled one pair
+    i < j at a time in row order, mirrored, with a zero diagonal."""
     n = len(items)
-    matrix = [[0.0] * n for _ in range(n)]
+    matrix = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            matrix[i][j] = matrix[j][i] = float(distance(items[i], items[j]))
+            matrix[i, j] = matrix[j, i] = distance(items[i], items[j])
+    return matrix
+
+
+def k_medoids(matrix, k: int, rng: np.random.Generator):
+    """PAM over a distance matrix, as (medoids, labels, cost). Every
+    (slot, candidate) swap is scored by a full reassignment, one point at
+    a time; a swap is kept only if it lowers the best cost so far by more
+    than 1e-12, and the kept swap is applied until none is. Assignment
+    ties go to the lowest medoid position."""
+    matrix = np.asarray(matrix, dtype=np.float64).tolist()
+    n = len(matrix)
 
     def assign(medoids):
         labels = []
@@ -220,5 +229,6 @@ def medoid_exemplars(solutions, k: int, weights, seed: int):
                 parts.append(w * float(np.linalg.norm(x - y)) ** 2)
         return math.sqrt(math.fsum(parts))
 
-    _, labels, cost = k_medoids(solutions, distance, k, np.random.default_rng(seed))
+    matrix = distance_matrix(solutions, distance)
+    _, labels, cost = k_medoids(matrix, k, np.random.default_rng(seed))
     return cost, labels

@@ -196,12 +196,12 @@ def test_criterion_5_metric_hand_checks():
     assert auc([0.0, 1.0, 1.0, 0.5]) == 2.5
 
     # diversity
-    two = diversity([0.0, 3.0], lambda a, b: abs(a - b))
+    two = diversity(oracles.distance_matrix([0.0, 3.0], lambda a, b: abs(a - b)))
     assert two.per_elite_mean == (3.0, 3.0) and two.per_elite_nearest == (3.0, 3.0)
-    collinear = diversity([0.0, 1.0, 10.0], lambda a, b: abs(a - b))
+    collinear = diversity(oracles.distance_matrix([0.0, 1.0, 10.0], lambda a, b: abs(a - b)))
     assert collinear.per_elite_nearest == (1.0, 1.0, 9.0)
     assert collinear.per_elite_mean == pytest.approx((5.5, 5.0, 9.5), abs=1e-9)
-    single = diversity([4.0], lambda a, b: abs(a - b))
+    single = diversity(oracles.distance_matrix([4.0], lambda a, b: abs(a - b)))
     assert single.single_elite and single.mean_distance == 0.0
 
     # bin4
@@ -243,7 +243,7 @@ def test_criterion_5_metric_hand_checks():
     assert select_ucb(bandit, np.random.default_rng(0), c=1.0) == (1, 0)
 
     # k-medoids two tight pairs
-    result = k_medoids([0.0, 1.0, 10.0, 11.0], lambda a, b: abs(a - b), 2,
+    result = k_medoids(oracles.distance_matrix([0.0, 1.0, 10.0, 11.0], lambda a, b: abs(a - b)), 2,
                        np.random.default_rng(0))
     assert result.cost == 2.0
     low, high = result.medoids

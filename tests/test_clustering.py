@@ -25,7 +25,7 @@ def exhaustive_best_cost(items, distance, k):
 
 def test_two_tight_pairs():
     items = [0.0, 1.0, 10.0, 11.0]
-    result = k_medoids(items, euclid, 2, np.random.default_rng(0))
+    result = k_medoids(oracles.distance_matrix(items, euclid), 2, np.random.default_rng(0))
     assert result.cost == 2.0  # one medoid per pair, each serving a 1-away point
     assert len(result.medoids) == 2
     low, high = result.medoids
@@ -35,29 +35,30 @@ def test_two_tight_pairs():
 
 def test_k_equals_n_is_free():
     items = [3.0, 1.0, 4.0, 1.5]
-    result = k_medoids(items, euclid, 4, np.random.default_rng(1))
+    result = k_medoids(oracles.distance_matrix(items, euclid), 4, np.random.default_rng(1))
     assert result.cost == 0.0
     assert result.medoids == (0, 1, 2, 3)
     assert result.labels == (0, 1, 2, 3)
 
 
 def test_identical_points():
-    result = k_medoids([5.0] * 6, euclid, 2, np.random.default_rng(2))
+    result = k_medoids(oracles.distance_matrix([5.0] * 6, euclid), 2, np.random.default_rng(2))
     assert result.cost == 0.0
 
 
 def test_deterministic_for_fixed_seed():
     rng = np.random.default_rng(5)
     items = list(rng.random(20))
-    a = k_medoids(items, euclid, 4, np.random.default_rng(7))
-    b = k_medoids(items, euclid, 4, np.random.default_rng(7))
+    matrix = oracles.distance_matrix(items, euclid)
+    a = k_medoids(matrix, 4, np.random.default_rng(7))
+    b = k_medoids(matrix, 4, np.random.default_rng(7))
     assert a == b
 
 
 def test_labels_point_to_nearest_medoid():
     rng = np.random.default_rng(6)
     items = list(rng.random(15))
-    result = k_medoids(items, euclid, 3, np.random.default_rng(8))
+    result = k_medoids(oracles.distance_matrix(items, euclid), 3, np.random.default_rng(8))
     assert len(result.labels) == len(items)
     total = 0.0
     for i, label in enumerate(result.labels):
@@ -78,7 +79,7 @@ def test_result_is_swap_optimal():
     rng = np.random.default_rng(9)
     for trial in range(10):
         items = list(rng.random(8))
-        result = k_medoids(items, euclid, 2, np.random.default_rng(trial))
+        result = k_medoids(oracles.distance_matrix(items, euclid), 2, np.random.default_rng(trial))
         assert result.cost == pytest.approx(
             cost_of(items, euclid, result.medoids), abs=1e-12
         )
@@ -91,18 +92,20 @@ def test_result_is_swap_optimal():
 
 
 def test_invalid_k():
+    matrix = oracles.distance_matrix([1.0, 2.0], euclid)
     with pytest.raises(ValueError):
-        k_medoids([1.0, 2.0], euclid, 0, np.random.default_rng(0))
+        k_medoids(matrix, 0, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        k_medoids([1.0, 2.0], euclid, 3, np.random.default_rng(0))
+        k_medoids(matrix, 3, np.random.default_rng(0))
 
 
 # ------------------------------------------- straight-line PAM as the oracle
 
 
 def assert_matches_oracle(items, distance, k, seed):
-    result = k_medoids(items, distance, k, np.random.default_rng(seed))
-    medoids, labels, cost = oracles.k_medoids(items, distance, k, np.random.default_rng(seed))
+    matrix = oracles.distance_matrix(items, distance)
+    result = k_medoids(matrix, k, np.random.default_rng(seed))
+    medoids, labels, cost = oracles.k_medoids(matrix, k, np.random.default_rng(seed))
     assert (result.medoids, result.labels) == (medoids, labels)
     assert result.cost.hex() == cost.hex()
 
@@ -151,7 +154,7 @@ def test_matches_oracle_with_rounding_near_ties():
 
 
 def test_matches_oracle_on_vector_pair_medoid_exemplars(tmp_path, monkeypatch):
-    # The library and the oracle see the same items, combined distance
+    # The library and the oracle see the same combined distance matrix
     # and initial draw inside the harness's medoid_exemplars.
     config = RunConfig(domain="vector_pair", seed=7, method="melita", steps=300, init_count=30)
     record = run(VectorPairDomain(), config, np.random.default_rng(7))
@@ -160,9 +163,9 @@ def test_matches_oracle_on_vector_pair_medoid_exemplars(tmp_path, monkeypatch):
 
     calls = []
 
-    def checked(items, distance, k, rng):
-        expected = oracles.k_medoids(items, distance, k, copy.deepcopy(rng))
-        result = k_medoids(items, distance, k, rng)
+    def checked(matrix, k, rng):
+        expected = oracles.k_medoids(matrix, k, copy.deepcopy(rng))
+        result = k_medoids(matrix, k, rng)
         calls.append((result, expected))
         return result
 

@@ -442,12 +442,42 @@ def test_medoid_weights_must_be_finite_and_non_negative(tmp_path, capsys):
             pair_solution((3, 1), 0.8, [10.0], [10.0]),
         ],
     )
+    # All-zero weights are rejected too: every distance would be zero, and
+    # all but one "exemplar" would represent nothing.
     for weights, field in (((math.nan, 1.0), "weights[0]"), ((1.0, math.inf), "weights[1]"),
-                           ((1.0, -1.0), "weights[1]")):
+                           ((1.0, -1.0), "weights[1]"),
+                           ((0.0, 0.0), "weights must include a positive weight")):
         with pytest.raises(ValueError, match=re.escape(field)):
             medoid_exemplars(path, 2, weights=weights)
     assert cli_main(["medoids", "--archive", str(path), "-k", "2", "--weights", "nan,1"]) == 2
     assert "weights[0] must be a finite non-negative number" in capsys.readouterr().err
+    assert cli_main(["medoids", "--archive", str(path), "-k", "2", "--weights", "0,0"]) == 2
+    assert "weights must include a positive weight" in capsys.readouterr().err
+
+
+def test_analysis_k_and_modality_must_be_integers(tmp_path):
+    path = tmp_path / "archive.json"
+    save_pair_archive(
+        path,
+        [
+            pair_solution((0, 0), 0.5, [0.0], [0.0]),
+            pair_solution((3, 1), 0.8, [10.0], [10.0]),
+        ],
+    )
+    for k in (2.5, True, 0, None):
+        with pytest.raises(ValueError, match=re.escape(f"k must be an integer >= 1, got {k!r}")):
+            medoid_exemplars(path, k)
+    for modality in (1.0, True, -1, "0"):
+        message = f"modality must be an integer >= 0, got {modality!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            analyze_diversity(path, modality, "euclidean")
+    # The range checks keep their messages.
+    with pytest.raises(ValueError, match=re.escape("k must be in [1, 2], got 3")):
+        medoid_exemplars(path, 3)
+    with pytest.raises(ValueError, match="modality 2 out of range"):
+        analyze_diversity(path, 2, "euclidean")
+    assert medoid_exemplars(path, 2)["k"] == 2
+    assert analyze_diversity(path, 1, "euclidean")["modality"] == 1
 
 
 def test_medoid_combine_squares_with_python_pow(tmp_path):
@@ -544,6 +574,9 @@ def test_cli_error_paths(tmp_path, capsys):
     assert cli_main(["diversity", "--archive", str(path), "--modality", "0",
                      "--distance", "cosine"]) == 2
     assert "unknown distance" in capsys.readouterr().err
+
+    assert cli_main(["medoids", "--archive", str(path), "-k", "1", "--weights", "a,b"]) == 2
+    assert "error: --weights: could not convert string to float: 'a'" in capsys.readouterr().err
 
 
 def test_cli_run_without_output_dir(tmp_path, capsys):

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from melita import Archive, archive_metrics, auc, diversity
+from melita import Archive, Artefact, Solution, archive_metrics, auc, diversity, k_medoids
 from melita.domains.toy_media import VOCAB, topic_posterior
-from melita.metrics import RunningMetrics, euclidean_matrix, pairwise_distances
+from melita.harness import analyze_diversity, medoid_exemplars
+from melita.harness.serialize import save_archive
+from melita.metrics import RunningMetrics, checked_distances, euclidean_matrix
+from tests import oracles
 from tests.conftest import hexed, scalar_solution
 
 
@@ -103,7 +106,7 @@ def euclid(a, b):
 
 
 def test_diversity_two_items():
-    report = diversity([0.0, 3.0], euclid)
+    report = diversity(oracles.distance_matrix([0.0, 3.0], euclid))
     assert report.per_elite_mean == (3.0, 3.0)
     assert report.per_elite_nearest == (3.0, 3.0)
     assert report.mean_distance == 3.0
@@ -112,7 +115,7 @@ def test_diversity_two_items():
 
 
 def test_diversity_collinear_triple():
-    report = diversity([0.0, 1.0, 10.0], euclid)
+    report = diversity(oracles.distance_matrix([0.0, 1.0, 10.0], euclid))
     assert report.per_elite_nearest == (1.0, 1.0, 9.0)
     assert report.per_elite_mean == pytest.approx((5.5, 5.0, 9.5))
     assert report.mean_distance == pytest.approx(20 / 3)
@@ -120,7 +123,7 @@ def test_diversity_collinear_triple():
 
 
 def test_diversity_single_item():
-    report = diversity([7.0], euclid)
+    report = diversity(oracles.distance_matrix([7.0], euclid))
     assert report.single_elite
     assert report.mean_distance == 0.0
     assert report.mean_nearest == 0.0
@@ -129,19 +132,22 @@ def test_diversity_single_item():
 
 def test_diversity_empty_raises():
     with pytest.raises(ValueError):
-        diversity([], euclid)
+        diversity(oracles.distance_matrix([], euclid))
 
 
 def test_diversity_rejects_asymmetric_distance():
+    # Entry (i, j) is items[j] - items[i]: valid above the diagonal,
+    # negated below it.
+    items = np.array([0.0, 1.0, 2.0])
     with pytest.raises(ValueError):
-        diversity([0.0, 1.0, 2.0], lambda a, b: b - a)
+        diversity(items[None, :] - items[:, None])
 
 
 def test_nearest_never_exceeds_mean():
     rng = np.random.default_rng(4)
     for _ in range(20):
         points = list(rng.random(int(rng.integers(2, 12))))
-        report = diversity(points, euclid)
+        report = diversity(oracles.distance_matrix(points, euclid))
         for mean, nearest in zip(report.per_elite_mean, report.per_elite_nearest):
             assert nearest <= mean + 1e-12
         assert report.mean_nearest <= report.mean_distance + 1e-12
@@ -183,29 +189,81 @@ def test_euclidean_matrix_has_the_bits_of_topic_posterior_norms():
     assert_matrix_matches_norms(texts, topic_posterior)
 
 
+def first_invalid(items, distance):
+    """The message of a straight-line scan of ``distance`` over every
+    pair i < j in row order, or None when every distance is valid."""
+    for i in range(len(items)):
+        for j in range(i + 1, len(items)):
+            d = float(distance(items[i], items[j]))
+            if d < 0.0 or not math.isfinite(d):
+                return f"invalid distance {d!r} between items {i} and {j}"
+    return None
+
+
+def symmetric(entries):
+    """A 6 x 6 distance matrix of points on a line, with each (i, j, value)
+    of ``entries`` written at (i, j) and (j, i)."""
+    matrix = oracles.distance_matrix(list(np.random.default_rng(43).random(6)), euclid)
+    for i, j, value in entries:
+        matrix[i, j] = matrix[j, i] = value
+    return matrix
+
+
+MALFORMED = [
+    pytest.param(np.zeros((2, 3)), "distance matrix must be square", id="non-square"),
+    pytest.param(np.zeros(3), "distance matrix must be square", id="one-dimensional"),
+    pytest.param(np.array([[0.0, 1.0], [2.0, 0.0]]), "must be symmetric", id="asymmetric"),
+    pytest.param(np.array([[0.0, 1.0], [1.0, 1e-300]]), "zero diagonal", id="nonzero-diagonal"),
+    pytest.param(symmetric([(2, 4, np.inf)]), None, id="inf"),
+    pytest.param(symmetric([(3, 1, -np.inf)]), None, id="-inf"),
+    pytest.param(symmetric([(0, 5, np.nan)]), None, id="nan"),
+    pytest.param(symmetric([(1, 2, -1.0), (0, 5, np.nan)]), None, id="nan-before-negative"),
+]
+
+
+@pytest.mark.parametrize("matrix, message", MALFORMED)
+def test_distance_matrix_check_rejects_malformed_matrices(matrix, message):
+    # Both analysis entry points run the same check. A bad entry is named
+    # at the first pair a straight-line scan over i < j finds, with that
+    # scan's message; otherwise the shape, symmetry or diagonal is named.
+    if message is None:
+        message = first_invalid(range(len(matrix)), lambda i, j: matrix[i, j])
+        assert message is not None
+    for analyse in (diversity, lambda m: k_medoids(m, 1, np.random.default_rng(0))):
+        with pytest.raises(ValueError) as got:
+            analyse(matrix)
+        assert message in str(got.value)
+
+
 @pytest.mark.parametrize(
     "poison", [[(3, 2, np.inf)], [(4, 0, np.nan)], [(1, 5, np.inf), (4, 5, np.inf)], [(2, 1, -np.inf)]]
 )
-def test_invalid_payloads_fail_at_the_same_pair_with_the_same_message(poison):
-    # Infinite and NaN payloads give the pairwise check the same first bad
-    # entry, alone and inside the weighted combine of medoid_exemplars.
+def test_invalid_payloads_fail_at_the_same_pair_with_the_same_message(poison, tmp_path):
+    # Infinite and NaN payloads fail the matrix check at the first bad pair
+    # of a straight-line scan over the per-pair norms, with its message:
+    # alone, in analyze_diversity and inside the weighted combine of
+    # medoid_exemplars.
     rng = np.random.default_rng(42)
     vectors = list(rng.random((7, 8)))
     for i, k, value in poison:
         vectors[i][k] = value
+    archive = Archive((7, 1))
+    for i, vector in enumerate(vectors):
+        archive.insert(Solution((Artefact(0, vector), Artefact(1, np.zeros(1))), 0.5, (i, 0)))
+    path = tmp_path / "archive.json"
+    save_archive(path, archive)
 
     def combined_norm(a, b):
         return math.sqrt(math.fsum([0.5 * norm_distance(a, b) ** 2]))
 
-    def combined_matrix(i, j):
-        return math.sqrt(math.fsum([0.5 * matrix.item(i, j) ** 2]))
-
     with np.errstate(invalid="ignore"):
-        matrix = euclidean_matrix(vectors)
-        for old, new in ((norm_distance, matrix.item), (combined_norm, combined_matrix)):
-            with pytest.raises(ValueError) as expected:
-                pairwise_distances(vectors, old)
+        alone, combined = first_invalid(vectors, norm_distance), first_invalid(vectors, combined_norm)
+        for expected, analyse in (
+            (alone, lambda: checked_distances(euclidean_matrix(vectors))),
+            (alone, lambda: analyze_diversity(path, 0, "euclidean")),
+            (combined, lambda: medoid_exemplars(path, 1, (0.5, 0.0))),
+        ):
+            assert expected is not None and expected.startswith("invalid distance")
             with pytest.raises(ValueError) as got:
-                pairwise_distances(range(len(vectors)), new)
-            assert str(got.value) == str(expected.value)
-            assert str(got.value).startswith("invalid distance")
+                analyse()
+            assert str(got.value) == expected
