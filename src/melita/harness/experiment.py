@@ -19,14 +19,7 @@ from ..run import METHODS, run
 from ..stats import rank_sum_test
 from ..types import Solution
 from .config import ExperimentConfig
-from .serialize import (
-    config_hash,
-    load_archive,
-    load_metrics,
-    save_archive,
-    save_metrics,
-    write_json,
-)
+from .serialize import config_hash, load_archive, load_metrics, save_archive, save_metrics, write_json
 
 AUC_NOTE = "AUC: left Riemann sum over per-selection metric samples (unit step)."
 
@@ -65,8 +58,9 @@ def run_experiment(
                     record = run(domain, rc, np.random.default_rng(rc.seed))
 
                     stem = f"{method}/{label.name}_run{index}"
+                    blocks = {} if record.snapshots else None  # cells shared by this run's files
                     save_metrics(out / f"{stem}_metrics.csv", record.samples)
-                    save_archive(out / f"{stem}_archive.json", record.archive, digest)
+                    save_archive(out / f"{stem}_archive.json", record.archive, digest, blocks)
                     entry = {
                         "label": label.name,
                         "method": method,
@@ -79,7 +73,7 @@ def run_experiment(
                         snapshot_paths = []
                         for step, snapshot in record.snapshots:
                             rel = f"{stem}_snapshot{step}_archive.json"
-                            save_archive(out / rel, snapshot, digest)
+                            save_archive(out / rel, snapshot, digest, blocks)
                             snapshot_paths.append(rel)
                         entry["snapshot_paths"] = snapshot_paths
                     runs.append(entry)

@@ -1,8 +1,7 @@
 """On-disk formats.
 
-All JSON is canonical: sorted keys, two-space indent, trailing newline.
-Floats rely on repr round-tripping, so load -> re-serialize is
-byte-identical and every recorded value survives exactly.
+All JSON is canonical, the bytes of ``json.dumps(obj, sort_keys=True,
+indent=2)`` and a newline; repr floats make load -> re-serialize exact.
 
 Payload encodings are structural: integer arrays (token text) serialize
 as plain int lists, float vectors as float lists, and RGB images as
@@ -12,9 +11,12 @@ without knowing which domain produced it.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 from pathlib import Path
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -24,13 +26,48 @@ from ..types import Artefact, Solution
 
 METRICS_HEADER = "step,coverage,mean_fitness,max_fitness,qd_score"
 
+# CPython's C encoders; json.dumps uses them only when indent is None.
+_flat = json.JSONEncoder(sort_keys=True).encode
+_key = json.encoder.encode_basestring_ascii
+
+
+def _render(obj: object, indent: str) -> str:
+    """``obj`` as ``json.dumps(obj, sort_keys=True, indent=2)`` renders it
+    at the depth whose lines start with ``indent`` (a newline and spaces).
+    A list of plain ints and floats takes one C-encoder call."""
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        body = ("," + inner).join([f"{_key(k)}: {_render(v, inner)}" for k, v in sorted(obj.items())])
+        return "{" + inner + body + indent + "}" if obj else "{}"
+    if not isinstance(obj, (list, tuple)):
+        return _flat(obj)
+    if set(map(type, obj)) <= {int, float}:
+        body = _flat(obj)[1:-1].replace(", ", "," + inner)
+    else:
+        body = ("," + inner).join([_render(v, inner) for v in obj])
+    return "[" + inner + body + indent + "]" if obj else "[]"
+
 
 def canonical_json(obj: object) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return _render(obj, "\n") + "\n"
+
+
+@contextlib.contextmanager
+def _replacing(path: str | Path) -> Iterator[IO[str]]:
+    """A temporary file beside ``path``: renamed onto it, or deleted on error."""
+    tmp = Path(path).with_name(f".{Path(path).name}.tmp")
+    try:
+        with open(tmp, "w") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_json(path: str | Path, obj: object) -> None:
-    Path(path).write_text(canonical_json(obj))
+    with _replacing(path) as f:
+        f.write(canonical_json(obj))
 
 
 def config_hash(config_dict: dict) -> str:
@@ -43,12 +80,12 @@ def encode_payload(payload: np.ndarray) -> object:
         return {
             "width": int(arr.shape[1]),
             "height": int(arr.shape[0]),
-            "pixels": [float(v) for v in arr.reshape(-1)],
+            "pixels": arr.reshape(-1).astype(np.float64).tolist(),
         }
     if arr.ndim == 1 and np.issubdtype(arr.dtype, np.integer):
-        return [int(v) for v in arr]
+        return arr.tolist()
     if arr.ndim == 1 and np.issubdtype(arr.dtype, np.floating):
-        return [float(v) for v in arr]
+        return arr.astype(np.float64).tolist()
     raise ValueError(f"no payload encoding for array with shape {arr.shape} and dtype {arr.dtype}")
 
 
@@ -63,25 +100,23 @@ def decode_payload(data: object) -> np.ndarray:
     raise ValueError(f"no payload decoding for {type(data).__name__}")
 
 
+def _cell_dict(coords: tuple[int, ...], cell: Cell) -> dict:
+    return {
+        "coords": list(coords),
+        "fitness": cell.solution.fitness,
+        "birth_step": cell.birth_step,
+        "artefacts": [
+            {"modality": a.modality, "payload": encode_payload(a.payload)}
+            for a in cell.solution.artefacts
+        ],
+    }
+
+
 def archive_to_dict(archive: Archive, config_digest: str = "") -> dict:
-    cells = []
-    for coords in archive.ordered():
-        cell = archive.cells[coords]
-        cells.append(
-            {
-                "coords": list(coords),
-                "fitness": cell.solution.fitness,
-                "birth_step": cell.birth_step,
-                "artefacts": [
-                    {"modality": a.modality, "payload": encode_payload(a.payload)}
-                    for a in cell.solution.artefacts
-                ],
-            }
-        )
     return {
         "config_hash": config_digest,
         "axis_sizes": list(archive.axis_sizes),
-        "cells": cells,
+        "cells": [_cell_dict(c, archive.cells[c]) for c in archive.ordered()],
     }
 
 
@@ -98,25 +133,38 @@ def archive_from_dict(data: dict) -> Archive:
     return archive
 
 
-def save_archive(path: str | Path, archive: Archive, config_digest: str = "") -> None:
-    write_json(path, archive_to_dict(archive, config_digest))
+def save_archive(
+    path: str | Path, archive: Archive, config_digest: str = "", blocks: dict | None = None
+) -> None:
+    """Write ``canonical_json(archive_to_dict(archive, config_digest))``
+    one cell block at a time. ``blocks``, if given, memoizes rendered cells
+    across a run's files by (elite id, birth step, coords); it holds each
+    elite, so no id is reused while it lives, and elites are immutable."""
+    memo = {} if blocks is None else blocks
+    empty = canonical_json(archive_to_dict(Archive(archive.axis_sizes), config_digest))
+    head, _, tail = empty.partition("[]")  # the cells list; axis_sizes is never empty
+    with _replacing(path) as f:
+        f.write(head + "[")
+        for i, coords in enumerate(archive.ordered()):
+            cell = archive.cells[coords]
+            if (key := (id(cell.solution), cell.birth_step, coords)) not in memo:
+                memo[key] = (cell.solution, _render(_cell_dict(coords, cell), "\n    "))
+            _, block = memo[key] if blocks is not None else memo.pop(key)  # one block held
+            f.write(("," if i else "") + "\n    " + block)
+        f.write(("\n  ]" if archive.cells else "]") + tail)
 
 
 def load_archive(path: str | Path) -> Archive:
     return archive_from_dict(json.loads(Path(path).read_text()))
 
 
-def _fmt(x: float) -> str:
-    return "%.9g" % x
-
-
 def save_metrics(path: str | Path, samples: tuple[MetricsSample, ...]) -> None:
-    lines = [METRICS_HEADER]
-    for s in samples:
-        lines.append(
-            f"{s.step},{_fmt(s.coverage)},{_fmt(s.mean_fitness)},{_fmt(s.max_fitness)},{_fmt(s.qd_score)}"
+    with _replacing(path) as f:
+        f.write(METRICS_HEADER + "\n")
+        f.writelines(
+            f"{s.step},{s.coverage:.9g},{s.mean_fitness:.9g},{s.max_fitness:.9g},{s.qd_score:.9g}\n"
+            for s in samples
         )
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_metrics(path: str | Path) -> list[MetricsSample]:
@@ -126,7 +174,5 @@ def load_metrics(path: str | Path) -> list[MetricsSample]:
     samples = []
     for line in lines[1:]:
         step, coverage, mean_f, max_f, qd = line.split(",")
-        samples.append(
-            MetricsSample(int(step), float(coverage), float(mean_f), float(max_f), float(qd))
-        )
+        samples.append(MetricsSample(int(step), *map(float, (coverage, mean_f, max_f, qd))))
     return samples

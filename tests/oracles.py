@@ -1,7 +1,7 @@
 """Independent straight-line reimplementations used as oracles: the
 vector-pair search step for step-procedure tests, and a pair-by-pair
 distance matrix, PAM k-medoids and the medoids report for the analysis
-tests.
+tests, and the per-element payload encoding for the serialization tests.
 
 Nothing here imports the library's archive or step code. Archive state
 is a plain dict mapping coords -> (fitness, text_payload, visual_payload)
@@ -232,3 +232,20 @@ def medoid_exemplars(solutions, k: int, weights, seed: int):
     matrix = distance_matrix(solutions, distance)
     _, labels, cost = k_medoids(matrix, k, np.random.default_rng(seed))
     return cost, labels
+
+
+def encode_payload(payload):
+    """The archive JSON value of a payload, built one element at a time
+    with ``float(v)`` or ``int(v)``."""
+    arr = np.asarray(payload)
+    if arr.ndim == 3 and arr.shape[2] == 3:
+        return {
+            "width": int(arr.shape[1]),
+            "height": int(arr.shape[0]),
+            "pixels": [float(v) for v in arr.reshape(-1)],
+        }
+    if arr.ndim == 1 and np.issubdtype(arr.dtype, np.integer):
+        return [int(v) for v in arr]
+    if arr.ndim == 1 and np.issubdtype(arr.dtype, np.floating):
+        return [float(v) for v in arr]
+    raise ValueError(f"no payload encoding for array with shape {arr.shape} and dtype {arr.dtype}")
