@@ -174,5 +174,7 @@ def load_metrics(path: str | Path) -> list[MetricsSample]:
     samples = []
     for line in lines[1:]:
         step, coverage, mean_f, max_f, qd = line.split(",")
-        samples.append(MetricsSample(int(step), *map(float, (coverage, mean_f, max_f, qd))))
+        samples.append(
+            MetricsSample(int(step), float(coverage), float(mean_f), float(max_f), float(qd))
+        )
     return samples
