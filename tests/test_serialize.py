@@ -27,7 +27,9 @@ def stdlib(obj):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-TRICKY_TEXT = st.text(st.sampled_from([",", " ", '"', "\\", ":", "a", "\n", "\x00", "é", "中", "\U0001f600"]))
+TRICKY_TEXT = st.text(
+    st.sampled_from([",", " ", '"', "\\", ":", "a", "\n", "\x00", "é", "中", "\U0001f600"])
+)
 TEXT = TRICKY_TEXT | st.text()
 NUMBERS = (
     st.integers()
@@ -130,12 +132,12 @@ def _payloads():
     for dtype in (np.float64, np.float32, np.float16, np.longdouble):
         info = np.finfo(np.float64 if dtype is np.longdouble else dtype)
         values = specials + [float(info.max), float(info.tiny), float(info.smallest_subnormal)]
-        vector = np.concatenate([np.asarray(values, dtype=dtype), rng.standard_normal(20).astype(dtype)])
-        cases[f"vector-{np.dtype(dtype).name}"] = vector
+        noise = rng.standard_normal(20)
+        cases[f"vector-{np.dtype(dtype).name}"] = np.concatenate([values, noise]).astype(dtype)
     for dtype in (np.int64, np.int32, np.uint8):
         info = np.iinfo(dtype)
-        tokens = np.concatenate([np.asarray([info.min, info.max, 0], dtype=dtype), rng.integers(0, 100, 20).astype(dtype)])
-        cases[f"tokens-{np.dtype(dtype).name}"] = tokens
+        tokens = np.concatenate([[info.min, info.max, 0], rng.integers(0, 100, 20)])
+        cases[f"tokens-{np.dtype(dtype).name}"] = tokens.astype(dtype)
     cases["image-uint8"] = rng.integers(0, 256, (4, 5, 3)).astype(np.uint8)
     image = rng.random((5, 4, 3)).astype(np.float32)
     image[0, 0] = [-0.0, np.nan, np.inf]
@@ -168,7 +170,10 @@ def archive_with_bad_payload():
 FAILING_WRITES = {
     "save_archive": (lambda path: save_archive(path, archive_with_bad_payload(), "x"), ValueError),
     "write_json": (lambda path: write_json(path, {"ok": [1, 2], "bad": {1, 2}}), TypeError),
-    "save_metrics": (lambda path: save_metrics(path, (MetricsSample(1, 0.5, 0.5, 0.5, 1.0), None)), AttributeError),
+    "save_metrics": (
+        lambda path: save_metrics(path, (MetricsSample(1, 0.5, 0.5, 0.5, 1.0), None)),
+        AttributeError,
+    ),
 }
 
 
@@ -200,7 +205,8 @@ def test_memo_key_tells_birth_step_coords_and_dead_elites_apart(tmp_path):
         archive = Archive((2, 2))
         archive.cells[coords] = Cell(shared, birth_step=birth)
         save_archive(tmp_path / f"shared{i}.json", archive, "", blocks)
-        assert (tmp_path / f"shared{i}.json").read_text() == canonical_json(archive_to_dict(archive))
+        expected = canonical_json(archive_to_dict(archive))
+        assert (tmp_path / f"shared{i}.json").read_text() == expected
     # Each elite is dropped as soon as its file is written; the memo keeps
     # it alive, so a new elite never inherits its id and its block.
     for k in range(50):
@@ -253,7 +259,9 @@ def test_run_renders_each_elite_once_and_files_match_fresh_renders(tmp_path, mon
         # One entry per (elite, birth step, coords) written, and fewer
         # entries than cells written: snapshots reuse earlier blocks.
         written = {
-            (id(a.cells[c].solution), a.cells[c].birth_step, c) for a, _, _ in files for c in a.cells
+            (id(a.cells[c].solution), a.cells[c].birth_step, c)
+            for a, _, _ in files
+            for c in a.cells
         }
         assert set(memo) == written
         assert len(memo) < sum(len(a) for a, _, _ in files)
