@@ -1,5 +1,6 @@
 """Independent straight-line reimplementations used as oracles: the
-vector-pair search step for step-procedure tests, and a pair-by-pair
+vector-pair search step for step-procedure tests, UCB parent selection
+over plain counters for the selection tests, and a pair-by-pair
 distance matrix, PAM k-medoids and the medoids report for the analysis
 tests, and the per-element payload encoding for the serialization tests.
 
@@ -99,6 +100,27 @@ def seed(cells: dict, rng: np.random.Generator, count: int) -> None:
 def select_uniform_replay(cells: dict, rng: np.random.Generator) -> tuple:
     occupied = sorted(cells)
     return occupied[int(rng.integers(len(occupied)))]
+
+
+def select_ucb(counters: dict, total: int, rng: np.random.Generator, c: float) -> tuple:
+    """UCB1 over ``{coords: (n, inserted)}``, one cell at a time in sorted
+    order: a never-selected cell first, else the highest
+    ``inserted / n + c * sqrt(2 ln max(total, 1) / n)``, with one integers
+    draw over the unvisited cells or over the exact ties."""
+    occupied = sorted(counters)
+    unvisited = [coords for coords in occupied if counters[coords][0] == 0]
+    if unvisited:
+        return unvisited[int(rng.integers(len(unvisited)))]
+    two_log_t = 2.0 * math.log(max(total, 1))
+    best_score, best = -math.inf, []
+    for coords in occupied:
+        n, inserted = counters[coords]
+        score = inserted / n + c * math.sqrt(two_log_t / n)
+        if score > best_score:
+            best_score, best = score, [coords]
+        elif score == best_score:
+            best.append(coords)
+    return best[int(rng.integers(len(best)))]
 
 
 def _offspring(cells: dict, rng: np.random.Generator):

@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from melita import Archive, NoElitesError, select_ucb, select_uniform
+from melita import Archive, Artefact, NoElitesError, Solution, select_ucb, select_uniform
 from conftest import scalar_solution
 
 
@@ -92,3 +95,60 @@ def test_ucb_updates_counters():
     select_ucb(archive, np.random.default_rng(0))
     assert archive.cells[(0, 0)].times_selected == 1
     assert archive.total_selections == 1
+
+
+def set_counters(archive, coords, n, inserted):
+    archive.cells[coords].times_selected = n
+    archive.cells[coords].offspring_inserted = inserted
+
+
+@st.composite
+def ucb_cases(draw):
+    """Grids of 1-3 axes with random occupancy and selection counters:
+    every cell unvisited, some unvisited, or none, ``n`` up to 2**40.
+    Counters come from a small pool, some scaled by a common factor, so
+    that exact score ties are common, between equal counters and (at
+    ``c == 0``) between equal success rates."""
+    axes = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    grid = list(itertools.product(*map(range, axes)))
+    occupied = draw(st.lists(st.sampled_from(grid), min_size=1, unique=True))
+    mode = draw(st.sampled_from(["all visited", "some unvisited", "all unvisited"]))
+    low = 0 if mode == "some unvisited" else 1
+    n = st.one_of(st.integers(low, 4), st.integers(low, 2**40), st.integers(2**39, 2**40))
+    pair = n.flatmap(lambda k: st.tuples(st.just(k), st.integers(0, k)))
+    pool = draw(st.lists(pair, min_size=1, max_size=3))
+    scaled = st.tuples(st.sampled_from(pool), st.integers(1, 7)).map(
+        lambda p: (p[0][0] * p[1], p[0][1] * p[1])
+    )
+    counters = {}
+    for coords in occupied:
+        counters[coords] = (0, 0) if mode == "all unvisited" else draw(
+            st.one_of(st.sampled_from(pool), scaled, pair)
+        )
+    if mode == "some unvisited":
+        counters[draw(st.sampled_from(occupied))] = (0, 0)
+    total = sum(k for k, _ in counters.values()) + draw(st.integers(0, 50))
+    c = draw(st.one_of(st.sampled_from([0.0, 5e-324, 1.0, 1e6]), st.floats(0.0, 10.0)))
+    return axes, counters, total, c, draw(st.integers(0, 2**32 - 1))
+
+
+# Equal success rates that a reciprocal-then-multiply would round apart:
+# 5 * (1 / 6) falls below 5 / 6 and 25 * (1 / 30) does not.
+RATE_TIES = {(0,): (6, 5), (1,): (30, 25), (2,): (12, 10), (3,): (6, 1)}
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(ucb_cases())
+@example(((4,), RATE_TIES, 54, 0.0, 3))
+@example(((4,), RATE_TIES, 54, 5e-324, 3))
+def test_ucb_matches_straight_line_oracle(case):
+    axes, counters, total, c, seed = case
+    archive = Archive(axes)
+    for coords, (n, inserted) in counters.items():
+        artefacts = tuple(Artefact(m, np.array([float(x)])) for m, x in enumerate(coords))
+        archive.insert(Solution(artefacts, 0.5, coords))
+        set_counters(archive, coords, n, inserted)
+    archive.total_selections = total
+    rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert select_ucb(archive, rng, c=c) == oracles.select_ucb(counters, total, replay, c)
+    assert rng.bit_generator.state == replay.bit_generator.state
