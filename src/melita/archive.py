@@ -2,24 +2,20 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .types import INSERTED_EMPTY, REJECTED, REPLACED, Candidate, Coords, Outcome, Solution
 
 
-@dataclass
+@dataclass(frozen=True)
 class Cell:
-    """One occupied grid cell.
-
-    Selection statistics describe the *current* occupant: they are reset
-    whenever a new solution takes the cell, and the selections of the
-    evicted elite are folded into the archive-level counter.
-    """
+    """One occupied grid cell: its elite and the selection clock when it
+    took the cell. Its selection statistics live in the archive's grids."""
 
     solution: Solution
     birth_step: int
-    times_selected: int = 0
-    offspring_inserted: int = 0
 
 
 @dataclass
@@ -31,34 +27,42 @@ class Archive:
     never removed, by ``insert`` and by direct writes to ``cells`` alike,
     so the cached occupied order is stale exactly when ``cells`` has
     grown past it; it and its rows are rebuilt lazily on the next read.
+
+    ``selected`` and ``inserted`` hold, per cell, how often its current
+    occupant was selected and how many of its offspring were inserted:
+    float64 grids of shape ``axis_sizes``, exact below 2**53, that
+    ``insert`` zeroes whenever a new solution takes a cell.
     """
 
     axis_sizes: tuple[int, ...]
     cells: dict[Coords, Cell] = field(default_factory=dict)
     total_selections: int = 0
     evicted_selections: int = 0
+    selected: np.ndarray = field(init=False, repr=False, compare=False)
+    inserted: np.ndarray = field(init=False, repr=False, compare=False)
     _order: tuple[Coords, ...] = field(default=(), init=False, repr=False, compare=False)
     _rows: dict[tuple[int, int], tuple[Coords, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _flat: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.axis_sizes = tuple(int(s) for s in self.axis_sizes)
         if not self.axis_sizes or any(s < 1 for s in self.axis_sizes):
             raise ValueError(f"axis sizes must be positive, got {self.axis_sizes}")
+        self.selected, self.inserted = np.zeros(self.axis_sizes), np.zeros(self.axis_sizes)
 
     def __len__(self) -> int:
         return len(self.cells)
 
     def __deepcopy__(self, memo: dict) -> Archive:
-        """Copy the grid and every cell's statistics, sharing the frozen
-        solutions, so a snapshot costs no payload copies."""
-        return Archive(
-            self.axis_sizes,
-            {coords: replace(cell) for coords, cell in self.cells.items()},
-            self.total_selections,
-            self.evicted_selections,
+        """Share the frozen cells and copy the counter grids, so a snapshot
+        costs one dict copy and two array copies."""
+        copy = Archive(
+            self.axis_sizes, dict(self.cells), self.total_selections, self.evicted_selections
         )
+        copy.selected, copy.inserted = self.selected.copy(), self.inserted.copy()
+        return copy
 
     @property
     def cell_count(self) -> int:
@@ -69,8 +73,17 @@ class Archive:
         again only after a new cell has been filled."""
         if len(self._order) != len(self.cells):
             self._order = tuple(sorted(self.cells))
-            self._rows = {}
+            self._rows, self._flat = {}, None
         return self._order
+
+    def flat_order(self) -> np.ndarray:
+        """``ordered()`` as row-major indices into the counter grids, built
+        on the first call after the order changes."""
+        order = self.ordered()
+        if self._flat is None:
+            coords = np.array(order, dtype=np.intp).reshape(-1, len(self.axis_sizes)).T
+            self._flat = np.ravel_multi_index(coords, self.axis_sizes)
+        return self._flat
 
     def occupied(self) -> list[Coords]:
         """A fresh list of ``ordered()``, safe for the caller to change."""
@@ -109,7 +122,8 @@ class Archive:
         self.cells[candidate.coords] = Cell(candidate, birth_step=self.total_selections)
         if cell is None:
             return Outcome(INSERTED_EMPTY, coords=candidate.coords)
-        self.evicted_selections += cell.times_selected
+        self.evicted_selections += int(self.selected[candidate.coords])
+        self.selected[candidate.coords] = self.inserted[candidate.coords] = 0.0
         return Outcome(
             REPLACED,
             coords=candidate.coords,
@@ -118,7 +132,7 @@ class Archive:
         )
 
     def record_selection(self, coords: Coords) -> None:
-        self.cells[coords].times_selected += 1
+        self.selected[coords] += 1
         self.total_selections += 1
 
     def credit_insertion(self, parent_coords: Coords) -> None:
@@ -127,6 +141,5 @@ class Archive:
         If the parent was just evicted by its own offspring, the credit
         lands on the cell's new occupant.
         """
-        cell = self.cells.get(parent_coords)
-        if cell is not None:
-            cell.offspring_inserted += 1
+        if parent_coords in self.cells:
+            self.inserted[parent_coords] += 1

@@ -2,7 +2,10 @@
 
 Both policies consume exactly one ``rng.integers`` draw per call and scan
 occupied cells in ascending lexicographic coordinate order, so a given
-archive state and rng state always yield the same parent.
+archive state and rng state always yield the same parent. UCB scores
+every occupied cell in one numpy pass over the archive's counter grids;
+numpy's division and square root are correctly rounded, as ``math``'s
+are, so each score has the bits of a cell-by-cell loop.
 """
 from __future__ import annotations
 
@@ -40,24 +43,13 @@ def select_ucb(archive: Archive, rng: np.random.Generator, c: float = 1.0) -> Co
     occupied = archive.ordered()
     if not occupied:
         raise NoElitesError("cannot select a parent from an empty archive")
-
-    cells = archive.cells
-    unvisited = [coords for coords in occupied if cells[coords].times_selected == 0]
-    if unvisited:
-        coords = unvisited[int(rng.integers(len(unvisited)))]
-    else:
+    flat = archive.flat_order()
+    n = archive.selected.take(flat)
+    (ties,) = (n == 0).nonzero()
+    if not len(ties):
         two_log_t = 2.0 * math.log(max(archive.total_selections, 1))
-        best_score = -math.inf
-        best: list[Coords] = []
-        for coords in occupied:
-            cell = cells[coords]
-            n = cell.times_selected
-            score = cell.offspring_inserted / n + c * math.sqrt(two_log_t / n)
-            if score > best_score:
-                best_score = score
-                best = [coords]
-            elif score == best_score:
-                best.append(coords)
-        coords = best[int(rng.integers(len(best)))]
+        score = archive.inserted.take(flat) / n + c * np.sqrt(two_log_t / n)
+        (ties,) = (score == score.max()).nonzero()
+    coords = occupied[ties[int(rng.integers(len(ties)))]]
     archive.record_selection(coords)
     return coords

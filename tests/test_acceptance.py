@@ -96,7 +96,8 @@ def test_criterion_2_at_most_one_insertion_and_monotone_cells():
         else:
             assert not added and not changed
 
-        total = sum(cell.times_selected for cell in archive.cells.values())
+        total = sum(archive.selected[c] for c in archive.cells)
+        assert total == archive.selected.sum(), "counter outside an occupied cell"
         assert archive.total_selections == total + archive.evicted_selections
         before = after
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -44,14 +46,20 @@ def test_eviction_folds_selection_stats():
     archive.insert(scalar_solution((0, 0), 0.3))
     archive.record_selection((0, 0))
     archive.record_selection((0, 0))
-    archive.cells[(0, 0)].offspring_inserted = 1
+    archive.credit_insertion((0, 0))
 
     archive.insert(scalar_solution((0, 0), 0.9))
-    cell = archive.cells[(0, 0)]
-    assert cell.times_selected == 0
-    assert cell.offspring_inserted == 0
+    assert archive.selected[(0, 0)] == 0
+    assert archive.inserted[(0, 0)] == 0
     assert archive.evicted_selections == 2
     assert archive.total_selections == 2
+
+
+def test_cells_are_frozen():
+    archive = Archive((4, 4))
+    archive.insert(scalar_solution((0, 0), 0.3))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        archive.cells[(0, 0)].times_selected = 1
 
 
 def test_selection_count_invariant():
@@ -62,7 +70,8 @@ def test_selection_count_invariant():
         archive.insert(scalar_solution(coords, float(rng.random())))
         if archive.cells.get(coords):
             archive.record_selection(coords)
-    held = sum(c.times_selected for c in archive.cells.values())
+    held = sum(archive.selected[c] for c in archive.cells)
+    assert held == archive.selected.sum()
     assert archive.total_selections == held + archive.evicted_selections
 
 
@@ -87,7 +96,7 @@ def test_credit_insertion_lands_on_new_occupant():
     archive.insert(scalar_solution((2, 2), 0.4))
     archive.insert(scalar_solution((2, 2), 0.8))
     archive.credit_insertion((2, 2))
-    assert archive.cells[(2, 2)].offspring_inserted == 1
+    assert archive.inserted[(2, 2)] == 1
 
 
 def test_coords_validation():

@@ -1,9 +1,11 @@
-"""The archive's occupied-cell index: lexicographic order and rows after
-every kind of write the library makes, callers cannot corrupt it, and a
-step that fills no new cell does not sort the archive again."""
+"""The archive's occupied-cell index: lexicographic order, rows and
+row-major flat indices after every kind of write the library makes,
+callers cannot corrupt it, a step that fills no new cell does not sort
+the archive again, and only UCB selection builds the flat indices."""
 import copy
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import melita.archive
@@ -23,6 +25,8 @@ def solution(coords, fitness):
 def assert_index(archive):
     scan = sorted(archive.cells)
     assert archive.occupied() == scan
+    flat = [np.ravel_multi_index(c, archive.axis_sizes) for c in scan]
+    assert archive.flat_order().tolist() == flat
     for axis, size in enumerate(archive.axis_sizes):
         for index in range(size):
             assert archive.row(axis, index) == tuple(c for c in scan if c[axis] == index)
@@ -97,3 +101,25 @@ def test_steps_that_fill_no_cell_do_not_sort(monkeypatch):
     filled = sum(r.outcome.kind == INSERTED_EMPTY for r in record.reports)
     assert 0 < filled < 2000
     assert 0 < len(sorts) <= filled + 1
+
+
+@pytest.mark.parametrize("selection", ["uniform", "ucb"])
+def test_only_ucb_builds_flat_indices_once_per_filled_cell(monkeypatch, selection):
+    builds = []
+    ravel = np.ravel_multi_index
+
+    def counting_ravel(*args, **kwargs):
+        builds.append(1)
+        return ravel(*args, **kwargs)
+
+    monkeypatch.setattr(np, "ravel_multi_index", counting_ravel)
+    config = RunConfig(
+        domain="vector_pair", seed=101000, method="melita", selection=selection, steps=2000
+    )
+    record = run(VectorPairDomain(), config, np.random.default_rng(101000))
+    filled = sum(r.outcome.kind == INSERTED_EMPTY for r in record.reports)
+    assert 0 < filled < 2000
+    if selection == "uniform":
+        assert builds == []
+    else:
+        assert 0 < len(builds) <= filled + 1

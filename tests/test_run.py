@@ -116,15 +116,12 @@ def test_snapshots():
 
 def archive_state(archive):
     """Saved form plus every selection counter the saved form omits."""
-    counters = [
-        (coords, cell.times_selected, cell.offspring_inserted)
-        for coords, cell in sorted(archive.cells.items())
-    ]
     return (
         canonical_json(archive_to_dict(archive)),
         archive.total_selections,
         archive.evicted_selections,
-        counters,
+        archive.selected.tolist(),
+        archive.inserted.tolist(),
     )
 
 
@@ -140,9 +137,12 @@ def test_snapshot_copies_cells_and_shares_solutions(tmp_path):
     for _ in range(100):
         melita_step(archive, domain, rng, select)
     snapshot = copy.deepcopy(archive)
+    assert snapshot.cells is not archive.cells
     for coords, cell in archive.cells.items():
-        assert snapshot.cells[coords] is not cell
-        assert snapshot.cells[coords].solution is cell.solution
+        assert snapshot.cells[coords] is cell
+    for grid in (snapshot.selected, snapshot.inserted):
+        assert not np.shares_memory(grid, archive.selected)
+        assert not np.shares_memory(grid, archive.inserted)
     before = archive_state(archive)
     save_archive(tmp_path / "before.json", snapshot)
 

@@ -37,7 +37,7 @@ def test_uniform_consumes_one_indexed_draw():
         chosen = select_uniform(archive, rng)
         expected = sorted(archive.cells)[int(replay.integers(len(archive.cells)))]
         assert chosen == expected
-        assert archive.cells[chosen].times_selected == 1
+        assert archive.selected[chosen] == 1
         assert archive.total_selections == 1
 
 
@@ -55,10 +55,8 @@ def test_ucb_hand_example():
     # Two cells, n = (4, 1), successes = (2, 1), T = 5, c = 1:
     # scores 0.5 + sqrt(2 ln 5 / 4) ~= 1.397 and 1.0 + sqrt(2 ln 5) ~= 2.794.
     archive = _archive_with([(0, 0), (1, 1)])
-    archive.cells[(0, 0)].times_selected = 4
-    archive.cells[(0, 0)].offspring_inserted = 2
-    archive.cells[(1, 1)].times_selected = 1
-    archive.cells[(1, 1)].offspring_inserted = 1
+    archive.selected[(0, 0)], archive.inserted[(0, 0)] = 4, 2
+    archive.selected[(1, 1)], archive.inserted[(1, 1)] = 1, 1
     archive.total_selections = 5
 
     score_a = 2 / 4 + math.sqrt(2 * math.log(5) / 4)
@@ -71,8 +69,8 @@ def test_ucb_hand_example():
 
 def test_ucb_prefers_unvisited():
     archive = _archive_with([(0, 0), (1, 1), (2, 2)])
-    archive.cells[(0, 0)].times_selected = 3
-    archive.cells[(2, 2)].times_selected = 5
+    archive.selected[(0, 0)] = 3
+    archive.selected[(2, 2)] = 5
     archive.total_selections = 8
     assert select_ucb(archive, np.random.default_rng(1)) == (1, 1)
 
@@ -82,8 +80,7 @@ def test_ucb_breaks_exact_ties_uniformly():
     for seed in range(900):
         archive = _archive_with([(0, 0), (1, 1), (2, 2)])
         for coords in counts:
-            archive.cells[coords].times_selected = 2
-            archive.cells[coords].offspring_inserted = 1
+            archive.selected[coords], archive.inserted[coords] = 2, 1
         archive.total_selections = 6
         counts[select_ucb(archive, np.random.default_rng(seed))] += 1
     for count in counts.values():
@@ -93,13 +90,8 @@ def test_ucb_breaks_exact_ties_uniformly():
 def test_ucb_updates_counters():
     archive = _archive_with([(0, 0)])
     select_ucb(archive, np.random.default_rng(0))
-    assert archive.cells[(0, 0)].times_selected == 1
+    assert archive.selected[(0, 0)] == 1
     assert archive.total_selections == 1
-
-
-def set_counters(archive, coords, n, inserted):
-    archive.cells[coords].times_selected = n
-    archive.cells[coords].offspring_inserted = inserted
 
 
 @st.composite
@@ -147,7 +139,7 @@ def test_ucb_matches_straight_line_oracle(case):
     for coords, (n, inserted) in counters.items():
         artefacts = tuple(Artefact(m, np.array([float(x)])) for m, x in enumerate(coords))
         archive.insert(Solution(artefacts, 0.5, coords))
-        set_counters(archive, coords, n, inserted)
+        archive.selected[coords], archive.inserted[coords] = n, inserted
     archive.total_selections = total
     rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
     assert select_ucb(archive, rng, c=c) == oracles.select_ucb(counters, total, replay, c)

@@ -72,7 +72,7 @@ def test_vanilla_replaces_own_cell():
     assert report.outcome.coords == (1, 1)
     assert report.evaluations == 1
     assert archive.cells[(1, 1)].solution.fitness == 0.7
-    assert archive.cells[(1, 1)].offspring_inserted == 1
+    assert archive.inserted[(1, 1)] == 1
 
 
 def test_vanilla_fills_empty_cell_regardless_of_parent_fitness():
@@ -85,7 +85,7 @@ def test_vanilla_fills_empty_cell_regardless_of_parent_fitness():
     report = vanilla_step(archive, domain, np.random.default_rng(find_seed(1, 0, 1)))
     assert report.outcome.kind == INSERTED_EMPTY
     assert report.outcome.coords == (1, 3)
-    assert archive.cells[(1, 1)].offspring_inserted == 1
+    assert archive.inserted[(1, 1)] == 1
 
 
 def test_vanilla_invalid_offspring():
@@ -193,7 +193,7 @@ def test_melita_replaces_row_elite():
     # E' was payload-identical to the parent's cell content only on the
     # text side; its own cell keeps the parent.
     assert archive.cells[(0, 1)].solution.fitness == 0.50
-    assert archive.cells[(0, 1)].offspring_inserted == 1
+    assert archive.inserted[(0, 1)] == 1
 
 
 def test_melita_falls_back_to_empty_cell():
@@ -256,7 +256,7 @@ def test_melita_rejects_when_every_candidate_loses():
     report = melita_step(archive, domain, np.random.default_rng(seed))
     assert report.outcome.kind == REJECTED
     assert archive.cells[(0, 1)].solution.fitness == 0.90
-    assert archive.cells[(0, 1)].offspring_inserted == 0
+    assert archive.inserted[(0, 1)] == 0
 
 
 def test_melita_tie_order_prefers_offspring_then_coords():
