@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .config import ConfigError, load_config
 from .experiment import (
@@ -14,7 +13,7 @@ from .experiment import (
     medoid_exemplars,
     run_experiment,
 )
-from .serialize import canonical_json
+from .serialize import canonical_json, write_text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _emit(report: dict, out: str | None) -> None:
     text = canonical_json(report)
     if out is not None:
-        Path(out).write_text(text)
+        write_text(out, text)
     sys.stdout.write(text)
 
 
@@ -67,7 +66,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {len(manifest['runs'])} runs to {where} (manifest.json)")
         elif args.command == "compare":
             report = compare(args.a, args.b)
-            Path(args.out).write_text(compare_table(report))
+            write_text(args.out, compare_table(report))
             sys.stdout.write(compare_summary(report))
             print(f"table written to {args.out}")
         elif args.command == "diversity":

@@ -65,9 +65,13 @@ def _replacing(path: str | Path) -> Iterator[IO[str]]:
         raise
 
 
-def write_json(path: str | Path, obj: object) -> None:
+def write_text(path: str | Path, text: str) -> None:
     with _replacing(path) as f:
-        f.write(canonical_json(obj))
+        f.write(text)
+
+
+def write_json(path: str | Path, obj: object) -> None:
+    write_text(path, canonical_json(obj))
 
 
 def config_hash(config_dict: dict) -> str:

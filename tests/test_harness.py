@@ -16,6 +16,7 @@ from melita.harness import (
     medoid_exemplars,
     run_experiment,
 )
+from melita.harness import cli
 from melita.harness.cli import main as cli_main
 from melita.harness.config import Label
 from melita.harness.serialize import (
@@ -577,6 +578,36 @@ def test_cli_error_paths(tmp_path, capsys):
 
     assert cli_main(["medoids", "--archive", str(path), "-k", "1", "--weights", "a,b"]) == 2
     assert "error: --weights: could not convert string to float: 'a'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["compare", "diversity", "medoids"])
+@pytest.mark.parametrize("existing", [None, b"old bytes\n"])
+def test_cli_failed_report_write_leaves_no_partial_file(tmp_path, monkeypatch, command, existing):
+    path = tmp_path / "archive.json"
+    save_pair_archive(path, [pair_solution((0, 0), 0.5, [1.0], [1.0])])
+    # A lone surrogate has no encoding, so writing the text fails once its
+    # file is open.
+    unwritable = "line\n" * 1000 + "\ud800"
+    monkeypatch.setattr(cli, "compare", lambda a, b: {})
+    monkeypatch.setattr(cli, "compare_table", lambda report: unwritable)
+    monkeypatch.setattr(cli, "canonical_json", lambda report: unwritable)
+    argv = {
+        "compare": ["compare", "--a", "a", "--b", "b"],
+        "diversity": ["diversity", "--archive", str(path), "--modality", "0",
+                      "--distance", "euclidean"],
+        "medoids": ["medoids", "--archive", str(path), "-k", "1"],
+    }[command]
+    out = tmp_path / "out"
+    out.mkdir()
+    target = out / "report"
+    if existing is not None:
+        target.write_bytes(existing)
+    assert cli_main(argv + ["--out", str(target)]) == 2
+    if existing is None:
+        assert list(out.iterdir()) == []
+    else:
+        assert list(out.iterdir()) == [target]
+        assert target.read_bytes() == existing
 
 
 def test_cli_run_without_output_dir(tmp_path, capsys):
