@@ -3,14 +3,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .types import INSERTED_EMPTY, REJECTED, REPLACED, Candidate, Coords, Outcome, Solution
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     """One occupied grid cell: its elite and the selection clock when it
     took the cell. Its selection statistics live in the archive's grids."""
 
@@ -30,8 +30,9 @@ class Archive:
 
     ``selected`` and ``inserted`` hold, per cell, how often its current
     occupant was selected and how many of its offspring were inserted:
-    float64 grids of shape ``axis_sizes``, exact below 2**53, that
-    ``insert`` zeroes whenever a new solution takes a cell.
+    float64 grids of shape ``axis_sizes``, exact below 2**53. When a new
+    solution takes a cell, ``insert`` folds its old ``selected`` count
+    into ``evicted_selections`` and zeroes both.
     """
 
     axis_sizes: tuple[int, ...]
