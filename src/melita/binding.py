@@ -6,22 +6,23 @@ from typing import Any
 
 import numpy as np
 
-from .types import Artefact, Solution
+from .types import Solution
 
 
 class DomainBinding(abc.ABC):
     """Bundle of generator, per-modality variation, per-modality
     behavioural descriptors, and the cross-modality coherence function.
 
-    ``describe`` and ``cohere`` must be pure functions of the payloads.
-    ``vary`` and ``generate`` draw only from the rng handle they are given
-    and never mutate a payload in place.
+    A binding deals only in payloads, which the library wraps as
+    ``Artefact``s in every ``Solution`` it builds. ``describe`` and
+    ``cohere`` must be pure functions of the payloads. ``vary`` and
+    ``generate`` draw only from the rng handle they are given and never
+    mutate a payload in place.
     Invalid results are signalled with ``None``; malformed payloads are a
     contract violation and raise.
 
-    Coherence may be split in two: ``features`` is the per-artefact part
-    (an embedding, say), computed once per artefact and carried on it by
-    the step procedures, and ``combine`` the cheap cross-modality part.
+    The library scores only through ``features``, computed once per
+    artefact and carried on it, and ``combine``, the cross-modality part.
     ``combine(tuple(features(i, p) for i, p in enumerate(payloads)))``
     must equal ``cohere(payloads)`` bit for bit. The defaults pass the
     payloads straight to ``cohere``, so a binding that implements only
@@ -39,12 +40,12 @@ class DomainBinding(abc.ABC):
     def axis_sizes(self) -> tuple[int, ...]: ...
 
     @abc.abstractmethod
-    def generate(self, rng: np.random.Generator) -> Solution | None:
-        """Sample a fresh solution; None when it cannot be characterised."""
+    def generate(self, rng: np.random.Generator) -> tuple[Any, ...] | None:
+        """Sample one payload per modality, in order; None when sampling failed."""
 
     @abc.abstractmethod
-    def vary(self, modality: int, parent: Solution, rng: np.random.Generator) -> Artefact | None:
-        """Mutate the parent's artefact of the given modality."""
+    def vary(self, modality: int, parent: Solution, rng: np.random.Generator) -> Any | None:
+        """A new payload from the parent's artefact of the given modality."""
 
     @abc.abstractmethod
     def describe(self, modality: int, payload: Any) -> int | None:

@@ -31,8 +31,7 @@ import numpy as np
 
 from ..binding import DomainBinding
 from ..checks import require_finite, require_int
-from ..steps import characterize
-from ..types import Artefact, Solution
+from ..types import Solution
 from .common import bin4
 
 VOCAB = 64
@@ -230,11 +229,6 @@ def combine_features(text: tuple[np.ndarray, float], image: tuple[np.ndarray, fl
     return (1.0 + max(-1.0, min(1.0, cos))) / 2.0
 
 
-def media_coherence(tokens: np.ndarray, pixels: np.ndarray) -> float:
-    """Coherence of a text and an image; see ``combine_features``."""
-    return combine_features(text_features(tokens), image_features(pixels))
-
-
 def box_blur(pixels: np.ndarray) -> np.ndarray:
     """3x3 box blur with edge replication, per channel."""
     padded = np.pad(pixels, ((1, 1), (1, 1), (0, 0)), mode="edge")
@@ -284,12 +278,11 @@ class ToyMediaDomain(DomainBinding):
     def _sample_text(self, topic: int, length: int, rng: np.random.Generator) -> np.ndarray:
         return rng.choice(VOCAB, size=length, p=TOPIC_ROWS[topic]).astype(np.int64)
 
-    def generate(self, rng: np.random.Generator) -> Solution | None:
+    def generate(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         topic = int(rng.integers(TOPICS))
         length = int(rng.integers(MIN_TOKENS, MAX_TOKENS + 1))
         tokens = self._sample_text(topic, length, rng)
-        pixels = rng.random((self.height, self.width, 3))
-        return characterize(self, (Artefact(0, tokens), Artefact(1, pixels)))
+        return tokens, rng.random((self.height, self.width, 3))
 
     def _vary_text(self, parent_tokens: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         if rng.random() < FULL_MUTATION_PROB:
@@ -306,11 +299,11 @@ class ToyMediaDomain(DomainBinding):
         noisy = parent_pixels + rng.normal(0.0, self.noise_sigma, parent_pixels.shape)
         return box_blur(np.clip(noisy, 0.0, 1.0))
 
-    def vary(self, modality: int, parent: Solution, rng: np.random.Generator) -> Artefact | None:
+    def vary(self, modality: int, parent: Solution, rng: np.random.Generator) -> np.ndarray:
         payload = parent.artefacts[modality].payload
         if modality == 0:
-            return Artefact(0, self._vary_text(payload, rng))
-        return Artefact(1, self._vary_image(payload, rng))
+            return self._vary_text(payload, rng)
+        return self._vary_image(payload, rng)
 
     def describe(self, modality: int, payload: np.ndarray) -> int | None:
         if modality == 0:
@@ -318,7 +311,7 @@ class ToyMediaDomain(DomainBinding):
         return describe_image(payload)
 
     def cohere(self, payloads: tuple[np.ndarray, ...]) -> float:
-        return media_coherence(payloads[0], payloads[1])
+        return combine_features(text_features(payloads[0]), image_features(payloads[1]))
 
     def features(self, modality: int, payload: np.ndarray) -> tuple[np.ndarray, float]:
         if modality == 0:

@@ -19,8 +19,7 @@ import numpy as np
 
 from ..binding import DomainBinding
 from ..checks import require_finite
-from ..steps import characterize
-from ..types import Artefact, Solution
+from ..types import Solution
 from .common import bin4
 
 DIMS = 8
@@ -58,10 +57,6 @@ def combine_features(t: tuple[np.ndarray, float], v: tuple[np.ndarray, float]) -
     return (1.0 + max(-1.0, min(1.0, cos))) / 2.0
 
 
-def cosine_coherence(t: np.ndarray, v: np.ndarray) -> float:
-    return combine_features(vector_features(t), vector_features(v))
-
-
 class VectorPairDomain(DomainBinding):
     name = "vector_pair"
 
@@ -82,19 +77,13 @@ class VectorPairDomain(DomainBinding):
             values = rng.standard_normal(DIMS)
         return values
 
-    def generate(self, rng: np.random.Generator) -> Solution | None:
-        artefacts = (
-            Artefact(0, self._sample(rng)),
-            Artefact(1, self._sample(rng)),
-        )
-        return characterize(self, artefacts)
+    def generate(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        return self._sample(rng), self._sample(rng)
 
-    def vary(self, modality: int, parent: Solution, rng: np.random.Generator) -> Artefact | None:
+    def vary(self, modality: int, parent: Solution, rng: np.random.Generator) -> np.ndarray:
         if rng.random() < FULL_MUTATION_PROB:
-            values = rng.standard_normal(DIMS)
-        else:
-            values = parent.artefacts[modality].payload + rng.normal(0.0, self.sigma, DIMS)
-        return Artefact(modality, values)
+            return rng.standard_normal(DIMS)
+        return parent.artefacts[modality].payload + rng.normal(0.0, self.sigma, DIMS)
 
     def describe(self, modality: int, payload: np.ndarray) -> int | None:
         if modality == 0:
@@ -102,7 +91,7 @@ class VectorPairDomain(DomainBinding):
         return describe_visual(payload)
 
     def cohere(self, payloads: tuple[np.ndarray, ...]) -> float:
-        return cosine_coherence(payloads[0], payloads[1])
+        return combine_features(vector_features(payloads[0]), vector_features(payloads[1]))
 
     def features(self, modality: int, payload: np.ndarray) -> tuple[np.ndarray, float]:
         return vector_features(payload)

@@ -13,7 +13,7 @@ from .. import __version__
 from ..checks import require_finite, require_int
 from ..clustering import k_medoids
 from ..domains import make_domain
-from ..domains.toy_media import constants_dict, topic_posterior
+from ..domains.toy_media import VOCAB, constants_dict, topic_posterior
 from ..metrics import auc, diversity, euclidean_matrix
 from ..run import METHODS, run
 from ..stats import rank_sum_test
@@ -223,15 +223,25 @@ def compare_summary(report: CompareReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _token_posterior(payload: np.ndarray) -> np.ndarray:
+    tokens = np.asarray(payload)
+    if tokens.ndim != 1 or tokens.dtype.kind not in "iu" or np.any((tokens < 0) | (tokens >= VOCAB)):
+        raise ValueError(f"payload is not a 1-D integer token array in [0, {VOCAB})")
+    return topic_posterior(tokens)
+
+
 DISTANCES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "euclidean": lambda payload: np.asarray(payload, dtype=np.float64).ravel(),
-    "topic_posterior": topic_posterior,
+    "topic_posterior": _token_posterior,
 }
 
 
 def _distance_matrix(solutions: list[Solution], modality: int, name: str) -> np.ndarray:
     """One modality's matrix of distance ``name``, each payload embedded once."""
-    vectors = [DISTANCES[name](s.artefacts[modality].payload) for s in solutions]
+    try:
+        vectors = [DISTANCES[name](s.artefacts[modality].payload) for s in solutions]
+    except ValueError as exc:
+        raise ValueError(f"modality {modality}, distance {name!r}: {exc}") from None
     odd = next((v.shape for v in vectors if v.shape != vectors[0].shape), None)
     if odd is not None:
         shapes = f"shapes {vectors[0].shape} {odd}"

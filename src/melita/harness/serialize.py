@@ -125,15 +125,19 @@ def archive_to_dict(archive: Archive, config_digest: str = "") -> dict:
 
 
 def archive_from_dict(data: dict) -> Archive:
-    archive = Archive(tuple(int(s) for s in data["axis_sizes"]))
-    for entry in data["cells"]:
-        artefacts = tuple(
-            Artefact(int(a["modality"]), decode_payload(a["payload"]))
-            for a in entry["artefacts"]
-        )
-        solution = Solution(artefacts, float(entry["fitness"]), tuple(int(c) for c in entry["coords"]))
-        archive.check_coords(solution.coords)
-        archive.cells[solution.coords] = Cell(solution, birth_step=int(entry["birth_step"]))
+    """The archive ``data`` describes; a missing field raises ValueError naming it."""
+    try:
+        archive = Archive(tuple(int(s) for s in data["axis_sizes"]))
+        for entry in data["cells"]:
+            artefacts = tuple(
+                Artefact(int(a["modality"]), decode_payload(a["payload"]))
+                for a in entry["artefacts"]
+            )
+            solution = Solution(artefacts, float(entry["fitness"]), tuple(int(c) for c in entry["coords"]))
+            archive.check_coords(solution.coords)
+            archive.cells[solution.coords] = Cell(solution, birth_step=int(entry["birth_step"]))
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc}") from None
     return archive
 
 
@@ -159,7 +163,10 @@ def save_archive(
 
 
 def load_archive(path: str | Path) -> Archive:
-    return archive_from_dict(json.loads(Path(path).read_text()))
+    try:
+        return archive_from_dict(json.loads(Path(path).read_text()))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_metrics(path: str | Path, samples: tuple[MetricsSample, ...]) -> None:
@@ -176,9 +183,12 @@ def load_metrics(path: str | Path) -> list[MetricsSample]:
     if not lines or lines[0] != METRICS_HEADER:
         raise ValueError(f"{path}: missing metrics header {METRICS_HEADER!r}")
     samples = []
-    for line in lines[1:]:
-        step, coverage, mean_f, max_f, qd = line.split(",")
-        samples.append(
-            MetricsSample(int(step), float(coverage), float(mean_f), float(max_f), float(qd))
-        )
+    for number, line in enumerate(lines[1:], start=2):
+        try:
+            step, coverage, mean_f, max_f, qd = line.split(",")
+            samples.append(
+                MetricsSample(int(step), float(coverage), float(mean_f), float(max_f), float(qd))
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {number}: {exc}") from None
     return samples

@@ -9,7 +9,7 @@ code from the same rng state.
 """
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -32,28 +32,29 @@ from .types import (
 SelectFn = Callable[[Archive, np.random.Generator], Coords]
 
 
-def characterize(domain: DomainBinding, artefacts: tuple[Artefact, ...]) -> Solution | None:
-    """Score and bin a full set of artefacts.
+def characterize(domain: DomainBinding, payloads: tuple[Any, ...]) -> Solution | None:
+    """Wrap, bin and score one payload per modality, in modality order.
 
     Returns None (the death penalty) when any modality's descriptor is
-    unclassified; such a solution never enters the archive.
+    unclassified; such a solution never enters the archive. Fitness comes
+    from ``_coherence``, as in the steps, which fills each features slot.
     """
-    if tuple(a.modality for a in artefacts) != tuple(range(domain.modality_count)):
-        raise ValueError("expected exactly one artefact per modality, in order")
+    if len(payloads) != domain.modality_count:
+        raise ValueError(f"expected {domain.modality_count} payloads, got {len(payloads)}")
     coords = []
-    for artefact in artefacts:
-        bin_index = domain.describe(artefact.modality, artefact.payload)
+    for modality, payload in enumerate(payloads):
+        bin_index = domain.describe(modality, payload)
         if bin_index is None:
             return None
         coords.append(int(bin_index))
-    fitness = float(domain.cohere(tuple(a.payload for a in artefacts)))
-    return Solution(tuple(artefacts), fitness, tuple(coords))
+    artefacts = tuple(Artefact(m, p) for m, p in enumerate(payloads))
+    return Solution(artefacts, _coherence(domain, artefacts), tuple(coords))
 
 
 def _coherence(domain: DomainBinding, artefacts: tuple[Artefact, ...]) -> float:
     """Coherence through the binding's split form, filling each
-    artefact's features slot the first time the steps need it. Every
-    scored candidate passes the [0, 1] check here, inserted or not."""
+    artefact's features slot the first time it is scored. Every scored
+    candidate passes the [0, 1] check here, inserted or not."""
     for artefact in artefacts:
         if artefact.features is None:
             features = domain.features(artefact.modality, artefact.payload)
@@ -79,18 +80,13 @@ def _make_offspring(
     parent = archive.cells[parent_coords].solution
     modality = int(rng.integers(domain.modality_count))
 
-    new_artefact = domain.vary(modality, parent, rng)
-    if new_artefact is None:
-        return parent_coords, modality, None
-    if new_artefact.modality != modality:
-        raise ValueError(
-            f"variation operator for modality {modality} returned modality {new_artefact.modality}"
-        )
-    new_bin = domain.describe(modality, new_artefact.payload)
+    payload = domain.vary(modality, parent, rng)
+    new_bin = None if payload is None else domain.describe(modality, payload)
     if new_bin is None:
         return parent_coords, modality, None
 
-    artefacts = parent.artefacts[:modality] + (new_artefact,) + parent.artefacts[modality + 1 :]
+    new = (Artefact(modality, payload),)
+    artefacts = parent.artefacts[:modality] + new + parent.artefacts[modality + 1 :]
     coords = parent.coords[:modality] + (int(new_bin),) + parent.coords[modality + 1 :]
     return parent_coords, modality, Candidate(artefacts, _coherence(domain, artefacts), coords)
 
@@ -185,14 +181,14 @@ def seed_archive(
 ) -> int:
     """Fill an empty archive with generated solutions.
 
-    Performs ``count`` generation attempts, discards unclassifiable ones,
-    and inserts the rest under normal competition. Returns the number of
-    occupied cells.
+    Performs ``count`` generation attempts, discards failed and
+    unclassifiable ones, and inserts the rest under normal competition.
+    Returns the number of occupied cells.
     """
     if archive.cells:
         raise ValueError("seed_archive requires an empty archive")
     for _ in range(count):
-        solution = domain.generate(rng)
-        if solution is not None:
+        payloads = domain.generate(rng)
+        if payloads is not None and (solution := characterize(domain, payloads)) is not None:
             archive.insert(solution)
     return len(archive)

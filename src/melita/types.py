@@ -13,16 +13,16 @@ Coords = tuple[int, ...]
 class Artefact:
     """One single-modality payload, tagged with its modality index.
 
-    The payload is opaque to the archive machinery; only the owning
-    domain binding knows how to vary, describe, or score it.
+    The library wraps every payload a binding returns; only the binding
+    knows how to vary, describe, or score it.
 
     ``features`` holds the binding's ``features(modality, payload)``
-    once the step code has needed it (None until then). It is filled at
-    most once, by the step procedures and through the run's binding, so
-    each artefact's coherence features are computed once per run. It is
-    not an init argument, so ``dataclasses.replace`` never carries it to
-    a new payload, and it takes no part in equality, repr or
-    serialization.
+    once the artefact has been scored (None until then). ``characterize``
+    and the step procedures fill it exactly once, through the run's
+    binding, so each artefact's coherence features are computed once per
+    run, seeded ones included. It is not an init argument, so
+    ``dataclasses.replace`` never carries it to a new payload, and it
+    takes no part in equality, repr or serialization.
     """
 
     modality: int

@@ -31,7 +31,7 @@ class ScriptedDomain(DomainBinding):
     The behavioural bin of a payload [x] is int(x) on either axis, and
     coherence is looked up from a table keyed by the payload value pair,
     so tests can stage exact step scenarios. ``vary`` pops pre-loaded
-    artefacts from a queue.
+    payloads from a queue, each tagged with the modality it expects.
     """
 
     name = "scripted"
@@ -54,12 +54,12 @@ class ScriptedDomain(DomainBinding):
         return None
 
     def push(self, modality, value):
-        self.queue.append(Artefact(modality, np.array([float(value)])))
+        self.queue.append((modality, np.array([float(value)])))
 
     def vary(self, modality, parent, rng):
-        artefact = self.queue.pop(0)
-        assert artefact.modality == modality
-        return artefact
+        expected, payload = self.queue.pop(0)
+        assert expected == modality
+        return payload
 
     def describe(self, modality, payload):
         value = float(payload[0])
@@ -74,11 +74,8 @@ class ScriptedDomain(DomainBinding):
 
 
 def scripted_solution(domain, text_value, visual_value):
-    artefacts = (
-        Artefact(0, np.array([float(text_value)])),
-        Artefact(1, np.array([float(visual_value)])),
-    )
-    return characterize(domain, artefacts)
+    payloads = (np.array([float(text_value)]), np.array([float(visual_value)]))
+    return characterize(domain, payloads)
 
 
 @pytest.fixture

@@ -1,7 +1,7 @@
 """The split coherence contract: ``features`` once per artefact, then
 ``combine``. The split must reproduce ``cohere`` bit for bit, a binding
-that implements only ``cohere`` must run unchanged, and the step
-procedures must compute each artefact's features at most once."""
+that implements only ``cohere`` must run unchanged, and seeding and the
+step procedures must compute each artefact's features exactly once."""
 from __future__ import annotations
 
 import dataclasses
@@ -16,12 +16,12 @@ from melita import (
     RunConfig,
     ToyMediaDomain,
     VectorPairDomain,
+    characterize,
     melita_step,
     run,
     seed_archive,
 )
-from melita.domains.toy_media import PROJECTION, image_vector, media_coherence, topic_posterior
-from melita.domains.vector_pair import cosine_coherence
+from melita.domains.toy_media import PROJECTION, image_vector, topic_posterior
 from melita.harness.serialize import archive_to_dict, canonical_json
 
 import oracles
@@ -57,7 +57,6 @@ def test_toy_media_split_is_bit_identical():
         expected = media_reference(tokens, pixels)
         assert split(domain, (tokens, pixels)) == expected
         assert domain.cohere((tokens, pixels)) == expected
-        assert media_coherence(tokens, pixels) == expected
     assert split(domain, (pairs[0][0], black)) == 0.5
 
 
@@ -69,7 +68,6 @@ def test_vector_pair_split_is_bit_identical():
         expected = oracles.cohere(t, v)
         assert split(domain, (t, v)) == expected
         assert domain.cohere((t, v)) == expected
-        assert cosine_coherence(t, v) == expected
     zero = np.zeros(8)
     with pytest.raises(ValueError):
         split(domain, (zero, rng.standard_normal(8)))
@@ -170,25 +168,32 @@ def test_melita_run_computes_features_at_most_once_per_artefact():
         domain_params={"width": 8, "height": 8},
     )
     record = run(domain, config, np.random.default_rng(config.seed))
+    replay = ToyMediaDomain(width=8, height=8)
+    rng = np.random.default_rng(config.seed)
+    seeds = sum(
+        characterize(replay, replay.generate(rng)) is not None for _ in range(config.init_count)
+    )
     assert max(domain.calls.values()) == 1
-    assert domain.combines == sum(r.evaluations for r in record.reports)
+    assert domain.combines == seeds + sum(r.evaluations for r in record.reports)
     assert len(domain.calls) < domain.combines
 
 
-def test_steps_fill_features_but_characterize_does_not():
+def assert_features_filled(domain, archive):
+    for artefact in (a for s in archive.solutions() for a in s.artefacts):
+        values, norm = domain.features(artefact.modality, artefact.payload)
+        assert np.array_equal(artefact.features[0], values)
+        assert artefact.features[1] == norm
+
+
+def test_every_seeded_and_stepped_artefact_has_its_features_filled():
     domain = VectorPairDomain()
     rng = np.random.default_rng(8)
     archive = Archive(domain.axis_sizes)
     seed_archive(archive, domain, 40, rng)
-    assert all(a.features is None for s in archive.solutions() for a in s.artefacts)
+    assert_features_filled(domain, archive)
     for _ in range(30):
         melita_step(archive, domain, rng)
-    filled = [a for s in archive.solutions() for a in s.artefacts if a.features is not None]
-    assert filled
-    for artefact in filled:
-        values, norm = domain.features(artefact.modality, artefact.payload)
-        assert np.array_equal(artefact.features[0], values)
-        assert artefact.features[1] == norm
+    assert_features_filled(domain, archive)
 
 
 def test_features_slot_is_not_part_of_equality_repr_or_replace():

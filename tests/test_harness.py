@@ -580,6 +580,73 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "error: --weights: could not convert string to float: 'a'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [np.zeros((3, 3, 3)), np.array([3, 64]), np.array([-1, 2]), np.array([0.5, 1.0])],
+    ids=["image", "token_too_large", "negative_token", "vector_pair_floats"],
+)
+def test_cli_topic_posterior_rejects_non_token_payloads(tmp_path, capsys, payload):
+    path = tmp_path / "archive.json"
+    tokens = np.array([0, 1, 2])
+    save_pair_archive(
+        path,
+        [
+            Solution((Artefact(0, tokens), Artefact(1, np.zeros(2))), 0.5, (0, 0)),
+            Solution((Artefact(0, payload), Artefact(1, np.zeros(2))), 0.6, (1, 0)),
+        ],
+    )
+    assert cli_main(["diversity", "--archive", str(path), "--modality", "0",
+                     "--distance", "topic_posterior"]) == 2
+    message = "payload is not a 1-D integer token array in [0, 64)"
+    assert capsys.readouterr().err == f"error: modality 0, distance 'topic_posterior': {message}\n"
+
+
+def archive_without_fitness():
+    archive = Archive((4, 4))
+    archive.insert(pair_solution((0, 0), 0.5, [1.0], [1.0]))
+    data = archive_to_dict(archive)
+    del data["cells"][0]["fitness"]
+    return data
+
+
+@pytest.mark.parametrize("command", ["diversity", "medoids"])
+@pytest.mark.parametrize(
+    "make, field",
+    [(dict, "axis_sizes"), (lambda: {"axis_sizes": [4, 4]}, "cells"),
+     (archive_without_fitness, "fitness")],
+    ids=["empty", "no_cells", "cell_without_fitness"],
+)
+def test_malformed_archive_names_file_and_field(tmp_path, capsys, command, make, field):
+    path = tmp_path / "archive.json"
+    path.write_text(json.dumps(make()))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: missing field '{field}'")):
+        load_archive(path)
+    argv = {
+        "diversity": ["diversity", "--archive", str(path), "--modality", "0",
+                      "--distance", "euclidean"],
+        "medoids": ["medoids", "--archive", str(path), "-k", "1"],
+    }[command]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}: missing field '{field}'\n"
+
+
+@pytest.mark.parametrize(
+    "row, problem",
+    [("2,0.5", "not enough values to unpack"), ("2,0.5,0.5,0.5,x", "could not convert")],
+)
+def test_malformed_metrics_row_names_file_and_line(tmp_path, capsys, row, problem):
+    write_runs(tmp_path / "a", [0.5, 0.6])
+    path = tmp_path / "a" / "trend_run0_metrics.csv"
+    lines = path.read_text().splitlines()
+    lines[2] = row
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: {problem}")):
+        load_metrics(path)
+    assert cli_main(["compare", "--a", str(tmp_path / "a"), "--b", str(tmp_path / "a"),
+                     "--out", str(tmp_path / "table.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: line 3: {problem}")
+
+
 @pytest.mark.parametrize("command", ["compare", "diversity", "medoids"])
 @pytest.mark.parametrize("existing", [None, b"old bytes\n"])
 def test_cli_failed_report_write_leaves_no_partial_file(tmp_path, monkeypatch, command, existing):

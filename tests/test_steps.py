@@ -7,7 +7,6 @@ from melita import (
     REJECTED,
     REPLACED,
     Archive,
-    Artefact,
     VectorPairDomain,
     characterize,
     melita_step,
@@ -30,11 +29,11 @@ def find_seed(n_occupied, parent_index, modality, max_seed=100000):
     raise AssertionError("no matching seed found")
 
 
-def with_artefact(domain, parent, new_artefact):
-    """The direct offspring: the parent with one artefact replaced."""
-    m = new_artefact.modality
+def with_payload(domain, parent, modality, payload):
+    """The direct offspring: the parent with one modality's payload replaced."""
     return characterize(
-        domain, tuple(new_artefact if i == m else a for i, a in enumerate(parent.artefacts))
+        domain,
+        tuple(payload if i == modality else a.payload for i, a in enumerate(parent.artefacts)),
     )
 
 
@@ -47,15 +46,21 @@ def test_characterize_builds_solution():
 
 def test_characterize_death_penalty():
     domain = ScriptedDomain()
-    artefacts = (Artefact(0, np.array([-1.0])), Artefact(1, np.array([2.0])))
-    assert characterize(domain, artefacts) is None
+    assert characterize(domain, (np.array([-1.0]), np.array([2.0]))) is None
 
 
-def test_characterize_rejects_misordered_artefacts():
-    domain = ScriptedDomain()
-    artefacts = (Artefact(1, np.array([1.0])), Artefact(0, np.array([2.0])))
-    with pytest.raises(ValueError):
-        characterize(domain, artefacts)
+class MiscountedGenerate(ScriptedDomain):
+    def generate(self, rng):
+        return (np.array([1.0]),)
+
+
+def test_characterize_rejects_a_wrong_payload_count():
+    domain = MiscountedGenerate()
+    archive = Archive(domain.axis_sizes)
+    with pytest.raises(ValueError, match="expected 2 payloads, got 1"):
+        seed_archive(archive, domain, 1, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="expected 2 payloads, got 3"):
+        characterize(domain, (np.array([1.0]),) * 3)
 
 
 def test_vanilla_replaces_own_cell():
@@ -106,7 +111,7 @@ def test_transverse_candidates_empty_row():
     parent = scripted_solution(domain, 1, 1)
     archive.insert(parent)
     # Mutated visual artefact lands in bin 3: no elite has visual bin 3.
-    offspring = with_artefact(domain, parent, Artefact(1, np.array([3.0])))
+    offspring = with_payload(domain, parent, 1, np.array([3.0]))
     candidates = transverse_candidates(archive, domain, offspring, 1)
     assert candidates == []
 
@@ -118,7 +123,7 @@ def test_transverse_candidates_dedups_direct_offspring():
     archive = Archive(domain.axis_sizes)
     parent = scripted_solution(domain, 1, 1)
     archive.insert(parent)
-    offspring = with_artefact(domain, parent, Artefact(1, np.array([1.5])))
+    offspring = with_payload(domain, parent, 1, np.array([1.5]))
     candidates = transverse_candidates(archive, domain, offspring, 1)
     assert candidates == []
 
@@ -138,7 +143,7 @@ def test_transverse_candidates_two_foreign_elites():
     archive.insert(scripted_solution(domain, 2, 1.2))
     archive.insert(scripted_solution(domain, 3, 1.4))
 
-    offspring = with_artefact(domain, parent, Artefact(1, np.array([1.5])))
+    offspring = with_payload(domain, parent, 1, np.array([1.5]))
     candidates = transverse_candidates(archive, domain, offspring, 1)
     assert [c.coords for c in candidates] == [(2, 1), (3, 1)]
     assert [c.fitness for c in candidates] == [0.65, 0.75]
@@ -154,9 +159,9 @@ def test_transverse_candidates_map_to_borrowed_cells():
     archive = Archive(domain.axis_sizes)
     seed_archive(archive, domain, 60, rng)
     parent = archive.cells[archive.occupied()[0]].solution
-    new_artefact = domain.vary(1, parent, rng)
-    new_bin = domain.describe(1, new_artefact.payload)
-    offspring = with_artefact(domain, parent, new_artefact)
+    new_payload = domain.vary(1, parent, rng)
+    new_bin = domain.describe(1, new_payload)
+    offspring = with_payload(domain, parent, 1, new_payload)
     for candidate in transverse_candidates(archive, domain, offspring, 1):
         assert candidate.coords in archive.cells
         assert candidate.coords[1] == new_bin

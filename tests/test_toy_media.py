@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from melita import ToyMediaDomain
+from melita import ToyMediaDomain, characterize
 from melita.domains.toy_media import (
     CLASSIFY_THRESHOLD,
     COLOURFULNESS_SCALE,
@@ -24,11 +24,18 @@ from melita.domains.toy_media import (
     edge_complexity,
     image_vector,
     luminance,
-    media_coherence,
     preferred_token_counts,
     splitmix64_stream,
     topic_posterior,
 )
+
+
+def media_coherence(tokens, pixels):
+    return ToyMediaDomain().cohere((tokens, pixels))
+
+
+def parent_solution(domain, seed):
+    return characterize(domain, domain.generate(np.random.default_rng(seed)))
 
 
 def gray(value, h=8, w=8):
@@ -255,16 +262,16 @@ def test_box_blur_constant_fixed_point():
 
 def test_vary_image_zero_sigma_is_pure_blur():
     domain = ToyMediaDomain(width=8, height=8, noise_sigma=0.0)
-    parent = domain.generate(np.random.default_rng(11))
+    parent = parent_solution(domain, 11)
     child = domain.vary(1, parent, np.random.default_rng(1))
     assert np.allclose(
-        child.payload, box_blur_oracle(parent.artefacts[1].payload), atol=1e-12
+        child, box_blur_oracle(parent.artefacts[1].payload), atol=1e-12
     )
 
 
 def test_vary_image_replays_noise_then_blur():
     domain = ToyMediaDomain(width=8, height=8, noise_sigma=0.1)
-    parent = domain.generate(np.random.default_rng(11))
+    parent = parent_solution(domain, 11)
     rng = np.random.default_rng(21)
     replay = np.random.default_rng(21)
     child = domain.vary(1, parent, rng)
@@ -272,8 +279,8 @@ def test_vary_image_replays_noise_then_blur():
     expected = box_blur_oracle(
         np.clip(parent.artefacts[1].payload + noise, 0.0, 1.0)
     )
-    assert np.allclose(child.payload, expected, atol=1e-12)
-    assert np.all(child.payload >= 0.0) and np.all(child.payload <= 1.0)
+    assert np.allclose(child, expected, atol=1e-12)
+    assert np.all(child >= 0.0) and np.all(child <= 1.0)
 
 
 def branch_for(state):
@@ -284,7 +291,7 @@ def branch_for(state):
 
 def test_vary_text_partial_preserves_prefix():
     domain = ToyMediaDomain(width=8, height=8)
-    parent = domain.generate(np.random.default_rng(11))
+    parent = parent_solution(domain, 11)
     tokens = parent.artefacts[0].payload
     n = len(tokens)
     top = int(np.argmax(preferred_token_counts(tokens)))
@@ -298,14 +305,14 @@ def test_vary_text_partial_preserves_prefix():
     assert replay.random() >= 0.2
     split = int(replay.integers(n // 3, 2 * n // 3 + 1))
     suffix = replay.choice(VOCAB, size=n - split, p=TOPIC_ROWS[top]).astype(np.int64)
-    assert len(child.payload) == n
-    assert np.array_equal(child.payload[:split], tokens[:split])
-    assert np.array_equal(child.payload[split:], suffix)
+    assert len(child) == n
+    assert np.array_equal(child[:split], tokens[:split])
+    assert np.array_equal(child[split:], suffix)
 
 
 def test_vary_text_full_resamples():
     domain = ToyMediaDomain(width=8, height=8)
-    parent = domain.generate(np.random.default_rng(11))
+    parent = parent_solution(domain, 11)
 
     rng = np.random.default_rng(11)  # first draw 0.129 -> full branch
     assert np.random.default_rng(11).random() < 0.2
@@ -316,12 +323,12 @@ def test_vary_text_full_resamples():
     topic = int(replay.integers(TOPICS))
     length = int(replay.integers(MIN_TOKENS, MAX_TOKENS + 1))
     expected = replay.choice(VOCAB, size=length, p=TOPIC_ROWS[topic]).astype(np.int64)
-    assert np.array_equal(child.payload, expected)
+    assert np.array_equal(child, expected)
 
 
 def test_text_mutation_branch_frequency():
     domain = ToyMediaDomain(width=8, height=8)
-    parent = domain.generate(np.random.default_rng(11))
+    parent = parent_solution(domain, 11)
     rng = np.random.default_rng(42)
     fulls = 0
     trials = 10_000
@@ -431,22 +438,21 @@ def test_generate_is_deterministic_and_valid():
     rng = np.random.default_rng(16)
     seen = 0
     for _ in range(100):
-        solution = domain.generate(rng)
+        tokens, pixels = domain.generate(rng)
+        assert MIN_TOKENS <= len(tokens) <= MAX_TOKENS
+        assert pixels.shape == (32, 32, 3)
+        solution = characterize(domain, (tokens, pixels))
         if solution is None:  # unclassifiable text: death penalty
             continue
         seen += 1
         assert 0 <= solution.coords[0] < 16
         assert 0 <= solution.coords[1] < 16
         assert 0.0 <= solution.fitness <= 1.0
-        assert MIN_TOKENS <= len(solution.artefacts[0].payload) <= MAX_TOKENS
-        assert solution.artefacts[1].payload.shape == (32, 32, 3)
     assert seen > 50
 
     a = ToyMediaDomain().generate(np.random.default_rng(17))
     b = ToyMediaDomain().generate(np.random.default_rng(17))
-    assert (a is None) == (b is None)
-    if a is not None:
-        assert a.coords == b.coords and a.fitness == b.fitness
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_domain_validation():

@@ -3,19 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from melita import Artefact, VectorPairDomain
+from melita import VectorPairDomain, characterize
 from melita.domains.common import bin4
-from melita.domains.vector_pair import (
-    cosine_coherence,
-    describe_text,
-    describe_visual,
-)
+from melita.domains.vector_pair import describe_text, describe_visual
 
 
 def vec(*head):
     values = np.zeros(8)
     values[: len(head)] = head
     return values
+
+
+def cosine_coherence(t, v):
+    return VectorPairDomain().cohere((t, v))
+
+
+def parent_solution(domain, seed):
+    return characterize(domain, domain.generate(np.random.default_rng(seed)))
 
 
 def test_bin4():
@@ -73,59 +77,58 @@ def test_generate_is_deterministic_and_valid():
     domain = VectorPairDomain()
     first = domain.generate(np.random.default_rng(9))
     second = domain.generate(np.random.default_rng(9))
-    assert first.coords == second.coords
-    assert first.fitness == second.fitness
-    assert np.array_equal(first.artefacts[0].payload, second.artefacts[0].payload)
+    assert len(first) == len(second) == 2
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
     rng = np.random.default_rng(10)
     for _ in range(1000):
-        solution = domain.generate(rng)
+        payloads = domain.generate(rng)
+        for payload in payloads:
+            assert np.linalg.norm(payload) >= 1e-9
+        solution = characterize(domain, payloads)
         assert solution is not None
         assert 0 <= solution.coords[0] < 16
         assert 0 <= solution.coords[1] < 16
         assert 0.0 <= solution.fitness <= 1.0
-        for artefact in solution.artefacts:
-            assert np.linalg.norm(artefact.payload) >= 1e-9
 
 
 def test_vary_partial_with_zero_sigma_is_identity():
     domain = VectorPairDomain(sigma=0.0)
-    parent = domain.generate(np.random.default_rng(4))
+    parent = parent_solution(domain, 4)
     rng = np.random.default_rng(0)  # first draw 0.637 -> partial branch
     assert rng.random() >= 0.2
     child = domain.vary(0, parent, np.random.default_rng(0))
-    assert np.array_equal(child.payload, parent.artefacts[0].payload)
+    assert np.array_equal(child, parent.artefacts[0].payload)
 
 
 def test_vary_partial_perturbs():
     domain = VectorPairDomain()
-    parent = domain.generate(np.random.default_rng(4))
+    parent = parent_solution(domain, 4)
     rng = np.random.default_rng(0)
     assert rng.random() >= 0.2
     child = domain.vary(1, parent, np.random.default_rng(0))
-    assert not np.array_equal(child.payload, parent.artefacts[1].payload)
+    assert not np.array_equal(child, parent.artefacts[1].payload)
 
 
 def test_vary_is_reproducible():
     domain = VectorPairDomain()
-    parent = domain.generate(np.random.default_rng(4))
+    parent = parent_solution(domain, 4)
     a = domain.vary(0, parent, np.random.default_rng(77))
     b = domain.vary(0, parent, np.random.default_rng(77))
-    assert np.array_equal(a.payload, b.payload)
-    assert a.modality == 0
+    assert np.array_equal(a, b)
 
 
 def test_full_mutation_frequency():
     # With sigma = 0 the partial branch returns the parent's payload
     # bit-for-bit, so full mutations are exactly countable.
     domain = VectorPairDomain(sigma=0.0)
-    parent = domain.generate(np.random.default_rng(4))
+    parent = parent_solution(domain, 4)
     rng = np.random.default_rng(123)
     fulls = 0
     trials = 10_000
     for _ in range(trials):
         child = domain.vary(0, parent, rng)
-        if not np.array_equal(child.payload, parent.artefacts[0].payload):
+        if not np.array_equal(child, parent.artefacts[0].payload):
             fulls += 1
     assert fulls / trials == pytest.approx(0.2, abs=0.012)
 
