@@ -21,12 +21,15 @@ class DomainBinding(abc.ABC):
     Invalid results are signalled with ``None``; malformed payloads are a
     contract violation and raise.
 
-    The library scores only through ``features``, computed once per
-    artefact and carried on it, and ``combine``, the cross-modality part.
-    ``combine(tuple(features(i, p) for i, p in enumerate(payloads)))``
-    must equal ``cohere(payloads)`` bit for bit. The defaults pass the
-    payloads straight to ``cohere``, so a binding that implements only
-    ``cohere`` behaves as before.
+    The library bins each new payload and computes its ``features`` with
+    one ``analyse`` call, keeps the features on the artefact it builds,
+    and scores through ``combine``, the cross-modality part. Bit for bit,
+    ``analyse(m, p)`` must equal ``(describe(m, p), features(m, p) if the
+    bin is not None else None)``, and ``combine(tuple(features(i, p) for
+    i, p in enumerate(payloads)))`` must equal ``cohere(payloads)``. The
+    defaults compose ``describe`` and ``features`` and pass the payloads
+    straight to ``cohere``, so a binding that implements only ``cohere``
+    behaves as before.
     """
 
     name: str = "domain"
@@ -58,6 +61,11 @@ class DomainBinding(abc.ABC):
     def features(self, modality: int, payload: Any) -> Any:
         """The per-artefact part of coherence; must not mutate the payload."""
         return payload
+
+    def analyse(self, modality: int, payload: Any) -> tuple[int | None, Any]:
+        """The payload's bin and, when it is classified, its features."""
+        bin_index = self.describe(modality, payload)
+        return bin_index, None if bin_index is None else self.features(modality, payload)
 
     def combine(self, features: tuple[Any, ...]) -> float:
         """Coherence from one ``features`` result per modality, in order."""

@@ -7,7 +7,9 @@ arrays binned by edge complexity crossed with colourfulness. Coherence
 embeds the image as 16 summary statistics, projects them through a
 fixed matrix, and takes the cosine against the text's topic posterior.
 The two embeddings with their norms are the binding's per-artefact
-``features``; ``combine`` only takes the cosine.
+``features``; ``combine`` only takes the cosine. ``analyse`` bins and
+embeds a payload in one pass: one topic posterior per text, and one
+luminance array, one Sobel pass and one colourfulness per image.
 
 Everything here is reproducible from first principles: the projection
 matrix comes from a SplitMix64 stream with a documented seed, and
@@ -114,45 +116,35 @@ def topic_posterior(tokens: np.ndarray) -> np.ndarray:
     return shifted / shifted.sum()
 
 
-def classify_text(tokens: np.ndarray) -> int | None:
-    """Top topic, or None unless it is unique with posterior >= 0.40.
+def text_analysis(tokens: np.ndarray) -> tuple[int | None, tuple[np.ndarray, float] | None]:
+    """A text's bin and, when it has one, its ``text_features``.
 
-    The posterior ordering depends only on how many preferred tokens of
-    each topic appear, so ties are detected on those integer counts and
-    are exact.
+    The bin is the top topic if it is unique with posterior >= 0.40. The
+    posterior ordering depends only on how many preferred tokens of each
+    topic appear, so ties are detected on those integer counts and are
+    exact.
     """
     pref = preferred_token_counts(tokens)
     top = int(np.argmax(pref))
     if int((pref == pref[top]).sum()) > 1:
-        return None
-    if topic_posterior(tokens)[top] >= CLASSIFY_THRESHOLD:
-        return top
-    return None
+        return None, None
+    features = text_features(tokens)
+    return (top, features) if features[0][top] >= CLASSIFY_THRESHOLD else (None, None)
+
+
+def classify_text(tokens: np.ndarray) -> int | None:
+    """Top topic, or None unless it is unique with posterior >= 0.40."""
+    return text_analysis(tokens)[0]
 
 
 def luminance(pixels: np.ndarray) -> np.ndarray:
     return 0.299 * pixels[..., 0] + 0.587 * pixels[..., 1] + 0.114 * pixels[..., 2]
 
 
-def edge_complexity(pixels: np.ndarray, threshold: float = EDGE_THRESHOLD) -> float:
-    """Fraction of interior pixels whose gradient magnitude exceeds the
-    threshold.
-
-    Gradients come from the 3x3 Sobel pair divided by 4, so a unit step
-    edge measures exactly 1. Border pixels are excluded from both the
-    edge count and the denominator.
-    """
-    h, w = pixels.shape[:2]
-    if h < 3 or w < 3:
-        raise ValueError(f"edge complexity needs at least 3x3 pixels, got {h}x{w}")
-    y = luminance(pixels)
-    tl, tc, tr = y[:-2, :-2], y[:-2, 1:-1], y[:-2, 2:]
-    ml, mr = y[1:-1, :-2], y[1:-1, 2:]
-    bl, bc, br = y[2:, :-2], y[2:, 1:-1], y[2:, 2:]
-    gx = (tr + 2.0 * mr + br - tl - 2.0 * ml - bl) / 4.0
-    gy = (bl + 2.0 * bc + br - tl - 2.0 * tc - tr) / 4.0
-    magnitude = np.hypot(gx, gy)
-    return float(np.count_nonzero(magnitude > threshold)) / magnitude.size
+def edge_complexity(pixels: np.ndarray) -> float:
+    """Fraction of interior pixels whose gradient magnitude exceeds
+    EDGE_THRESHOLD, as ``image_analysis`` defines it."""
+    return float(image_vector(pixels)[IMAGE_VECTOR_LAYOUT.index("global_edge_complexity")])
 
 
 def colourfulness(pixels: np.ndarray) -> float:
@@ -168,41 +160,58 @@ def colourfulness(pixels: np.ndarray) -> float:
     return sigma + 0.3 * mu
 
 
+def image_analysis(pixels: np.ndarray) -> tuple[int, np.ndarray, tuple[np.ndarray, float]]:
+    """An image's bin (edge complexity crossed with colourfulness), its
+    IMAGE_VECTOR_LAYOUT statistics, and its coherence features: M @ vector
+    and that vector's norm.
+
+    Gradients come from the 3x3 Sobel pair divided by 4, so a unit step
+    edge measures exactly 1; an edge is a magnitude above EDGE_THRESHOLD.
+    Border pixels count in neither the edges nor the denominator. A
+    quadrant's interior gradients are the same elementwise operations on
+    the same luminance values, so its edges are a slice of the image's
+    mask; a quadrant under 3x3 counts 0.0. Quadrant means are taken on
+    contiguous copies, which sum in the order a new array would.
+    """
+    h, w = pixels.shape[:2]
+    if h < 3 or w < 3:
+        raise ValueError(f"edge complexity needs at least 3x3 pixels, got {h}x{w}")
+    y = luminance(pixels)
+    tl, tc, tr = y[:-2, :-2], y[:-2, 1:-1], y[:-2, 2:]
+    ml, mr = y[1:-1, :-2], y[1:-1, 2:]
+    bl, bc, br = y[2:, :-2], y[2:, 1:-1], y[2:, 2:]
+    gx = (tr + 2.0 * mr + br - tl - 2.0 * ml - bl) / 4.0
+    gy = (bl + 2.0 * bc + br - tl - 2.0 * tc - tr) / 4.0
+    edges = np.hypot(gx, gy) > EDGE_THRESHOLD
+    complexity, colour = _fraction(edges), colourfulness(pixels)
+    h2, w2 = h // 2, w // 2
+    quads = ((0, h2, 0, w2), (0, h2, w2, w), (h2, h, 0, w2), (h2, h, w2, w))
+    stats = [float(np.mean(y[r0:r1, c0:c1].copy())) for r0, r1, c0, c1 in quads]
+    stats += [
+        _fraction(edges[r0 : r1 - 2, c0 : c1 - 2]) if min(r1 - r0, c1 - c0) >= 3 else 0.0
+        for r0, r1, c0, c1 in quads
+    ]
+    stats += [float(np.mean(pixels[..., ch])) for ch in range(3)]
+    stats += [min(colour / COLOURFULNESS_SCALE, 1.0), complexity, float(np.std(y))]
+    stats += [float(np.mean(np.abs(y[:, 1:] - y[:, :-1]))), float(np.max(y) - np.min(y))]
+    vector = np.array(stats, dtype=np.float64)
+    mapped = PROJECTION @ vector
+    bin_index = 4 * bin4(complexity, COMPLEXITY_BIN_THRESHOLDS) + bin4(colour, COLOURFULNESS_BIN_THRESHOLDS)
+    return bin_index, vector, (mapped, float(np.linalg.norm(mapped)))
+
+
+def _fraction(mask: np.ndarray) -> float:
+    return float(np.count_nonzero(mask)) / mask.size
+
+
 def describe_image(pixels: np.ndarray) -> int:
-    comp = bin4(edge_complexity(pixels), COMPLEXITY_BIN_THRESHOLDS)
-    colour = bin4(colourfulness(pixels), COLOURFULNESS_BIN_THRESHOLDS)
-    return 4 * comp + colour
-
-
-def _quadrants(pixels: np.ndarray) -> tuple[np.ndarray, ...]:
-    h2, w2 = pixels.shape[0] // 2, pixels.shape[1] // 2
-    return (
-        pixels[:h2, :w2],
-        pixels[:h2, w2:],
-        pixels[h2:, :w2],
-        pixels[h2:, w2:],
-    )
+    """An image's bin: edge complexity crossed with colourfulness."""
+    return image_analysis(pixels)[0]
 
 
 def image_vector(pixels: np.ndarray) -> np.ndarray:
     """The 16 image statistics listed in IMAGE_VECTOR_LAYOUT, in order."""
-    y = luminance(pixels)
-    features = []
-    quads = _quadrants(pixels)
-    features.extend(float(np.mean(luminance(q))) for q in quads)
-    for q in quads:
-        ok = q.shape[0] >= 3 and q.shape[1] >= 3
-        features.append(edge_complexity(q) if ok else 0.0)
-    features.extend(float(np.mean(pixels[..., ch])) for ch in range(3))
-    features.append(min(colourfulness(pixels) / COLOURFULNESS_SCALE, 1.0))
-    features.append(edge_complexity(pixels))
-    features.append(float(np.std(y)))
-    if y.shape[1] >= 2:
-        features.append(float(np.mean(np.abs(y[:, 1:] - y[:, :-1]))))
-    else:
-        features.append(0.0)
-    features.append(float(np.max(y) - np.min(y)))
-    return np.array(features, dtype=np.float64)
+    return image_analysis(pixels)[1]
 
 
 def text_features(tokens: np.ndarray) -> tuple[np.ndarray, float]:
@@ -214,8 +223,7 @@ def text_features(tokens: np.ndarray) -> tuple[np.ndarray, float]:
 
 def image_features(pixels: np.ndarray) -> tuple[np.ndarray, float]:
     """An image's coherence features: M @ image_vector and its norm."""
-    mapped = PROJECTION @ image_vector(pixels)
-    return mapped, float(np.linalg.norm(mapped))
+    return image_analysis(pixels)[2]
 
 
 def combine_features(text: tuple[np.ndarray, float], image: tuple[np.ndarray, float]) -> float:
@@ -306,9 +314,7 @@ class ToyMediaDomain(DomainBinding):
         return self._vary_image(payload, rng)
 
     def describe(self, modality: int, payload: np.ndarray) -> int | None:
-        if modality == 0:
-            return classify_text(payload)
-        return describe_image(payload)
+        return self.analyse(modality, payload)[0]
 
     def cohere(self, payloads: tuple[np.ndarray, ...]) -> float:
         return combine_features(text_features(payloads[0]), image_features(payloads[1]))
@@ -317,6 +323,12 @@ class ToyMediaDomain(DomainBinding):
         if modality == 0:
             return text_features(payload)
         return image_features(payload)
+
+    def analyse(self, modality: int, payload: np.ndarray) -> tuple[int | None, tuple | None]:
+        if modality == 0:
+            return text_analysis(payload)
+        bin_index, _, features = image_analysis(payload)
+        return bin_index, features
 
     def combine(self, features: tuple[tuple[np.ndarray, float], ...]) -> float:
         return combine_features(features[0], features[1])

@@ -16,7 +16,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Any, Callable, Iterator
 
 import numpy as np
 
@@ -95,8 +95,8 @@ def encode_payload(payload: np.ndarray) -> object:
 
 def decode_payload(data: object) -> np.ndarray:
     if isinstance(data, dict):
-        w, h = int(data["width"]), int(data["height"])
-        return np.asarray(data["pixels"], dtype=np.float64).reshape(h, w, 3)
+        w, h = _field(data, "width", int), _field(data, "height", int)
+        return _field(data, "pixels", lambda v: np.asarray(v, dtype=np.float64)).reshape(h, w, 3)
     if isinstance(data, list):
         if all(isinstance(v, int) for v in data):
             return np.asarray(data, dtype=np.int64)
@@ -124,20 +124,30 @@ def archive_to_dict(archive: Archive, config_digest: str = "") -> dict:
     }
 
 
-def archive_from_dict(data: dict) -> Archive:
-    """The archive ``data`` describes; a missing field raises ValueError naming it."""
+def _field(data: object, name: str, convert: Callable[[Any], Any]) -> Any:
+    """``convert(data[name])``; a missing or malformed field raises ValueError naming it."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected an object with field {name!r}, got {type(data).__name__}")
+    if name not in data:
+        raise ValueError(f"missing field {name!r}")
     try:
-        archive = Archive(tuple(int(s) for s in data["axis_sizes"]))
-        for entry in data["cells"]:
-            artefacts = tuple(
-                Artefact(int(a["modality"]), decode_payload(a["payload"]))
-                for a in entry["artefacts"]
-            )
-            solution = Solution(artefacts, float(entry["fitness"]), tuple(int(c) for c in entry["coords"]))
-            archive.check_coords(solution.coords)
-            archive.cells[solution.coords] = Cell(solution, birth_step=int(entry["birth_step"]))
-    except KeyError as exc:
-        raise ValueError(f"missing field {exc}") from None
+        return convert(data[name])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"field {name!r}: {exc}") from None
+
+
+def archive_from_dict(data: dict) -> Archive:
+    """The archive ``data`` describes; a missing or malformed field raises ValueError naming it."""
+    archive = Archive(_field(data, "axis_sizes", lambda v: tuple(int(s) for s in v)))
+    for entry in _field(data, "cells", list):
+        artefacts = tuple(
+            Artefact(_field(a, "modality", int), _field(a, "payload", decode_payload))
+            for a in _field(entry, "artefacts", list)
+        )
+        coords = _field(entry, "coords", lambda v: tuple(int(c) for c in v))
+        solution = Solution(artefacts, _field(entry, "fitness", float), coords)
+        archive.check_coords(solution.coords)
+        archive.cells[solution.coords] = Cell(solution, birth_step=_field(entry, "birth_step", int))
     return archive
 
 

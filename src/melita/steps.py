@@ -33,28 +33,38 @@ SelectFn = Callable[[Archive, np.random.Generator], Coords]
 
 
 def characterize(domain: DomainBinding, payloads: tuple[Any, ...]) -> Solution | None:
-    """Wrap, bin and score one payload per modality, in modality order.
+    """Analyse, wrap and score one payload per modality, in modality order.
 
-    Returns None (the death penalty) when any modality's descriptor is
-    unclassified; such a solution never enters the archive. Fitness comes
-    from ``_coherence``, as in the steps, which fills each features slot.
+    Returns None (the death penalty) at the first unclassified payload,
+    whose successors are not analysed; such a solution never enters the
+    archive. Fitness comes from ``_coherence``, as in the steps.
     """
     if len(payloads) != domain.modality_count:
         raise ValueError(f"expected {domain.modality_count} payloads, got {len(payloads)}")
-    coords = []
+    artefacts, coords = [], []
     for modality, payload in enumerate(payloads):
-        bin_index = domain.describe(modality, payload)
+        bin_index, features = domain.analyse(modality, payload)
         if bin_index is None:
             return None
+        artefacts.append(_analysed(modality, payload, features))
         coords.append(int(bin_index))
-    artefacts = tuple(Artefact(m, p) for m, p in enumerate(payloads))
-    return Solution(artefacts, _coherence(domain, artefacts), tuple(coords))
+    return Solution(tuple(artefacts), _coherence(domain, tuple(artefacts)), tuple(coords))
+
+
+def _analysed(modality: int, payload: Any, features: Any) -> Artefact:
+    """A new artefact carrying the features its ``analyse`` call returned."""
+    artefact = Artefact(modality, payload)
+    object.__setattr__(artefact, "features", features)
+    return artefact
 
 
 def _coherence(domain: DomainBinding, artefacts: tuple[Artefact, ...]) -> float:
-    """Coherence through the binding's split form, filling each
-    artefact's features slot the first time it is scored. Every scored
-    candidate passes the [0, 1] check here, inserted or not."""
+    """Coherence through the binding's split form. Every scored candidate
+    passes the [0, 1] check here, inserted or not.
+
+    New artefacts arrive with their features; the fill below serves
+    artefacts built elsewhere, such as those ``archive_from_dict`` loads.
+    """
     for artefact in artefacts:
         if artefact.features is None:
             features = domain.features(artefact.modality, artefact.payload)
@@ -70,22 +80,22 @@ def _make_offspring(
 ) -> tuple[Coords, int, Candidate | None]:
     """Shared stochastic prefix of both step procedures.
 
-    Selects a parent, mutates one uniformly chosen modality, and builds
-    the direct offspring with cached descriptors and features carried
-    over for the unchanged modalities (one coherence evaluation). The
-    offspring is None when variation failed or the new artefact is
-    unclassified.
+    Selects a parent, mutates one uniformly chosen modality, analyses the
+    new payload once, and builds the direct offspring with cached bins
+    and features carried over for the unchanged modalities (one
+    coherence evaluation). The offspring is None when variation failed
+    or the new artefact is unclassified.
     """
     parent_coords = select(archive, rng)
     parent = archive.cells[parent_coords].solution
     modality = int(rng.integers(domain.modality_count))
 
     payload = domain.vary(modality, parent, rng)
-    new_bin = None if payload is None else domain.describe(modality, payload)
+    new_bin, features = (None, None) if payload is None else domain.analyse(modality, payload)
     if new_bin is None:
         return parent_coords, modality, None
 
-    new = (Artefact(modality, payload),)
+    new = (_analysed(modality, payload, features),)
     artefacts = parent.artefacts[:modality] + new + parent.artefacts[modality + 1 :]
     coords = parent.coords[:modality] + (int(new_bin),) + parent.coords[modality + 1 :]
     return parent_coords, modality, Candidate(artefacts, _coherence(domain, artefacts), coords)

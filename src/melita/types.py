@@ -16,11 +16,13 @@ class Artefact:
     The library wraps every payload a binding returns; only the binding
     knows how to vary, describe, or score it.
 
-    ``features`` holds the binding's ``features(modality, payload)``
-    once the artefact has been scored (None until then). ``characterize``
-    and the step procedures fill it exactly once, through the run's
-    binding, so each artefact's coherence features are computed once per
-    run, seeded ones included. It is not an init argument, so
+    ``features`` holds the binding's ``features(modality, payload)``.
+    ``characterize`` and the step procedures fill it when they build the
+    artefact, from the one ``analyse`` call that also bins the payload,
+    so each artefact's coherence features are computed once per run,
+    seeded ones included. An artefact built elsewhere, such as one that
+    ``archive_from_dict`` loads, has None until it is first scored. It
+    is not an init argument, so
     ``dataclasses.replace`` never carries it to a new payload, and it
     takes no part in equality, repr or serialization.
     """

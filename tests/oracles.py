@@ -2,7 +2,8 @@
 vector-pair search step for step-procedure tests, UCB parent selection
 over plain counters for the selection tests, and a pair-by-pair
 distance matrix, PAM k-medoids and the medoids report for the analysis
-tests, and the per-element payload encoding for the serialization tests.
+tests, the per-element payload encoding for the serialization tests, and
+the two-pass toy_media bin and features for the one-pass analysis tests.
 
 Nothing here imports the library's archive or step code. Archive state
 is a plain dict mapping coords -> (fitness, text_payload, visual_payload)
@@ -17,6 +18,15 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from melita.domains.toy_media import (
+    COLOURFULNESS_BIN_THRESHOLDS,
+    COLOURFULNESS_SCALE,
+    COMPLEXITY_BIN_THRESHOLDS,
+    EDGE_THRESHOLD,
+    PROJECTION,
+    TOPIC_ROWS,
+)
 
 AXES = (16, 16)
 DIMS = 8
@@ -271,3 +281,70 @@ def encode_payload(payload):
     if arr.ndim == 1 and np.issubdtype(arr.dtype, np.floating):
         return [float(v) for v in arr]
     raise ValueError(f"no payload encoding for array with shape {arr.shape} and dtype {arr.dtype}")
+
+
+def _luminance(pixels: np.ndarray) -> np.ndarray:
+    return 0.299 * pixels[..., 0] + 0.587 * pixels[..., 1] + 0.114 * pixels[..., 2]
+
+
+def _edge_fraction(pixels: np.ndarray) -> float:
+    y = _luminance(pixels)
+    tl, tc, tr = y[:-2, :-2], y[:-2, 1:-1], y[:-2, 2:]
+    ml, mr = y[1:-1, :-2], y[1:-1, 2:]
+    bl, bc, br = y[2:, :-2], y[2:, 1:-1], y[2:, 2:]
+    gx = (tr + 2.0 * mr + br - tl - 2.0 * ml - bl) / 4.0
+    gy = (bl + 2.0 * bc + br - tl - 2.0 * tc - tr) / 4.0
+    magnitude = np.hypot(gx, gy)
+    return float(np.count_nonzero(magnitude > EDGE_THRESHOLD)) / magnitude.size
+
+
+def _colourfulness(pixels: np.ndarray) -> float:
+    r = pixels[..., 0] * 255.0
+    g = pixels[..., 1] * 255.0
+    b = pixels[..., 2] * 255.0
+    rg = r - g
+    yb = 0.5 * (r + g) - b
+    sigma = math.hypot(float(np.std(rg)), float(np.std(yb)))
+    mu = math.hypot(float(np.mean(rg)), float(np.mean(yb)))
+    return sigma + 0.3 * mu
+
+
+def media_image_analysis(pixels: np.ndarray):
+    """toy_media's image bin and coherence features, ``(bin, (M @ vector,
+    norm))``, in two passes: the bin from its own Sobel pass and
+    colourfulness, then the 16-statistic vector with a Sobel pass and a
+    luminance array per quadrant and another global Sobel pass and
+    colourfulness."""
+    complexity = _bin4(_edge_fraction(pixels), *COMPLEXITY_BIN_THRESHOLDS)
+    bin_index = 4 * complexity + _bin4(_colourfulness(pixels), *COLOURFULNESS_BIN_THRESHOLDS)
+
+    y = _luminance(pixels)
+    h2, w2 = pixels.shape[0] // 2, pixels.shape[1] // 2
+    quads = [pixels[:h2, :w2], pixels[:h2, w2:], pixels[h2:, :w2], pixels[h2:, w2:]]
+    vector = [float(np.mean(_luminance(q))) for q in quads]
+    for q in quads:
+        vector.append(_edge_fraction(q) if q.shape[0] >= 3 and q.shape[1] >= 3 else 0.0)
+    for ch in range(3):
+        vector.append(float(np.mean(pixels[..., ch])))
+    vector.append(min(_colourfulness(pixels) / COLOURFULNESS_SCALE, 1.0))
+    vector.append(_edge_fraction(pixels))
+    vector.append(float(np.std(y)))
+    vector.append(float(np.mean(np.abs(y[:, 1:] - y[:, :-1]))))
+    vector.append(float(np.max(y) - np.min(y)))
+    mapped = PROJECTION @ np.array(vector, dtype=np.float64)
+    return bin_index, (mapped, float(np.linalg.norm(mapped)))
+
+
+def media_text_analysis(tokens: np.ndarray, threshold: float):
+    """toy_media's text bin and coherence features, ``(bin, (posterior,
+    norm))``: the top topic when its preferred-token count is unique and
+    its posterior reaches ``threshold``, else ``(None, None)``."""
+    counts = np.bincount(tokens, minlength=TOPIC_ROWS.shape[1])
+    preferred = counts.reshape(TOPIC_ROWS.shape[0], 4).sum(axis=1)
+    top = int(np.argmax(preferred))
+    loglik = np.log(TOPIC_ROWS) @ counts.astype(np.float64)
+    shifted = np.exp(loglik - loglik.max())
+    posterior = shifted / shifted.sum()
+    if int((preferred == preferred[top]).sum()) > 1 or posterior[top] < threshold:
+        return None, None
+    return top, (posterior, float(np.linalg.norm(posterior)))

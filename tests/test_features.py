@@ -1,10 +1,11 @@
 """The split coherence contract: ``features`` once per artefact, then
 ``combine``. The split must reproduce ``cohere`` bit for bit, a binding
 that implements only ``cohere`` must run unchanged, and seeding and the
-step procedures must compute each artefact's features exactly once."""
+step procedures must analyse each new payload exactly once."""
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -137,24 +138,73 @@ def test_cohere_only_binding_gives_identical_record(make, params):
     assert record_view(wrapped) == record_view(bare)
 
 
-class CountingMedia(ToyMediaDomain):
-    """Counts ``features`` calls per payload object. Payloads are kept
-    alive so that their ids are never reused."""
+class Counting:
+    """Binding mixin that counts ``analyse`` calls per payload object, and
+    ``describe`` and ``features`` calls made inside ``analyse`` or
+    directly. It records what ``generate`` and ``vary`` returned, which
+    keeps every payload alive, so no id is reused."""
 
     def __init__(self, **params):
         super().__init__(**params)
-        self.calls: dict[int, int] = {}
-        self.kept: list = []
+        self.calls: Counter = Counter()
+        self.generated: list = []
+        self.varied: list = []
+        self.inside: Counter = Counter()
+        self.direct: Counter = Counter()
         self.combines = 0
+        self._depth = 0
+
+    def generate(self, rng):
+        payloads = super().generate(rng)
+        self.generated.append(payloads)
+        return payloads
+
+    def vary(self, modality, parent, rng):
+        payload = super().vary(modality, parent, rng)
+        self.varied.append((modality, payload))
+        return payload
+
+    def analyse(self, modality, payload):
+        self.calls[id(payload)] += 1
+        self._depth += 1
+        try:
+            return super().analyse(modality, payload)
+        finally:
+            self._depth -= 1
+
+    def describe(self, modality, payload):
+        (self.inside if self._depth else self.direct)["describe"] += 1
+        return super().describe(modality, payload)
 
     def features(self, modality, payload):
-        self.calls[id(payload)] = self.calls.get(id(payload), 0) + 1
-        self.kept.append(payload)
+        (self.inside if self._depth else self.direct)["features"] += 1
         return super().features(modality, payload)
 
     def combine(self, features):
         self.combines += 1
         return super().combine(features)
+
+
+class CountingMedia(Counting, ToyMediaDomain):
+    pass
+
+
+class CountingPair(Counting, VectorPairDomain):
+    pass
+
+
+class SparsePair(VectorPairDomain):
+    """vector_pair whose text is unclassified when its first component is
+    below -1, so that seeds and offspring meet the death penalty."""
+
+    def describe(self, modality, payload):
+        if modality == 0 and payload[0] < -1.0:
+            return None
+        return super().describe(modality, payload)
+
+
+class CountingSparsePair(Counting, SparsePair):
+    pass
 
 
 def test_melita_run_computes_features_at_most_once_per_artefact():
@@ -176,6 +226,69 @@ def test_melita_run_computes_features_at_most_once_per_artefact():
     assert max(domain.calls.values()) == 1
     assert domain.combines == seeds + sum(r.evaluations for r in record.reports)
     assert len(domain.calls) < domain.combines
+
+
+@pytest.mark.parametrize("method", ["melita", "mapelites"])
+@pytest.mark.parametrize(
+    "make, plain, params, default_hook",
+    [
+        (CountingPair, VectorPairDomain, {}, True),
+        (CountingSparsePair, SparsePair, {}, True),
+        (CountingMedia, ToyMediaDomain, {"width": 8, "height": 8}, False),
+    ],
+    ids=["vector_pair", "sparse_pair", "toy_media"],
+)
+def test_each_new_payload_is_analysed_once(make, plain, params, default_hook, method):
+    """One ``analyse`` call per new payload, seeded and varied alike, and
+    none for a seed's payloads after its first unclassified one; no
+    library path calls ``describe`` or ``features`` itself."""
+    domain = make(**params)
+    config = RunConfig(
+        domain=domain.name,
+        seed=11,
+        method=method,
+        axis_sizes=domain.axis_sizes,
+        init_count=60,
+        steps=300,
+        snapshot_every=100,
+        domain_params=params,
+    )
+    record = run(domain, config, np.random.default_rng(config.seed))
+
+    plain = plain(**params)
+    new = [list(enumerate(payloads)) for payloads in domain.generated]
+    new += [[varied] for varied in domain.varied]
+    expected, classified = Counter(), 0
+    for attempt in new:
+        for modality, payload in attempt:
+            expected[id(payload)] += 1
+            if plain.describe(modality, payload) is None:
+                break
+            classified += 1
+    assert domain.calls == expected
+    if isinstance(plain, SparsePair):
+        assert classified < expected.total()  # some payloads met the death penalty
+    assert domain.direct == Counter()
+    if default_hook:
+        assert domain.inside == Counter(describe=expected.total(), features=classified)
+    else:
+        assert domain.inside == Counter()
+    archives = [record.archive] + [snapshot for _, snapshot in record.snapshots]
+    for artefact in (a for archive in archives for s in archive.solutions() for a in s.artefacts):
+        assert domain.calls[id(artefact.payload)] == 1
+        assert artefact.features is not None
+
+
+def test_default_analyse_skips_features_for_unclassified_payloads():
+    domain = CountingPair()
+    assert domain.analyse(0, np.zeros(8)) == (None, None)
+    assert domain.inside == Counter(describe=1)
+    payload = np.arange(8.0)
+    bin_index, (values, norm) = domain.analyse(0, payload)
+    assert bin_index == VectorPairDomain().describe(0, payload)
+    assert values is payload and norm == float(np.linalg.norm(payload))
+    assert domain.inside == Counter(describe=2, features=1)
+    assert domain.direct == Counter()
 
 
 def assert_features_filled(domain, archive):

@@ -631,6 +631,25 @@ def test_malformed_archive_names_file_and_field(tmp_path, capsys, command, make,
 
 
 @pytest.mark.parametrize(
+    "data, message",
+    [
+        ([], "expected an object with field 'axis_sizes', got list"),
+        ({"axis_sizes": 4, "cells": []}, "field 'axis_sizes': 'int' object is not iterable"),
+        ({"axis_sizes": [4, 4], "cells": [[]]}, "expected an object with field 'artefacts', got list"),
+    ],
+    ids=["list", "int_axis_sizes", "list_cell"],
+)
+def test_wrongly_typed_archive_names_file_and_field(tmp_path, capsys, data, message):
+    path = tmp_path / "archive.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        load_archive(path)
+    assert cli_main(["diversity", "--archive", str(path), "--modality", "0",
+                     "--distance", "euclidean"]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize(
     "row, problem",
     [("2,0.5", "not enough values to unpack"), ("2,0.5,0.5,0.5,x", "could not convert")],
 )

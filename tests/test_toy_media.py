@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from melita import ToyMediaDomain, characterize
+from melita.domains import toy_media
 from melita.domains.toy_media import (
     CLASSIFY_THRESHOLD,
     COLOURFULNESS_SCALE,
@@ -22,12 +24,16 @@ from melita.domains.toy_media import (
     constants_dict,
     describe_image,
     edge_complexity,
+    image_features,
     image_vector,
     luminance,
     preferred_token_counts,
     splitmix64_stream,
+    text_features,
     topic_posterior,
 )
+
+import oracles
 
 
 def media_coherence(tokens, pixels):
@@ -428,6 +434,77 @@ def test_media_coherence_range_and_determinism():
         q = media_coherence(tokens, pixels)
         assert 0.0 <= q <= 1.0
         assert media_coherence(tokens, pixels) == q
+
+
+# ------------------------------------------------------------ one-pass analysis
+
+
+def hexed_features(features):
+    vector, norm = features
+    return [v.hex() for v in vector.tolist()], norm.hex()
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    h=st.integers(3, 40),
+    w=st.integers(3, 40),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["random", "blurred", "gray", "solid"]),
+)
+@example(h=3, w=17, seed=1, kind="random")
+@example(h=17, w=3, seed=2, kind="blurred")
+@example(h=4, w=4, seed=3, kind="random")
+@example(h=5, w=5, seed=4, kind="random")
+@example(h=5, w=5, seed=5, kind="gray")
+@example(h=32, w=32, seed=6, kind="solid")
+@example(h=192, w=190, seed=7, kind="random")
+def test_image_analysis_matches_two_pass_reference(h, w, seed, kind):
+    """One luminance and one Sobel pass give the bin and features of the
+    separate passes bit for bit, quadrants under 3x3 included. In the
+    192x190 image each quadrant holds more than the 8192 elements of
+    numpy's reduction buffer, beyond which a strided slice's mean sums
+    in another order than a contiguous array's."""
+    rng = np.random.default_rng(seed)
+    pixels = {
+        "random": lambda: rng.random((h, w, 3)),
+        "blurred": lambda: box_blur(rng.random((h, w, 3))),
+        "gray": lambda: gray(rng.random(), h, w),
+        "solid": lambda: solid(*rng.random(3), h, w),
+    }[kind]()
+    bin_index, features = oracles.media_image_analysis(pixels)
+    got_bin, got_features = ToyMediaDomain(width=w, height=h).analyse(1, pixels)
+    assert got_bin == describe_image(pixels) == bin_index
+    assert hexed_features(got_features) == hexed_features(image_features(pixels))
+    assert hexed_features(got_features) == hexed_features(features)
+    if min(h // 2, w // 2) < 3:
+        assert 0.0 in image_vector(pixels)[4:8].tolist()
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    tokens=st.lists(st.integers(0, VOCAB - 1), max_size=70),
+    threshold=st.sampled_from([CLASSIFY_THRESHOLD, 0.85, 0.99]),
+)
+@example(tokens=[0, 1, 4], threshold=CLASSIFY_THRESHOLD)  # unique top topic
+@example(tokens=[0, 1, 4, 5], threshold=CLASSIFY_THRESHOLD)  # tie
+@example(tokens=[0] + [4 * k for k in range(TOPICS)], threshold=0.85)  # posterior 0.8
+def test_text_analysis_matches_two_pass_reference(tokens, threshold):
+    """One topic posterior gives the bin and features of ``classify_text``
+    and ``text_features``, with None features for an unclassified text.
+    Under the built-in 0.40 threshold a unique top topic always passes
+    (see above), so higher thresholds exercise the posterior check."""
+    tokens = np.array(tokens, dtype=np.int64)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(toy_media, "CLASSIFY_THRESHOLD", threshold)
+        got_bin, got_features = ToyMediaDomain().analyse(0, tokens)
+        assert classify_text(tokens) == got_bin
+    bin_index, features = oracles.media_text_analysis(tokens, threshold)
+    assert got_bin == bin_index
+    if bin_index is None:
+        assert got_features is None
+    else:
+        assert hexed_features(got_features) == hexed_features(features)
+        assert hexed_features(got_features) == hexed_features(text_features(tokens))
 
 
 # ------------------------------------------------------------------- binding
