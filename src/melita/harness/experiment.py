@@ -14,7 +14,7 @@ from ..checks import require_finite, require_int
 from ..clustering import k_medoids
 from ..domains import make_domain
 from ..domains.toy_media import VOCAB, constants_dict, topic_posterior
-from ..metrics import auc, diversity, euclidean_matrix
+from ..metrics import MetricsSample, auc, diversity, euclidean_matrix
 from ..run import METHODS, run
 from ..stats import rank_sum_test
 from ..types import Solution
@@ -110,17 +110,10 @@ def _run_quantities(path: Path) -> dict[str, float]:
     samples = load_metrics(path)
     if not samples:
         raise ValueError(f"{path}: empty metric series")
-    final = samples[-1]
-    return {
-        "final_mean_fitness": final.mean_fitness,
-        "final_max_fitness": final.max_fitness,
-        "final_coverage": final.coverage,
-        "final_qd_score": final.qd_score,
-        "auc_mean_fitness": auc([s.mean_fitness for s in samples]),
-        "auc_max_fitness": auc([s.max_fitness for s in samples]),
-        "auc_coverage": auc([s.coverage for s in samples]),
-        "auc_qd_score": auc([s.qd_score for s in samples]),
-    }
+    _, *columns = zip(*samples)  # each metric's whole series, step left out
+    series = dict(zip(MetricsSample._fields[1:], columns))
+    finals = {f"final_{m}": v[-1] for m, v in series.items()}
+    return finals | {f"auc_{m}": auc(v) for m, v in series.items()}
 
 
 def _collect(directory: Path) -> dict[str, list[dict[str, float]]]:
@@ -296,8 +289,8 @@ def medoid_exemplars(
 ) -> dict:
     """k representative elites under d = sqrt(sum_m w_m * d_m^2), with one
     Euclidean d_m matrix per modality of nonzero weight (so only those need
-    a common payload shape); some weight must be positive. The combine keeps
-    Python's ``**`` (libm ``pow``, not always ``d * d``): a scalar loop per pair."""
+    a common payload shape); some weight must be positive. Terms square with
+    Python's ``**`` (libm ``pow``; ``d * d`` and ``np.power`` differ in some last bits)."""
     k = require_int("k", k, 1)
     solutions = _load_elites(archive_path)
     modalities = len(solutions[0].artefacts)
@@ -310,13 +303,11 @@ def medoid_exemplars(
     if not any(weights):
         raise ValueError(f"weights must include a positive weight, got {list(weights)}")
 
-    matrices = [(w, _distance_matrix(solutions, m, "euclidean")) for m, w in enumerate(weights) if w]
+    upper = np.triu_indices(len(solutions), 1)
+    terms = [[w * d ** 2 for d in _distance_matrix(solutions, m, "euclidean")[upper].tolist()]
+             for m, w in enumerate(weights) if w]
     combined = np.zeros((len(solutions),) * 2)
-    for i in range(len(solutions) - 1):
-        combined[i, i + 1 :] = combined[i + 1 :, i] = [
-            math.sqrt(math.fsum([w * matrix.item(i, j) ** 2 for w, matrix in matrices]))
-            for j in range(i + 1, len(solutions))
-        ]
+    combined[upper] = combined[upper[::-1]] = list(map(math.sqrt, map(math.fsum, zip(*terms))))
     result = k_medoids(combined, k, np.random.default_rng(seed))
     sizes = [result.labels.count(cluster) for cluster in range(k)]
     return {

@@ -137,17 +137,25 @@ def _field(data: object, name: str, convert: Callable[[Any], Any]) -> Any:
 
 
 def archive_from_dict(data: dict) -> Archive:
-    """The archive ``data`` describes; a missing or malformed field raises ValueError naming it."""
+    """The archive ``data`` describes; a missing or malformed field raises
+    ValueError naming it, and the cell's index for bad or repeated coords or fitness."""
     archive = Archive(_field(data, "axis_sizes", lambda v: tuple(int(s) for s in v)))
-    for entry in _field(data, "cells", list):
-        artefacts = tuple(
+    for index, entry in enumerate(_field(data, "cells", list)):
+        artefacts = tuple([
             Artefact(_field(a, "modality", int), _field(a, "payload", decode_payload))
             for a in _field(entry, "artefacts", list)
-        )
-        coords = _field(entry, "coords", lambda v: tuple(int(c) for c in v))
-        solution = Solution(artefacts, _field(entry, "fitness", float), coords)
-        archive.check_coords(solution.coords)
-        archive.cells[solution.coords] = Cell(solution, birth_step=_field(entry, "birth_step", int))
+        ])
+        coords = _field(entry, "coords", tuple)
+        if not set(map(type, coords)) <= {int}:  # a bool is not an int here
+            raise ValueError(f"field 'coords' of cell {index}: expected integers, got {entry['coords']!r}")
+        if type(fitness := _field(entry, "fitness", lambda v: v)) not in (float, int):
+            raise ValueError(f"field 'fitness' of cell {index}: expected a number, got {fitness!r}")
+        solution = Solution(artefacts, float(fitness), coords)
+        archive.check_coords(coords)
+        if coords in archive.cells:
+            earlier = list(archive.cells).index(coords)
+            raise ValueError(f"field 'coords' of cell {index}: {list(coords)} repeats cell {earlier}")
+        archive.cells[coords] = Cell(solution, birth_step=_field(entry, "birth_step", int))
     return archive
 
 

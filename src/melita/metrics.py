@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,8 +21,9 @@ from .archive import Archive
 from .types import INSERTED_EMPTY, REPLACED, Outcome
 
 
-@dataclass(frozen=True)
-class MetricsSample:
+class MetricsSample(NamedTuple):
+    """One point of a run's metric series; it equals the plain tuple of its values."""
+
     step: int
     coverage: float
     mean_fitness: float
@@ -133,15 +134,17 @@ def diversity(matrix: np.ndarray) -> DistanceReport:
     ``checked_distances``). A single item yields zeros with the
     single_elite flag set.
     """
-    rows = checked_distances(matrix).tolist()
-    n = len(rows)
+    dist = checked_distances(matrix)
+    n = len(dist)
     if n == 0:
         raise ValueError("diversity requires at least one item")
     if n == 1:
         return DistanceReport((0.0,), (0.0,), 0.0, 0.0, True)
 
-    per_mean = tuple(math.fsum(row[j] for j in range(n) if j != i) / (n - 1) for i, row in enumerate(rows))
-    per_nearest = tuple(min(row[j] for j in range(n) if j != i) for i, row in enumerate(rows))
+    # A zero diagonal leaves a row's fsum as is; argmin keeps min's pick of 0.0 or -0.0.
+    per_mean = tuple(math.fsum(row) / (n - 1) for row in dist.tolist())
+    off_diagonal = np.where(np.eye(n, dtype=bool), np.inf, dist)
+    per_nearest = tuple(off_diagonal[np.arange(n), off_diagonal.argmin(axis=1)].tolist())
     return DistanceReport(
         per_elite_mean=per_mean,
         per_elite_nearest=per_nearest,

@@ -1,10 +1,9 @@
 """Shared test fixtures and builders."""
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from melita import Artefact, DomainBinding, Solution, characterize
 
@@ -22,7 +21,45 @@ def scalar_solution(coords, fitness):
 def hexed(sample):
     """A MetricsSample with every float as ``float.hex``, so that
     comparisons are bit for bit."""
-    return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(sample))
+    return tuple(v.hex() if isinstance(v, float) else v for v in sample)
+
+
+# Multiples of 0.1 and of 1000.1 make near-ties whose order of summation decides them.
+DISTANCE_VALUES = (
+    st.sampled_from([0.0, -0.0, 0.30000000000000004, 1.0])
+    | st.integers(1, 12).map(lambda i: i * 0.1)
+    | st.integers(1, 12).map(lambda i: i * 1000.1)
+    | st.floats(0.0, 1e6)
+)
+
+
+@st.composite
+def distance_matrices(draw, max_n=40):
+    """A square float64 matrix that ``metrics.checked_distances`` accepts:
+    entries drawn from a small pool, so many tie, some mixed with spread
+    values; zeros of either sign, each entry's sign drawn on its own
+    (``-0.0 == 0.0``, so the matrix still counts as symmetric); laid out
+    in C order, Fortran order, as a transposed view or as a strided view."""
+    n = draw(st.integers(1, max_n))
+    pool = np.array(draw(st.lists(DISTANCE_VALUES, min_size=1, max_size=12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = pool[rng.integers(len(pool), size=(n, n))]
+    if draw(st.booleans()):
+        values = np.where(rng.random((n, n)) < 0.5, rng.random((n, n)) * 10.0, values)
+    upper = np.triu_indices(n, 1)
+    matrix = np.zeros((n, n))
+    matrix[upper] = matrix[upper[::-1]] = values[upper]
+    matrix[(matrix == 0.0) & (rng.random((n, n)) < 0.5)] = -0.0
+    layout = draw(st.sampled_from(["C", "F", "transposed", "strided"]))
+    if layout == "F":
+        return np.asfortranarray(matrix)
+    if layout == "transposed":
+        return matrix.T
+    if layout == "strided":
+        padded = np.full((2 * n, 2 * n), np.nan)
+        padded[::2, ::2] = matrix
+        return padded[::2, ::2]
+    return matrix
 
 
 class ScriptedDomain(DomainBinding):

@@ -2,8 +2,10 @@
 vector-pair search step for step-procedure tests, UCB parent selection
 over plain counters for the selection tests, and a pair-by-pair
 distance matrix, PAM k-medoids and the medoids report for the analysis
-tests, the per-element payload encoding for the serialization tests, and
-the two-pass toy_media bin and features for the one-pass analysis tests.
+tests, per-item diversity and point-by-point PAM assignment for the
+array-pass analysis tests, the per-element payload encoding for the
+serialization tests, and the two-pass toy_media bin and features for the
+one-pass analysis tests.
 
 Nothing here imports the library's archive or step code. Archive state
 is a plain dict mapping coords -> (fitness, text_payload, visual_payload)
@@ -206,26 +208,43 @@ def distance_matrix(items, distance) -> np.ndarray:
     return matrix
 
 
+def diversity(matrix):
+    """(per-item mean, per-item nearest, mean of means, mean of nearest,
+    single item) of a distance matrix, one row at a time: each item's
+    off-diagonal entries in column order, their fsum over n - 1 and the
+    first of the least by Python ``min``."""
+    rows = np.asarray(matrix, dtype=np.float64).tolist()
+    n = len(rows)
+    if n == 1:
+        return (0.0,), (0.0,), 0.0, 0.0, True
+    per_mean = tuple(math.fsum(row[j] for j in range(n) if j != i) / (n - 1) for i, row in enumerate(rows))
+    per_nearest = tuple(min(row[j] for j in range(n) if j != i) for i, row in enumerate(rows))
+    return per_mean, per_nearest, math.fsum(per_mean) / n, math.fsum(per_nearest) / n, False
+
+
+def assign(rows, medoids):
+    """(labels, cost) of PAM's assignment over a distance matrix given as
+    nested lists, one point at a time: each point goes to its nearest
+    medoid, ties to the lowest medoid position, and the cost adds the
+    chosen distances in point order from 0.0."""
+    labels = []
+    cost = 0.0
+    for i in range(len(rows)):
+        best = min(range(len(medoids)), key=lambda m: (rows[i][medoids[m]], m))
+        labels.append(best)
+        cost += rows[i][medoids[best]]
+    return labels, cost
+
+
 def k_medoids(matrix, k: int, rng: np.random.Generator):
     """PAM over a distance matrix, as (medoids, labels, cost). Every
-    (slot, candidate) swap is scored by a full reassignment, one point at
-    a time; a swap is kept only if it lowers the best cost so far by more
-    than 1e-12, and the kept swap is applied until none is. Assignment
-    ties go to the lowest medoid position."""
+    (slot, candidate) swap is scored by a full reassignment (``assign``);
+    a swap is kept only if it lowers the best cost so far by more than
+    1e-12, and the kept swap is applied until none is."""
     matrix = np.asarray(matrix, dtype=np.float64).tolist()
     n = len(matrix)
-
-    def assign(medoids):
-        labels = []
-        cost = 0.0
-        for i in range(n):
-            best = min(range(len(medoids)), key=lambda m: (matrix[i][medoids[m]], m))
-            labels.append(best)
-            cost += matrix[i][medoids[best]]
-        return labels, cost
-
     medoids = sorted(int(m) for m in rng.choice(n, size=k, replace=False))
-    labels, cost = assign(medoids)
+    labels, cost = assign(matrix, medoids)
     while True:
         best_swap = None
         best_cost = cost
@@ -235,14 +254,14 @@ def k_medoids(matrix, k: int, rng: np.random.Generator):
                     continue
                 trial = list(medoids)
                 trial[slot] = candidate
-                _, trial_cost = assign(trial)
+                _, trial_cost = assign(matrix, trial)
                 if trial_cost < best_cost - 1e-12:
                     best_cost = trial_cost
                     best_swap = (slot, candidate)
         if best_swap is None:
             break
         medoids[best_swap[0]] = best_swap[1]
-        labels, cost = assign(medoids)
+        labels, cost = assign(matrix, medoids)
     return tuple(medoids), tuple(labels), cost
 
 

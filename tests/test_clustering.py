@@ -1,11 +1,14 @@
 import copy
 import itertools
+import math
 
 import numpy as np
 import oracles
 import pytest
+from conftest import distance_matrices
+from hypothesis import given, settings, strategies as st
 
-from melita import RunConfig, VectorPairDomain, k_medoids, run
+from melita import Archive, Artefact, RunConfig, Solution, VectorPairDomain, clustering, k_medoids, run
 from melita.harness import experiment, medoid_exemplars
 from melita.harness.serialize import save_archive
 
@@ -102,8 +105,8 @@ def test_invalid_k():
 # ------------------------------------------- straight-line PAM as the oracle
 
 
-def assert_matches_oracle(items, distance, k, seed):
-    matrix = oracles.distance_matrix(items, distance)
+def assert_matches_oracle(items, distance, k, seed, layout=np.ascontiguousarray):
+    matrix = layout(oracles.distance_matrix(items, distance))
     result = k_medoids(matrix, k, np.random.default_rng(seed))
     medoids, labels, cost = oracles.k_medoids(matrix, k, np.random.default_rng(seed))
     assert (result.medoids, result.labels) == (medoids, labels)
@@ -143,14 +146,41 @@ def test_matches_oracle_with_rounding_near_ties():
     # that tie exactly in real arithmetic differ by an ulp or two, and the
     # 1e-12 tolerance decides which one wins. Multiples of 1000.1 give
     # costs whose ulp exceeds 1e-12, so the order in which each cost is
-    # summed decides instead.
-    rng = np.random.default_rng(32)
-    for scale in (0.1, 1000.1):
-        for trial in range(80):
-            n = int(rng.integers(8, 24))
-            items = list(rng.integers(0, 12, size=n) * scale)
-            for k in {1, int(rng.integers(1, n + 1)), n}:
-                assert_matches_oracle(items, euclid, k, trial)
+    # summed decides instead, whatever the matrix's memory layout.
+    for layout in (np.ascontiguousarray, np.asfortranarray, lambda m: np.ascontiguousarray(m).T):
+        rng = np.random.default_rng(32)
+        for scale in (0.1, 1000.1):
+            for trial in range(80):
+                n = int(rng.integers(8, 24))
+                items = list(rng.integers(0, 12, size=n) * scale)
+                for k in {1, int(rng.integers(1, n + 1)), n}:
+                    assert_matches_oracle(items, euclid, k, trial, layout)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(distance_matrices(), st.data())
+def test_assign_matches_the_straight_line_oracle(matrix, data):
+    # Labels and the point-order cost bit for bit, signed zeros included,
+    # for medoids in any order and any memory layout.
+    n = len(matrix)
+    medoids = data.draw(st.permutations(range(n)))[: data.draw(st.integers(1, n))]
+    labels, cost = clustering._assign(matrix, medoids)
+    expected_labels, expected_cost = oracles.assign(matrix.tolist(), medoids)
+    assert labels == expected_labels
+    assert cost.hex() == expected_cost.hex()
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(distance_matrices(), st.data())
+def test_k_medoids_matches_the_straight_line_oracle(matrix, data):
+    # The trial costs add points in order in every memory layout, so
+    # near-ties resolve as in a point-by-point reassignment.
+    k = data.draw(st.integers(1, len(matrix)))
+    seed = data.draw(st.integers(0, 2**16))
+    result = k_medoids(matrix, k, np.random.default_rng(seed))
+    medoids, labels, cost = oracles.k_medoids(matrix, k, np.random.default_rng(seed))
+    assert (result.medoids, result.labels) == (medoids, labels)
+    assert result.cost.hex() == cost.hex()
 
 
 def test_matches_oracle_on_vector_pair_medoid_exemplars(tmp_path, monkeypatch):
@@ -195,3 +225,41 @@ def test_medoids_report_matches_payload_oracle(tmp_path):
             assert report["total_cost"].hex() == cost.hex()
             assert [a["coords"] for a in report["assignments"]] == [list(s.coords) for s in solutions]
             assert tuple(a["cluster"] for a in report["assignments"]) == labels
+
+
+def test_three_modality_medoids_report_matches_payload_oracle(tmp_path, monkeypatch):
+    # With three terms per pair, fsum is not the sequential sum: a tiny
+    # middle term decides the rounding for some pairs, so only the
+    # correctly rounded combine gives the oracle's matrix.
+    rng = np.random.default_rng(34)
+    archive = Archive((40, 1, 1))
+    for i in range(40):
+        payloads = (rng.random(4), rng.random(3), rng.random(5) * 3.0)
+        artefacts = tuple(Artefact(m, p) for m, p in enumerate(payloads))
+        archive.insert(Solution(artefacts, 0.5, (i, 0, 0)))
+    path = tmp_path / "archive.json"
+    save_archive(path, archive)
+    solutions = archive.solutions()
+    weights = (1.0, 1e-16, 0.75)
+
+    def terms(a, b):
+        return [w * float(np.linalg.norm(x.payload - y.payload)) ** 2
+                for w, x, y in zip(weights, a.artefacts, b.artefacts)]
+
+    pairs = [terms(a, b) for i, a in enumerate(solutions) for b in solutions[i + 1 :]]
+    assert any(math.fsum(t) != (t[0] + t[1]) + t[2] for t in pairs)
+
+    matrices = []
+
+    def captured(matrix, k, rng):
+        matrices.append(matrix.copy())
+        return k_medoids(matrix, k, rng)
+
+    monkeypatch.setattr(experiment, "k_medoids", captured)
+    for seed in (0, 1):
+        report = medoid_exemplars(path, 5, weights, seed)
+        cost, labels = oracles.medoid_exemplars(solutions, 5, weights, seed)
+        assert report["total_cost"].hex() == cost.hex()
+        assert tuple(a["cluster"] for a in report["assignments"]) == labels
+    expected = oracles.distance_matrix(solutions, lambda a, b: math.sqrt(math.fsum(terms(a, b))))
+    assert matrices[0].tobytes() == expected.tobytes()

@@ -630,14 +630,34 @@ def test_malformed_archive_names_file_and_field(tmp_path, capsys, command, make,
     assert capsys.readouterr().err == f"error: {path}: missing field '{field}'\n"
 
 
+def cells(*cells):
+    """A 4 x 4 archive's dict holding one well-formed cell per (coords,
+    fitness) given, in that order."""
+    artefacts = [{"modality": 0, "payload": [1.0]}, {"modality": 1, "payload": [1.0]}]
+    return {
+        "axis_sizes": [4, 4],
+        "cells": [
+            {"coords": coords, "fitness": fitness, "birth_step": 0, "artefacts": artefacts}
+            for coords, fitness in cells
+        ],
+    }
+
+
 @pytest.mark.parametrize(
     "data, message",
     [
         ([], "expected an object with field 'axis_sizes', got list"),
         ({"axis_sizes": 4, "cells": []}, "field 'axis_sizes': 'int' object is not iterable"),
         ({"axis_sizes": [4, 4], "cells": [[]]}, "expected an object with field 'artefacts', got list"),
+        (cells(([0, 0], 0.5), ([1, 1], 0.5), ([2, 1], 0.7), ([1, 1], 0.9)),
+         "field 'coords' of cell 3: [1, 1] repeats cell 1"),
+        (cells(([0, 0], 0.5), ([1.7, 1], 0.5)), "field 'coords' of cell 1: expected integers, got [1.7, 1]"),
+        (cells(([0, True], 0.5)), "field 'coords' of cell 0: expected integers, got [0, True]"),
+        (cells(([0, 0], 0.5), ([2, 1], "0.5")), "field 'fitness' of cell 1: expected a number, got '0.5'"),
+        (cells(([0, 0], True)), "field 'fitness' of cell 0: expected a number, got True"),
     ],
-    ids=["list", "int_axis_sizes", "list_cell"],
+    ids=["list", "int_axis_sizes", "list_cell", "repeated_coords", "float_coords", "bool_coords",
+         "string_fitness", "bool_fitness"],
 )
 def test_wrongly_typed_archive_names_file_and_field(tmp_path, capsys, data, message):
     path = tmp_path / "archive.json"

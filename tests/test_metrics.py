@@ -10,7 +10,7 @@ from melita.harness import analyze_diversity, medoid_exemplars
 from melita.harness.serialize import save_archive
 from melita.metrics import RunningMetrics, checked_distances, euclidean_matrix
 from tests import oracles
-from tests.conftest import hexed, scalar_solution
+from tests.conftest import distance_matrices, hexed, scalar_solution
 
 
 def test_archive_metrics_empty():
@@ -152,6 +152,18 @@ def test_nearest_never_exceeds_mean():
             assert nearest <= mean + 1e-12
         assert report.mean_nearest <= report.mean_distance + 1e-12
         assert math.isfinite(report.mean_distance)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(distance_matrices())
+def test_diversity_matches_the_straight_line_oracle(matrix):
+    # Bit for bit, signed zeros included, in any memory layout.
+    report = diversity(matrix)
+    per_mean, per_nearest, mean, nearest, single = oracles.diversity(matrix)
+    assert [v.hex() for v in report.per_elite_mean] == [v.hex() for v in per_mean]
+    assert [v.hex() for v in report.per_elite_nearest] == [v.hex() for v in per_nearest]
+    assert (report.mean_distance.hex(), report.mean_nearest.hex()) == (mean.hex(), nearest.hex())
+    assert report.single_elite == single
 
 
 # ------------------------------------- distance matrices against per-pair norms
