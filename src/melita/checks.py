@@ -8,7 +8,7 @@ from numbers import Integral, Real
 
 def require_int(name: str, value: object, minimum: int) -> int:
     """An integer of at least ``minimum``; bools and floats are rejected."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+    if isinstance(value, bool) or not isinstance(value, (int, Integral)) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
 

@@ -5,12 +5,13 @@ indent=2)`` and a newline; repr floats make load -> re-serialize exact.
 
 Payload encodings are structural: integer arrays (token text) serialize
 as plain int lists, float vectors as float lists, and RGB images as
-{width, height, pixels} with a row-major flat channel list. The decoder
-keys on that structure, so analysis commands can read any archive
-without knowing which domain produced it.
+{width, height, pixels}, pixels the base64 of row-major, channel-last
+little-endian float64 bytes (number lists still load). The decoder keys
+on that structure, so analysis reads any domain's archive.
 """
 from __future__ import annotations
 
+import base64
 import contextlib
 import hashlib
 import json
@@ -21,6 +22,7 @@ from typing import IO, Any, Callable, Iterator
 import numpy as np
 
 from ..archive import Archive, Cell
+from ..checks import require_int
 from ..metrics import MetricsSample
 from ..types import Artefact, Solution
 
@@ -84,7 +86,7 @@ def encode_payload(payload: np.ndarray) -> object:
         return {
             "width": int(arr.shape[1]),
             "height": int(arr.shape[0]),
-            "pixels": arr.reshape(-1).astype(np.float64).tolist(),
+            "pixels": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii"),
         }
     if arr.ndim == 1 and np.issubdtype(arr.dtype, np.integer):
         return arr.tolist()
@@ -95,12 +97,14 @@ def encode_payload(payload: np.ndarray) -> object:
 
 def decode_payload(data: object) -> np.ndarray:
     if isinstance(data, dict):
-        w, h = _field(data, "width", int), _field(data, "height", int)
-        return _field(data, "pixels", lambda v: np.asarray(v, dtype=np.float64)).reshape(h, w, 3)
+        shape = tuple(_field(data, n, lambda v: require_int(n, v, 1)) for n in ("height", "width"))
+        return _field(data, "pixels", lambda v: (
+            np.frombuffer(base64.b64decode(v, validate=True), "<f8") if isinstance(v, str)
+            else np.fromiter(v, np.float64)).reshape(shape + (3,)))
     if isinstance(data, list):
-        if all(isinstance(v, int) for v in data):
-            return np.asarray(data, dtype=np.int64)
-        return np.asarray(data, dtype=np.float64)
+        if bool in (types := set(map(type, data))):
+            raise ValueError(f"payload holds a boolean: {data!r}")
+        return np.asarray(data, dtype=np.int64 if types <= {int} else np.float64)
     raise ValueError(f"no payload decoding for {type(data).__name__}")
 
 
@@ -139,10 +143,11 @@ def _field(data: object, name: str, convert: Callable[[Any], Any]) -> Any:
 def archive_from_dict(data: dict) -> Archive:
     """The archive ``data`` describes; a missing or malformed field raises
     ValueError naming it, and the cell's index for bad or repeated coords or fitness."""
-    archive = Archive(_field(data, "axis_sizes", lambda v: tuple(int(s) for s in v)))
+    archive = Archive(_field(data, "axis_sizes", lambda v: [require_int("axis size", s, 1) for s in v]))
     for index, entry in enumerate(_field(data, "cells", list)):
         artefacts = tuple([
-            Artefact(_field(a, "modality", int), _field(a, "payload", decode_payload))
+            Artefact(_field(a, "modality", lambda v: require_int("modality", v, 0)),
+                     _field(a, "payload", decode_payload))
             for a in _field(entry, "artefacts", list)
         ])
         coords = _field(entry, "coords", tuple)
@@ -155,7 +160,8 @@ def archive_from_dict(data: dict) -> Archive:
         if coords in archive.cells:
             earlier = list(archive.cells).index(coords)
             raise ValueError(f"field 'coords' of cell {index}: {list(coords)} repeats cell {earlier}")
-        archive.cells[coords] = Cell(solution, birth_step=_field(entry, "birth_step", int))
+        birth_step = _field(entry, "birth_step", lambda v: require_int("birth_step", v, 0))
+        archive.cells[coords] = Cell(solution, birth_step)
     return archive
 
 

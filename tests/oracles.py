@@ -17,7 +17,9 @@ the modality, one uniform for the mutation branch, then one vector draw.
 """
 from __future__ import annotations
 
+import base64
 import math
+import struct
 
 import numpy as np
 
@@ -287,13 +289,15 @@ def medoid_exemplars(solutions, k: int, weights, seed: int):
 
 def encode_payload(payload):
     """The archive JSON value of a payload, built one element at a time
-    with ``float(v)`` or ``int(v)``."""
+    with ``float(v)`` or ``int(v)``; an image's pixels are the base64 of
+    each value packed as a little-endian double, in row-major order."""
     arr = np.asarray(payload)
     if arr.ndim == 3 and arr.shape[2] == 3:
+        packed = b"".join(struct.pack("<d", float(v)) for v in arr.reshape(-1))
         return {
             "width": int(arr.shape[1]),
             "height": int(arr.shape[0]),
-            "pixels": [float(v) for v in arr.reshape(-1)],
+            "pixels": base64.b64encode(packed).decode("ascii"),
         }
     if arr.ndim == 1 and np.issubdtype(arr.dtype, np.integer):
         return [int(v) for v in arr]

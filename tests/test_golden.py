@@ -70,13 +70,13 @@ GOLDEN = {
             "197f39980f7bd67c5096873b16e55a7fbffaa5129a4e7f9ad4667f1bcc7ae0f9"
         ),
         "mapelites/golden_run0_archive.json": (
-            "94acafa5372f0a7627f025c1a4223bd31ff78cab695ab114f6cd5c322928c426"
+            "a10555338206966288e5aa6cc9d9637fad177de2cbc7e9f2897b35c5680f8220"
         ),
         "mapelites/golden_run0_metrics.csv": (
             "f6862da233dc5682b579b86e0f3a63cfbc92c9111d2c75d24b696cedc8dba479"
         ),
         "melita/golden_run0_archive.json": (
-            "df8ab5b7d133b42771c2c638c21dda04e0a0a2ffc8cae8348f829bf6f39a6a87"
+            "3b51e211fb1b3f09a195ba6209b797bfb4aaa64b6b9e4e0f788215604341476b"
         ),
         "melita/golden_run0_metrics.csv": (
             "b7b7bcecf828105ea841bc928f07145938286531b1221e20ebe218fd6c5807d1"

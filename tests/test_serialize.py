@@ -1,8 +1,12 @@
 """The canonical JSON renderer against the stdlib, the vectorised payload
-encoding against its per-element oracle, one rendering per elite within
-a run's files, and files that appear only complete."""
+encoding against its per-element oracle, exact payload and archive round
+trips (older list-form image archives included), the loader's field
+checks, one rendering per elite within a run's files, and files that
+appear only complete."""
+import base64
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,9 +17,12 @@ from melita import Archive, Artefact, RunConfig, Solution, ToyMediaDomain, Vecto
 from melita.archive import Cell
 from melita.harness import ExperimentConfig, experiment, run_experiment
 from melita.harness.serialize import (
+    archive_from_dict,
     archive_to_dict,
     canonical_json,
+    decode_payload,
     encode_payload,
+    load_archive,
     save_archive,
     save_metrics,
     write_json,
@@ -157,6 +164,166 @@ def test_encode_payload_matches_per_element_oracle(name):
     # repr tells 1 from 1.0 and 0.0 from -0.0, and spells NaN and inf.
     assert repr(encoded) == repr(expected)
     assert canonical_json(encoded) == stdlib(expected)
+
+
+# Raw bit patterns per dtype: zeros of both signs, infinities, the
+# smallest and largest subnormals, and NaNs of either sign, quiet and
+# signalling, with default and non-default payload bits.
+SPECIAL_BITS = [
+    (np.float64, [0x0, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000, 0x1,
+                  0x800FFFFFFFFFFFFF, 0x7FF8000000000000, 0xFFF8000000000001,
+                  0x7FF0000000000001, 0x7FF4DEADBEEF0042]),
+    (np.float32, [0x0, 0x80000000, 0x7F800000, 0xFF800000, 0x1, 0x807FFFFF, 0x7FC00000,
+                  0xFFC00001, 0x7F800001, 0x7FA0BEEF]),
+    (np.uint8, [0, 255]),
+]
+
+
+@st.composite
+def images(draw):
+    """An RGB image of float64, float32 or uint8 elements with arbitrary
+    bits, as a contiguous array or a view with other strides."""
+    height, width = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    dtype, specials = draw(st.sampled_from(SPECIAL_BITS))
+    itemsize = np.dtype(dtype).itemsize
+    element = st.integers(0, 2 ** (8 * itemsize) - 1) | st.sampled_from(specials)
+    bits = draw(st.lists(element, min_size=3 * height * width, max_size=3 * height * width))
+    image = np.array(bits, dtype=f"<u{itemsize}").view(dtype).reshape(height, width, 3)
+    return draw(st.sampled_from([
+        image,
+        image.transpose(1, 0, 2),
+        image[::-1, ::-1],
+        np.concatenate([image, image[::-1]], axis=1)[:, ::2],
+    ]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(images())
+def test_image_payload_round_trips_exactly(image):
+    # A float32 signalling NaN is quieted when cast to float64, and numpy
+    # warns of it; the encoder casts as astype does.
+    with np.errstate(invalid="ignore"):
+        text = canonical_json(encode_payload(image))
+        expected = image.astype("<f8")
+    decoded = decode_payload(json.loads(text))
+    assert decoded.dtype == np.float64 and decoded.shape == image.shape
+    assert decoded.tobytes() == expected.tobytes()
+    # The same bits as the per-element oracle writes.
+    assert text == stdlib(oracles.encode_payload(image))
+
+
+def list_form(archive):
+    """``archive``'s dict as archives were written before images were
+    base64: every image value a JSON number, written one at a time."""
+    data = archive_to_dict(archive)
+    for cell, coords in zip(data["cells"], archive.ordered()):
+        for entry, artefact in zip(cell["artefacts"], archive.cells[coords].solution.artefacts):
+            if isinstance(entry["payload"], dict):
+                entry["payload"]["pixels"] = [float(v) for v in artefact.payload.reshape(-1)]
+    return data
+
+
+def assert_same_archive(loaded, archive):
+    """The same axes, and per cell the same coords, birth step, fitness
+    bits, modalities and payload dtypes, shapes and bytes."""
+    assert loaded.axis_sizes == archive.axis_sizes
+    assert loaded.ordered() == archive.ordered()
+    for coords in archive.ordered():
+        got, want = loaded.cells[coords], archive.cells[coords]
+        assert got.birth_step == want.birth_step
+        assert got.solution.coords == want.solution.coords == coords
+        assert got.solution.fitness.hex() == want.solution.fitness.hex()
+        assert len(got.solution.artefacts) == len(want.solution.artefacts)
+        for a, b in zip(got.solution.artefacts, want.solution.artefacts):
+            assert a.modality == b.modality
+            expected = b.payload.astype("<f8" if b.payload.ndim == 3 else b.payload.dtype)
+            assert a.payload.dtype == expected.dtype and a.payload.shape == expected.shape
+            assert a.payload.tobytes() == expected.tobytes()
+
+
+def media_melita_archive(seed):
+    domain = ToyMediaDomain()
+    config = RunConfig(
+        domain="toy_media", method="melita", seed=seed, steps=300, init_count=40,
+        axis_sizes=domain.axis_sizes,
+    )
+    return run(domain, config, np.random.default_rng(seed)).archive
+
+
+@pytest.mark.parametrize("seed", [5, 101000])
+def test_media_run_archive_round_trips_through_its_file(tmp_path, seed):
+    archive = media_melita_archive(seed)
+    assert len(archive) > 10
+    save_archive(tmp_path / "archive.json", archive, "digest")
+    assert_same_archive(load_archive(tmp_path / "archive.json"), archive)
+
+
+def test_list_form_image_archive_loads_to_the_same_arrays(tmp_path):
+    archive = media_melita_archive(7)
+    old = tmp_path / "list_form.json"
+    old.write_text(json.dumps(list_form(archive), sort_keys=True, indent=2) + "\n")
+    assert '"pixels": [' in old.read_text()
+    assert_same_archive(load_archive(old), archive)
+
+
+def one_media_cell():
+    """A well-formed archive dict: one cell holding a token text and a
+    2-high, 3-wide image."""
+    archive = Archive((4, 4))
+    image = np.arange(18, dtype=np.float64).reshape(2, 3, 3) / 7
+    archive.insert(Solution((Artefact(0, np.array([3, 1, 4])), Artefact(1, image)), 0.5, (1, 2)))
+    return archive_to_dict(archive)
+
+
+def _pixels_of(count):
+    return base64.b64encode(b"\x00" * count).decode()
+
+
+TOKENS_AT, IMAGE_AT = ("cells", 0, "artefacts", 0), ("cells", 0, "artefacts", 1, "payload")
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("axis_sizes",), [4.5, True], "field 'axis_sizes': axis size must be an integer >= 1, got 4.5"),
+        (("axis_sizes",), [4, True], "field 'axis_sizes': axis size must be an integer >= 1, got True"),
+        (("axis_sizes",), [4, 0], "field 'axis_sizes': axis size must be an integer >= 1, got 0"),
+        (TOKENS_AT + ("modality",), 1.9, "field 'modality': modality must be an integer >= 0, got 1.9"),
+        (TOKENS_AT + ("modality",), True, "field 'modality': modality must be an integer >= 0, got True"),
+        (TOKENS_AT + ("modality",), -1, "field 'modality': modality must be an integer >= 0, got -1"),
+        (("cells", 0, "birth_step"), "3", "field 'birth_step': birth_step must be an integer >= 0, got '3'"),
+        (("cells", 0, "birth_step"), 3.0, "field 'birth_step': birth_step must be an integer >= 0, got 3.0"),
+        (("cells", 0, "birth_step"), -1, "field 'birth_step': birth_step must be an integer >= 0, got -1"),
+        (IMAGE_AT + ("width",), 2.0, "field 'width': width must be an integer >= 1, got 2.0"),
+        (IMAGE_AT + ("height",), True, "field 'height': height must be an integer >= 1, got True"),
+        (IMAGE_AT + ("width",), 0, "field 'width': width must be an integer >= 1, got 0"),
+        (IMAGE_AT + ("pixels",), _pixels_of(8 * 17), "field 'pixels': cannot reshape array of size 17"),
+        (IMAGE_AT + ("pixels",), _pixels_of(8 * 19), "field 'pixels': cannot reshape array of size 19"),
+        (IMAGE_AT + ("pixels",), _pixels_of(8 * 18 + 3), "field 'pixels': buffer size must be a multiple"),
+        (IMAGE_AT + ("pixels",), "AAAA!AAA", "field 'pixels': "),
+        (IMAGE_AT + ("pixels",), [0.5] * 17, "field 'pixels': cannot reshape array of size 17"),
+        (IMAGE_AT + ("pixels",), [[0.5] * 3] * 6, "field 'pixels': "),
+        (IMAGE_AT + ("pixels",), None, "field 'pixels': "),
+        (TOKENS_AT + ("payload",), [True, False], "field 'payload': payload holds a boolean: [True, False]"),
+        (TOKENS_AT + ("payload",), [1.5, False], "field 'payload': payload holds a boolean: [1.5, False]"),
+    ],
+    ids=[
+        "float_axis", "bool_axis", "zero_axis", "float_modality", "bool_modality",
+        "negative_modality", "string_birth_step", "float_birth_step", "negative_birth_step",
+        "float_width", "bool_height", "zero_width", "short_pixel_bytes", "long_pixel_bytes",
+        "ragged_pixel_bytes", "bad_base64", "short_pixel_list", "nested_pixel_list",
+        "null_pixels", "bool_tokens", "bool_in_vector",
+    ],
+)
+def test_loader_rejects_mistyped_fields_and_wrong_pixel_counts(path, value, message):
+    data = one_media_cell()
+    archive_from_dict(json.loads(json.dumps(data)))  # well formed as built
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        archive_from_dict(json.loads(json.dumps(data)))
 
 
 def archive_with_bad_payload():
