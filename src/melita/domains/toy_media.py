@@ -16,12 +16,12 @@ matrix comes from a SplitMix64 stream with a documented seed, and
 ``constants_dict`` emits every constant an external oracle needs.
 
 rng consumption, in order, per call:
-- generate: topic = integers(16); length = integers(8, 65);
-  tokens = choice(64, size=length, p=row); pixels = random((h, w, 3)).
-- vary text: one uniform (full when < 0.2); full then draws topic,
-  length, tokens as in generate; partial draws
-  split = integers(len//3, 2*len//3 + 1) then the suffix via
-  choice(64, size=len-split, p=top_topic_row).
+- generate: topic = integers(16); length = integers(8, 65); tokens(length,
+  topic); pixels = random((h, w, 3)). tokens(n, k) is numpy 2.x's choice(64,
+  size=n, p=TOPIC_ROWS[k]) as searchsorted(cdf, random(n), side="right"),
+  cdf being the row's cumsum over its last element.
+- vary text: one uniform (full when < 0.2); full draws as generate; partial
+  draws split = integers(len//3, 2*len//3 + 1), then tokens(len-split, top topic).
 - vary image: normal(0, sigma, (h, w, 3)); the blur draws nothing. The
   noise draw happens even when sigma is 0 so the stream shape is stable.
 """
@@ -34,7 +34,7 @@ import numpy as np
 from ..binding import DomainBinding
 from ..checks import require_finite, require_int
 from ..types import Solution
-from .common import bin4
+from .common import bin4, mean, norm
 
 VOCAB = 64
 TOPICS = 16
@@ -101,6 +101,7 @@ def _topic_rows() -> np.ndarray:
 
 TOPIC_ROWS = _topic_rows()
 _LOG_TOPIC_ROWS = np.log(TOPIC_ROWS)
+_TOPIC_CDFS = TOPIC_ROWS.cumsum(axis=1) / TOPIC_ROWS.cumsum(axis=1)[:, -1:]
 
 
 def preferred_token_counts(tokens: np.ndarray) -> np.ndarray:
@@ -137,13 +138,18 @@ def classify_text(tokens: np.ndarray) -> int | None:
     return text_analysis(tokens)[0]
 
 
+def std(a: np.ndarray) -> np.floating:
+    """``np.std`` of a float array, by its own ufunc steps."""
+    x = a - np.add.reduce(a, axis=None, keepdims=True) / a.size
+    return np.sqrt(mean(np.square(x, out=x)))
+
+
 def luminance(pixels: np.ndarray) -> np.ndarray:
     return 0.299 * pixels[..., 0] + 0.587 * pixels[..., 1] + 0.114 * pixels[..., 2]
 
 
 def edge_complexity(pixels: np.ndarray) -> float:
-    """Fraction of interior pixels whose gradient magnitude exceeds
-    EDGE_THRESHOLD, as ``image_analysis`` defines it."""
+    """The fraction of interior pixels with an edge, as ``image_analysis`` defines it."""
     return float(image_vector(pixels)[IMAGE_VECTOR_LAYOUT.index("global_edge_complexity")])
 
 
@@ -155,8 +161,8 @@ def colourfulness(pixels: np.ndarray) -> float:
     b = pixels[..., 2] * 255.0
     rg = r - g
     yb = 0.5 * (r + g) - b
-    sigma = math.hypot(float(np.std(rg)), float(np.std(yb)))
-    mu = math.hypot(float(np.mean(rg)), float(np.mean(yb)))
+    sigma = math.hypot(float(std(rg)), float(std(yb)))
+    mu = math.hypot(float(mean(rg)), float(mean(yb)))
     return sigma + 0.3 * mu
 
 
@@ -186,18 +192,19 @@ def image_analysis(pixels: np.ndarray) -> tuple[int, np.ndarray, tuple[np.ndarra
     complexity, colour = _fraction(edges), colourfulness(pixels)
     h2, w2 = h // 2, w // 2
     quads = ((0, h2, 0, w2), (0, h2, w2, w), (h2, h, 0, w2), (h2, h, w2, w))
-    stats = [float(np.mean(y[r0:r1, c0:c1].copy())) for r0, r1, c0, c1 in quads]
+    stats = [float(mean(y[r0:r1, c0:c1].copy())) for r0, r1, c0, c1 in quads]
     stats += [
         _fraction(edges[r0 : r1 - 2, c0 : c1 - 2]) if min(r1 - r0, c1 - c0) >= 3 else 0.0
         for r0, r1, c0, c1 in quads
     ]
-    stats += [float(np.mean(pixels[..., ch])) for ch in range(3)]
-    stats += [min(colour / COLOURFULNESS_SCALE, 1.0), complexity, float(np.std(y))]
-    stats += [float(np.mean(np.abs(y[:, 1:] - y[:, :-1]))), float(np.max(y) - np.min(y))]
+    stats += [float(mean(pixels[..., ch])) for ch in range(3)]
+    stats += [min(colour / COLOURFULNESS_SCALE, 1.0), complexity, float(std(y))]
+    y_range = np.maximum.reduce(y, axis=None) - np.minimum.reduce(y, axis=None)
+    stats += [float(mean(np.abs(y[:, 1:] - y[:, :-1]))), float(y_range)]
     vector = np.array(stats, dtype=np.float64)
     mapped = PROJECTION @ vector
     bin_index = 4 * bin4(complexity, COMPLEXITY_BIN_THRESHOLDS) + bin4(colour, COLOURFULNESS_BIN_THRESHOLDS)
-    return bin_index, vector, (mapped, float(np.linalg.norm(mapped)))
+    return bin_index, vector, (mapped, norm(mapped))
 
 
 def _fraction(mask: np.ndarray) -> float:
@@ -215,10 +222,9 @@ def image_vector(pixels: np.ndarray) -> np.ndarray:
 
 
 def text_features(tokens: np.ndarray) -> tuple[np.ndarray, float]:
-    """A text's coherence features: its topic posterior and that
-    vector's norm."""
+    """A text's coherence features: its topic posterior and its norm."""
     e_txt = topic_posterior(tokens)
-    return e_txt, float(np.linalg.norm(e_txt))
+    return e_txt, norm(e_txt)
 
 
 def image_features(pixels: np.ndarray) -> tuple[np.ndarray, float]:
@@ -227,25 +233,24 @@ def image_features(pixels: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def combine_features(text: tuple[np.ndarray, float], image: tuple[np.ndarray, float]) -> float:
-    """(1 + cos(M @ e_img, e_txt)) / 2, or the neutral 0.5 when either
-    side has zero norm."""
+    """(1 + cos(M @ e_img, e_txt)) / 2, or a neutral 0.5 if a norm is zero."""
     e_txt, tn = text
     mapped, mn = image
     if tn == 0.0 or mn == 0.0:
         return 0.5
-    cos = float(np.dot(mapped, e_txt)) / (tn * mn)
+    cos = float(mapped.dot(e_txt)) / (tn * mn)
     return (1.0 + max(-1.0, min(1.0, cos))) / 2.0
 
 
 def box_blur(pixels: np.ndarray) -> np.ndarray:
     """3x3 box blur with edge replication, per channel."""
-    padded = np.pad(pixels, ((1, 1), (1, 1), (0, 0)), mode="edge")
     h, w = pixels.shape[:2]
-    total = np.zeros_like(pixels)
-    for di in range(3):
-        for dj in range(3):
-            total += padded[di : di + h, dj : dj + w]
-    return total / 9.0
+    padded = np.empty((h + 2, w + 2, pixels.shape[2]), pixels.dtype)
+    padded[1:-1, 1:-1] = pixels
+    padded[0, 1:-1], padded[-1, 1:-1] = pixels[0], pixels[-1]
+    padded[:, 0], padded[:, -1] = padded[:, 1], padded[:, -2]
+    windows = (padded[di : di + h, dj : dj + w] for di in range(3) for dj in range(3))
+    return sum(windows, np.zeros_like(pixels)) / 9.0
 
 
 def constants_dict() -> dict:
@@ -284,7 +289,7 @@ class ToyMediaDomain(DomainBinding):
         return (TOPICS, 16)
 
     def _sample_text(self, topic: int, length: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.choice(VOCAB, size=length, p=TOPIC_ROWS[topic]).astype(np.int64)
+        return _TOPIC_CDFS[topic].searchsorted(rng.random(length), side="right")
 
     def generate(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         topic = int(rng.integers(TOPICS))
@@ -305,7 +310,7 @@ class ToyMediaDomain(DomainBinding):
 
     def _vary_image(self, parent_pixels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         noisy = parent_pixels + rng.normal(0.0, self.noise_sigma, parent_pixels.shape)
-        return box_blur(np.clip(noisy, 0.0, 1.0))
+        return box_blur(np.clip(noisy, 0.0, 1.0, out=noisy))
 
     def vary(self, modality: int, parent: Solution, rng: np.random.Generator) -> np.ndarray:
         payload = parent.artefacts[modality].payload

@@ -20,7 +20,7 @@ import numpy as np
 from ..binding import DomainBinding
 from ..checks import require_finite
 from ..types import Solution
-from .common import bin4
+from .common import bin4, mean, norm
 
 DIMS = 8
 FULL_MUTATION_PROB = 0.2
@@ -38,14 +38,14 @@ def describe_text(values: np.ndarray) -> int | None:
 
 
 def describe_visual(values: np.ndarray) -> int:
-    norm_bin = bin4(float(np.linalg.norm(values)), NORM_THRESHOLDS)
-    roughness = float(np.mean(np.abs(np.diff(values))))
+    norm_bin = bin4(norm(values), NORM_THRESHOLDS)
+    roughness = float(mean(np.abs(np.subtract(values[1:], values[:-1]))))
     return 4 * norm_bin + bin4(roughness, ROUGHNESS_THRESHOLDS)
 
 
 def vector_features(values: np.ndarray) -> tuple[np.ndarray, float]:
     """A vector's coherence features: the vector and its norm."""
-    return values, float(np.linalg.norm(values))
+    return np.asarray(values), norm(values)
 
 
 def combine_features(t: tuple[np.ndarray, float], v: tuple[np.ndarray, float]) -> float:
@@ -53,7 +53,7 @@ def combine_features(t: tuple[np.ndarray, float], v: tuple[np.ndarray, float]) -
     (t_values, tn), (v_values, vn) = t, v
     if tn == 0.0 or vn == 0.0:
         raise ValueError("coherence is undefined for zero-norm vectors")
-    cos = float(np.dot(t_values, v_values)) / (tn * vn)
+    cos = float(t_values.dot(v_values)) / (tn * vn)
     return (1.0 + max(-1.0, min(1.0, cos))) / 2.0
 
 
@@ -73,7 +73,7 @@ class VectorPairDomain(DomainBinding):
 
     def _sample(self, rng: np.random.Generator) -> np.ndarray:
         values = rng.standard_normal(DIMS)
-        while float(np.linalg.norm(values)) < 1e-9:
+        while norm(values) < 1e-9:
             values = rng.standard_normal(DIMS)
         return values
 

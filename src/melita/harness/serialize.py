@@ -80,6 +80,7 @@ def config_hash(config_dict: dict) -> str:
     return hashlib.sha256(canonical_json(config_dict).encode()).hexdigest()
 
 
+@np.errstate(invalid="ignore")  # casting a float32 signalling NaN to float64 warns
 def encode_payload(payload: np.ndarray) -> object:
     arr = np.asarray(payload)
     if arr.ndim == 3 and arr.shape[2] == 3:

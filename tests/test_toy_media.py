@@ -316,6 +316,36 @@ def test_vary_text_partial_preserves_prefix():
     assert np.array_equal(child[split:], suffix)
 
 
+@settings(max_examples=500, deadline=None, database=None)
+@given(seed=st.integers(0, 2**63 - 1), length=st.integers(MIN_TOKENS, MAX_TOKENS))
+def test_token_sampling_replays_choice(seed, length):
+    """For every topic the tokens are the ones ``rng.choice`` draws with
+    the topic's row as ``p``, and the generator is left where ``choice``
+    leaves it."""
+    domain = ToyMediaDomain()
+    for topic in range(TOPICS):
+        rng, replay = np.random.default_rng([seed, topic]), np.random.default_rng([seed, topic])
+        tokens = domain._sample_text(topic, length, rng)
+        expected = replay.choice(VOCAB, size=length, p=TOPIC_ROWS[topic]).astype(np.int64)
+        assert tokens.dtype == np.int64 and np.array_equal(tokens, expected)
+        assert rng.random() == replay.random()
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_generate_replays_documented_draws(seed):
+    """generate draws topic, length, the tokens by ``choice`` and then
+    the pixels, and nothing else."""
+    domain = ToyMediaDomain(width=6, height=5)
+    rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+    tokens, pixels = domain.generate(rng)
+    topic = int(replay.integers(TOPICS))
+    length = int(replay.integers(MIN_TOKENS, MAX_TOKENS + 1))
+    expected = replay.choice(VOCAB, size=length, p=TOPIC_ROWS[topic]).astype(np.int64)
+    assert tokens.dtype == np.int64 and np.array_equal(tokens, expected)
+    assert pixels.tobytes() == replay.random((5, 6, 3)).tobytes()
+    assert rng.random() == replay.random()
+
+
 def test_vary_text_full_resamples():
     domain = ToyMediaDomain(width=8, height=8)
     parent = parent_solution(domain, 11)
@@ -444,26 +474,46 @@ def hexed_features(features):
     return [v.hex() for v in vector.tolist()], norm.hex()
 
 
+def image_layout(pixels, layout):
+    """The same pixel values as a float64 C-ordered array, a view with
+    gaps between columns, a view with negative strides, or float32."""
+    if layout == "strided":
+        spaced = np.zeros((pixels.shape[0], 2 * pixels.shape[1], 3))
+        spaced[:, ::2] = pixels
+        return spaced[:, ::2]
+    if layout == "reversed":
+        return pixels[::-1, ::-1].copy()[::-1, ::-1]
+    return pixels.astype(np.float32) if layout == "float32" else pixels
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(
     h=st.integers(3, 40),
     w=st.integers(3, 40),
     seed=st.integers(0, 2**32 - 1),
     kind=st.sampled_from(["random", "blurred", "gray", "solid"]),
+    layout=st.sampled_from(["contiguous", "strided", "reversed", "float32"]),
 )
-@example(h=3, w=17, seed=1, kind="random")
-@example(h=17, w=3, seed=2, kind="blurred")
-@example(h=4, w=4, seed=3, kind="random")
-@example(h=5, w=5, seed=4, kind="random")
-@example(h=5, w=5, seed=5, kind="gray")
-@example(h=32, w=32, seed=6, kind="solid")
-@example(h=192, w=190, seed=7, kind="random")
-def test_image_analysis_matches_two_pass_reference(h, w, seed, kind):
+@example(h=3, w=17, seed=1, kind="random", layout="contiguous")
+@example(h=17, w=3, seed=2, kind="blurred", layout="contiguous")
+@example(h=4, w=4, seed=3, kind="random", layout="contiguous")
+@example(h=5, w=5, seed=4, kind="random", layout="contiguous")
+@example(h=5, w=5, seed=5, kind="gray", layout="contiguous")
+@example(h=32, w=32, seed=6, kind="solid", layout="contiguous")
+@example(h=192, w=190, seed=7, kind="random", layout="contiguous")
+@example(h=17, w=3, seed=2, kind="blurred", layout="strided")
+@example(h=4, w=4, seed=3, kind="random", layout="reversed")
+@example(h=32, w=32, seed=6, kind="solid", layout="float32")
+@example(h=192, w=190, seed=7, kind="random", layout="strided")
+@example(h=192, w=190, seed=7, kind="random", layout="reversed")
+@example(h=192, w=190, seed=7, kind="random", layout="float32")
+def test_image_analysis_matches_two_pass_reference(h, w, seed, kind, layout):
     """One luminance and one Sobel pass give the bin and features of the
-    separate passes bit for bit, quadrants under 3x3 included. In the
-    192x190 image each quadrant holds more than the 8192 elements of
-    numpy's reduction buffer, beyond which a strided slice's mean sums
-    in another order than a contiguous array's."""
+    separate passes bit for bit, quadrants under 3x3 included, for
+    float64 images with any positive or negative strides and for float32
+    ones. In the 192x190 image each quadrant holds more than the 8192
+    elements of numpy's reduction buffer, beyond which a strided slice's
+    mean sums in another order than a contiguous array's."""
     rng = np.random.default_rng(seed)
     pixels = {
         "random": lambda: rng.random((h, w, 3)),
@@ -471,6 +521,7 @@ def test_image_analysis_matches_two_pass_reference(h, w, seed, kind):
         "gray": lambda: gray(rng.random(), h, w),
         "solid": lambda: solid(*rng.random(3), h, w),
     }[kind]()
+    pixels = image_layout(pixels, layout)
     bin_index, features = oracles.media_image_analysis(pixels)
     got_bin, got_features = ToyMediaDomain(width=w, height=h).analyse(1, pixels)
     assert got_bin == describe_image(pixels) == bin_index

@@ -2,10 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from melita import VectorPairDomain, characterize
-from melita.domains.common import bin4
-from melita.domains.vector_pair import describe_text, describe_visual
+from melita.domains.common import bin4, norm
+from melita.domains.vector_pair import (
+    combine_features,
+    describe_text,
+    describe_visual,
+    vector_features,
+)
+
+import oracles
 
 
 def vec(*head):
@@ -139,3 +147,47 @@ def test_sigma_validation():
     for bad in (True, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="^sigma"):
             VectorPairDomain(sigma=bad)
+
+
+@st.composite
+def vector_pairs(draw):
+    """Two vectors of one length: finite float64 values of magnitude 1e-3
+    to 1e3 or small integers, each as a contiguous array, a strided or
+    negative-stride view, or a plain list."""
+    n = draw(st.integers(2, 40))
+
+    def one():
+        if draw(st.booleans()):
+            base = np.array(draw(st.lists(st.integers(-1000, 1000), min_size=2 * n, max_size=2 * n)))
+        else:
+            magnitudes = draw(st.lists(st.floats(1e-3, 1e3), min_size=2 * n, max_size=2 * n))
+            signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=2 * n, max_size=2 * n))
+            base = np.array(magnitudes) * np.array(signs)
+        layout = draw(st.sampled_from(["contiguous", "strided", "reversed", "reversed-strided", "list"]))
+        return {
+            "contiguous": base[:n],
+            "strided": base[::2],
+            "reversed": base[::-1][:n],
+            "reversed-strided": base[::-2],
+            "list": base[:n].tolist(),
+        }[layout]
+
+    return one(), one()
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(vector_pairs())
+@example(([1.0, 0.0], [0.0, 0.5]))  # norms and roughnesses on bin thresholds
+@example((np.arange(1.0, 17.0)[::2], np.arange(16.0, 0.0, -1.0)[::-2]))
+def test_primitives_match_numpy_bit_for_bit(pair):
+    """describe_visual's norm and roughness and the coherence take the
+    bits of np.linalg.norm, np.mean and np.dot, the oracles' plain calls,
+    whatever the input's strides or type."""
+    t, v = pair
+    assume(np.any(np.asarray(t) != 0) and np.any(np.asarray(v) != 0))
+    for x in (t, v):
+        assert norm(x).hex() == float(np.linalg.norm(x)).hex()
+        assert describe_visual(x) == oracles.describe_visual(x)
+    expected = oracles.cohere(t, v).hex()
+    assert VectorPairDomain().cohere((t, v)).hex() == expected
+    assert combine_features(vector_features(t), vector_features(v)).hex() == expected
