@@ -177,8 +177,10 @@ def image_analysis(pixels: np.ndarray) -> tuple[int, np.ndarray, tuple[np.ndarra
     quadrant's interior gradients are the same elementwise operations on
     the same luminance values, so its edges are a slice of the image's
     mask; a quadrant under 3x3 counts 0.0. Quadrant means are taken on
-    contiguous copies, which sum in the order a new array would.
+    contiguous copies, which sum in the order a new array would. Pixels
+    are read C-ordered, so no statistic depends on their memory layout.
     """
+    pixels = np.ascontiguousarray(pixels)
     h, w = pixels.shape[:2]
     if h < 3 or w < 3:
         raise ValueError(f"edge complexity needs at least 3x3 pixels, got {h}x{w}")

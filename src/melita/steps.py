@@ -59,16 +59,8 @@ def _analysed(modality: int, payload: Any, features: Any) -> Artefact:
 
 
 def _coherence(domain: DomainBinding, artefacts: tuple[Artefact, ...]) -> float:
-    """Coherence through the binding's split form. Every scored candidate
-    passes the [0, 1] check here, inserted or not.
-
-    New artefacts arrive with their features; the fill below serves
-    artefacts built elsewhere, such as those ``archive_from_dict`` loads.
-    """
-    for artefact in artefacts:
-        if artefact.features is None:
-            features = domain.features(artefact.modality, artefact.payload)
-            object.__setattr__(artefact, "features", features)
+    """Coherence of artefacts that carry their features, through the
+    binding's split form; every scored candidate passes the [0, 1] check."""
     return require_fitness(float(domain.combine(tuple([a.features for a in artefacts]))))
 
 
@@ -117,28 +109,36 @@ def transverse_candidates(
     domain: DomainBinding,
     offspring: Candidate,
     modality: int,
-) -> list[Candidate]:
-    """Pair the offspring's mutated artefact with every elite sharing its
-    bin.
+) -> tuple[int, list[Candidate]]:
+    """Score the offspring's mutated artefact with every elite sharing its
+    bin: ``(scored, accepted)``.
 
-    For each elite whose coordinate on the mutated axis equals the
-    offspring's, builds the candidate that keeps the elite's other
-    artefacts (so it maps to the elite's own cell, with cached bins) and
-    re-scores coherence. The direct offspring is not a member; a
-    candidate payload-identical to it is dropped so it appears exactly
-    once among the step's members. Equal payloads give equal bins, so
-    only the elite in the offspring's own cell can produce one.
+    Each candidate keeps its elite's other artefacts, so it maps to the
+    elite's own cell; it is scored from the elite's cached features and
+    the new artefact's, and ``scored`` counts it. Only candidates strictly
+    fitter than their elite (those the archive accepts) are built and
+    listed. A candidate payload-identical to the direct offspring is
+    neither scored nor listed; only the elite in the offspring's own
+    cell can produce one.
     """
     new_artefact = offspring.artefacts[modality]
-    new_bin = offspring.coords[modality]
-    candidates: list[Candidate] = []
-    for coords in archive.row(modality, new_bin):
+    new_features = new_artefact.features
+    scored, accepted = 0, []
+    for coords in archive.row(modality, offspring.coords[modality]):
         elite = archive.cells[coords].solution
-        artefacts = elite.artefacts[:modality] + (new_artefact,) + elite.artefacts[modality + 1 :]
-        if coords == offspring.coords and payloads_equal(artefacts, offspring.artefacts):
+        if coords == offspring.coords and payloads_equal(
+            elite.artefacts[:modality] + (new_artefact,) + elite.artefacts[modality + 1 :],
+            offspring.artefacts,
+        ):
             continue
-        candidates.append(Candidate(artefacts, _coherence(domain, artefacts), elite.coords))
-    return candidates
+        features = [a.features for a in elite.artefacts]
+        features[modality] = new_features
+        fitness = require_fitness(float(domain.combine(tuple(features))))
+        scored += 1
+        if fitness > elite.fitness:
+            artefacts = elite.artefacts[:modality] + (new_artefact,) + elite.artefacts[modality + 1 :]
+            accepted.append(Candidate(artefacts, fitness, coords))
+    return scored, accepted
 
 
 def melita_step(
@@ -160,14 +160,12 @@ def melita_step(
     if offspring is None:
         return StepReport(parent_coords, modality, 0, Outcome(OFFSPRING_INVALID))
 
-    members = [offspring]
+    members = [offspring] if archive.accepts(offspring) else []
+    scored = 0
     if transverse:
-        members += transverse_candidates(archive, domain, offspring, modality)
-    winner = min(
-        filter(archive.accepts, members),
-        key=lambda c: (-c.fitness, c is not offspring, c.coords),
-        default=None,
-    )
+        scored, accepted = transverse_candidates(archive, domain, offspring, modality)
+        members += accepted
+    winner = min(members, key=lambda c: (-c.fitness, c is not offspring, c.coords), default=None)
 
     outcome, source = Outcome(REJECTED), "none"
     if winner is not None:
@@ -177,7 +175,7 @@ def melita_step(
     return StepReport(
         parent_coords=parent_coords,
         mutated_modality=modality,
-        evaluations=len(members),
+        evaluations=1 + scored,
         outcome=outcome,
         source=source,
     )

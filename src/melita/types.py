@@ -20,9 +20,9 @@ class Artefact:
     ``characterize`` and the step procedures fill it when they build the
     artefact, from the one ``analyse`` call that also bins the payload,
     so each artefact's coherence features are computed once per run,
-    seeded ones included. An artefact built elsewhere, such as one that
-    ``archive_from_dict`` loads, has None until it is first scored. It
-    is not an init argument, so
+    seeded ones included. Only those artefacts carry features and can be
+    scored; one built elsewhere, such as one that ``archive_from_dict``
+    loads, keeps None. It is not an init argument, so
     ``dataclasses.replace`` never carries it to a new payload, and it
     takes no part in equality, repr or serialization.
     """
@@ -71,12 +71,10 @@ def require_fitness(fitness: float) -> float:
 
 def payloads_equal(a: tuple[Artefact, ...], b: tuple[Artefact, ...]) -> bool:
     """True when two artefact tuples carry identical payloads in every
-    modality."""
+    modality; an artefact object always matches itself, NaN or not."""
     if len(a) != len(b):
         return False
-    return all(
-        np.array_equal(np.asarray(x.payload), np.asarray(y.payload)) for x, y in zip(a, b)
-    )
+    return all(x is y or np.array_equal(x.payload, y.payload) for x, y in zip(a, b))
 
 
 # Outcome kinds for archive insertions and evolutionary steps.
@@ -103,7 +101,8 @@ class Outcome:
 @dataclass(frozen=True)
 class StepReport:
     """Observability record for one evolutionary step. ``evaluations`` counts
-    the candidates scored: 0 for an invalid offspring, else 1 plus any transverse ones.
+    the candidates scored, accepted or not: 0 for an invalid offspring, else 1
+    plus the ``scored`` count that ``transverse_candidates`` returns.
     ``source`` names what changed the archive: "offspring" (the direct
     offspring), "transverse" (another candidate) or "none" (rejected or invalid)."""
 

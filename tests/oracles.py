@@ -163,10 +163,13 @@ def vanilla_step(cells: dict, rng: np.random.Generator) -> tuple[str, tuple | No
     return insert(cells, prefix[3])
 
 
-def melita_step(cells: dict, rng: np.random.Generator) -> tuple[str, tuple | None]:
+def melita_step(cells: dict, rng: np.random.Generator) -> tuple[str, tuple | None, int]:
+    """The transverse step's outcome kind, changed cell and number of
+    scored members: the direct offspring and every row recombination
+    not payload-identical to it, all scored before any is compared."""
     prefix = _offspring(cells, rng)
     if prefix is None:
-        return "offspring_invalid", None
+        return "offspring_invalid", None, 0
     m, mutated, new_bin, offspring = prefix
 
     candidates = [(offspring, True)]
@@ -184,8 +187,8 @@ def melita_step(cells: dict, rng: np.random.Generator) -> tuple[str, tuple | Non
     for entry, _ in candidates:
         held = cells.get(entry[0])
         if held is None or entry[1] > held[0]:
-            return insert(cells, entry)
-    return "rejected", None
+            return (*insert(cells, entry), len(candidates))
+    return "rejected", None, len(candidates)
 
 
 def assert_same_archive(archive, cells: dict) -> None:

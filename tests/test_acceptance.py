@@ -40,8 +40,9 @@ from tests.conftest import scalar_solution
 
 def test_criterion_1_transverse_step_matches_bruteforce_oracle():
     # 100 seeded trials on random archives (<= 16 elites, 16x16 map,
-    # vector-pair domain): melita_step's outcome and the entire archive
-    # must match the independent full-enumeration oracle exactly.
+    # vector-pair domain): melita_step's outcome, its evaluation count
+    # and the entire archive must match the independent full-enumeration
+    # oracle exactly.
     domain = VectorPairDomain()
     start = time.perf_counter()
     steps_checked = 0
@@ -58,9 +59,10 @@ def test_criterion_1_transverse_step_matches_bruteforce_oracle():
         oracle_rng = np.random.default_rng(trial + 999)
         for _ in range(5):
             report = melita_step(archive, domain, lib_rng)
-            kind, coords = oracles.melita_step(cells, oracle_rng)
+            kind, coords, scored = oracles.melita_step(cells, oracle_rng)
             assert report.outcome.kind == kind
             assert report.outcome.coords == coords
+            assert report.evaluations == scored
             oracles.assert_same_archive(archive, cells)
             steps_checked += 1
     elapsed = time.perf_counter() - start

@@ -7,6 +7,7 @@ from melita import (
     REJECTED,
     REPLACED,
     Archive,
+    Outcome,
     VectorPairDomain,
     characterize,
     melita_step,
@@ -112,8 +113,7 @@ def test_transverse_candidates_empty_row():
     archive.insert(parent)
     # Mutated visual artefact lands in bin 3: no elite has visual bin 3.
     offspring = with_payload(domain, parent, 1, np.array([3.0]))
-    candidates = transverse_candidates(archive, domain, offspring, 1)
-    assert candidates == []
+    assert transverse_candidates(archive, domain, offspring, 1) == (0, [])
 
 
 def test_transverse_candidates_dedups_direct_offspring():
@@ -124,8 +124,34 @@ def test_transverse_candidates_dedups_direct_offspring():
     parent = scripted_solution(domain, 1, 1)
     archive.insert(parent)
     offspring = with_payload(domain, parent, 1, np.array([1.5]))
-    candidates = transverse_candidates(archive, domain, offspring, 1)
-    assert candidates == []
+    assert transverse_candidates(archive, domain, offspring, 1) == (0, [])
+
+
+class CountingCombine(ScriptedDomain):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.combines = 0
+
+    def combine(self, features):
+        self.combines += 1
+        return super().combine(features)
+
+
+def test_nan_payload_offspring_in_its_parents_cell_is_scored_once():
+    # The parent's text payload holds NaN, which np.array_equal calls
+    # unequal to itself; describe and cohere read only element 0. The
+    # parent's own recombination shares every artefact object with the
+    # direct offspring, so it is dropped as a duplicate all the same.
+    domain = CountingCombine(fitness_table={(1.0, 1.0): 0.5, (1.0, 1.5): 0.6})
+    archive = Archive(domain.axis_sizes)
+    archive.insert(characterize(domain, (np.array([1.0, np.nan]), np.array([1.0]))))
+    domain.push(1, 1.5)  # still bin 1 on the visual axis
+    domain.combines = 0
+    report = melita_step(archive, domain, np.random.default_rng(find_seed(1, 0, 1)))
+    assert report.evaluations == 1
+    assert domain.combines == 1
+    assert report.source == "offspring"
+    assert report.outcome == Outcome(REPLACED, (1, 1), 0.5, 0.6)
 
 
 def test_transverse_candidates_two_foreign_elites():
@@ -144,7 +170,8 @@ def test_transverse_candidates_two_foreign_elites():
     archive.insert(scripted_solution(domain, 3, 1.4))
 
     offspring = with_payload(domain, parent, 1, np.array([1.5]))
-    candidates = transverse_candidates(archive, domain, offspring, 1)
+    scored, candidates = transverse_candidates(archive, domain, offspring, 1)
+    assert scored == 2
     assert [c.coords for c in candidates] == [(2, 1), (3, 1)]
     assert [c.fitness for c in candidates] == [0.65, 0.75]
     for candidate in candidates:
@@ -152,21 +179,46 @@ def test_transverse_candidates_two_foreign_elites():
 
 
 def test_transverse_candidates_map_to_borrowed_cells():
-    # Soundness: each candidate targets the cell of the elite whose
-    # artefacts it borrowed, with the mutated axis already matching.
+    # Soundness: every row elite but the one payload-identical to the
+    # offspring is scored, and each accepted candidate targets the cell
+    # of the elite whose artefacts it borrowed, with the mutated axis
+    # already matching, and beats that elite. Completeness: the accepted
+    # list is every recombination that beats its elite, in row order.
     domain = VectorPairDomain()
     rng = np.random.default_rng(42)
     archive = Archive(domain.axis_sizes)
     seed_archive(archive, domain, 60, rng)
-    parent = archive.cells[archive.occupied()[0]].solution
-    new_payload = domain.vary(1, parent, rng)
-    new_bin = domain.describe(1, new_payload)
-    offspring = with_payload(domain, parent, 1, new_payload)
-    for candidate in transverse_candidates(archive, domain, offspring, 1):
-        assert candidate.coords in archive.cells
-        assert candidate.coords[1] == new_bin
-        elite = archive.cells[candidate.coords].solution
-        assert np.array_equal(candidate.artefacts[0].payload, elite.artefacts[0].payload)
+    accepted_total = 0
+    for parent_coords in archive.occupied():
+        parent = archive.cells[parent_coords].solution
+        new_payload = domain.vary(1, parent, rng)
+        new_bin = domain.describe(1, new_payload)
+        if new_bin is None:
+            continue
+        offspring = with_payload(domain, parent, 1, new_payload)
+        row = [c for c in archive.occupied() if c[1] == new_bin]
+        recombined = {
+            c: with_payload(domain, archive.cells[c].solution, 1, new_payload) for c in row
+        }
+        duplicate = offspring.coords in recombined and np.array_equal(
+            recombined[offspring.coords].artefacts[0].payload, offspring.artefacts[0].payload
+        )
+        scored, candidates = transverse_candidates(archive, domain, offspring, 1)
+        assert scored == len(row) - duplicate
+        if duplicate:
+            del recombined[offspring.coords]
+        beaten = [c for c, s in recombined.items() if s.fitness > archive.cells[c].solution.fitness]
+        assert [c.coords for c in candidates] == beaten
+        for candidate in candidates:
+            assert candidate.coords in archive.cells
+            assert candidate.coords[1] == new_bin
+            elite = archive.cells[candidate.coords].solution
+            assert np.array_equal(candidate.artefacts[0].payload, elite.artefacts[0].payload)
+            assert candidate.artefacts[1] is offspring.artefacts[1]
+            assert candidate.fitness == recombined[candidate.coords].fitness
+            assert candidate.fitness > elite.fitness
+        accepted_total += len(candidates)
+    assert accepted_total > 0
 
 
 def test_melita_replaces_row_elite():

@@ -476,7 +476,12 @@ def hexed_features(features):
 
 def image_layout(pixels, layout):
     """The same pixel values as a float64 C-ordered array, a view with
-    gaps between columns, a view with negative strides, or float32."""
+    gaps between columns, a view with negative strides, a Fortran-ordered
+    array, a view with the row and column strides swapped, or float32."""
+    if layout == "fortran":
+        return np.asfortranarray(pixels)
+    if layout == "transposed":
+        return np.ascontiguousarray(pixels.transpose(1, 0, 2)).transpose(1, 0, 2)
     if layout == "strided":
         spaced = np.zeros((pixels.shape[0], 2 * pixels.shape[1], 3))
         spaced[:, ::2] = pixels
@@ -492,7 +497,7 @@ def image_layout(pixels, layout):
     w=st.integers(3, 40),
     seed=st.integers(0, 2**32 - 1),
     kind=st.sampled_from(["random", "blurred", "gray", "solid"]),
-    layout=st.sampled_from(["contiguous", "strided", "reversed", "float32"]),
+    layout=st.sampled_from(["contiguous", "strided", "reversed", "fortran", "transposed", "float32"]),
 )
 @example(h=3, w=17, seed=1, kind="random", layout="contiguous")
 @example(h=17, w=3, seed=2, kind="blurred", layout="contiguous")
@@ -507,13 +512,15 @@ def image_layout(pixels, layout):
 @example(h=192, w=190, seed=7, kind="random", layout="strided")
 @example(h=192, w=190, seed=7, kind="random", layout="reversed")
 @example(h=192, w=190, seed=7, kind="random", layout="float32")
+@example(h=192, w=190, seed=7, kind="random", layout="fortran")
+@example(h=192, w=190, seed=7, kind="random", layout="transposed")
 def test_image_analysis_matches_two_pass_reference(h, w, seed, kind, layout):
     """One luminance and one Sobel pass give the bin and features of the
-    separate passes bit for bit, quadrants under 3x3 included, for
-    float64 images with any positive or negative strides and for float32
-    ones. In the 192x190 image each quadrant holds more than the 8192
-    elements of numpy's reduction buffer, beyond which a strided slice's
-    mean sums in another order than a contiguous array's."""
+    separate passes on the same values C-ordered bit for bit, quadrants
+    under 3x3 included, for float64 images in any memory layout and for
+    float32 ones. In the 192x190 image each quadrant holds more than the
+    8192 elements of numpy's reduction buffer, beyond which a strided
+    slice's mean sums in another order than a contiguous array's."""
     rng = np.random.default_rng(seed)
     pixels = {
         "random": lambda: rng.random((h, w, 3)),
@@ -522,7 +529,7 @@ def test_image_analysis_matches_two_pass_reference(h, w, seed, kind, layout):
         "solid": lambda: solid(*rng.random(3), h, w),
     }[kind]()
     pixels = image_layout(pixels, layout)
-    bin_index, features = oracles.media_image_analysis(pixels)
+    bin_index, features = oracles.media_image_analysis(np.ascontiguousarray(pixels))
     got_bin, got_features = ToyMediaDomain(width=w, height=h).analyse(1, pixels)
     assert got_bin == describe_image(pixels) == bin_index
     assert hexed_features(got_features) == hexed_features(image_features(pixels))
