@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import abc
-from typing import Any
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -30,9 +30,17 @@ class DomainBinding(abc.ABC):
     defaults compose ``describe`` and ``features`` and pass the payloads
     straight to ``cohere``, so a binding that implements only ``cohere``
     behaves as before.
+
+    Two class attributes serve the experiment harness, which reads them
+    from the class registered in ``DOMAINS``: ``constants``, written as
+    ``constants.json`` unless None, and ``distances``, which maps each
+    extra analysis distance name to a per-payload embedding that raises
+    ``ValueError`` on a payload it cannot embed.
     """
 
     name: str = "domain"
+    constants: dict | None = None
+    distances: Mapping[str, Callable[[Any], np.ndarray]] = {}
 
     @property
     @abc.abstractmethod

@@ -1,21 +1,15 @@
 """Helpers shared by the built-in domains."""
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
 
 def bin4(x: float, thresholds: tuple[float, float, float]) -> int:
-    """Quantize into four bins; boundary values fall upward."""
-    a, b, c = thresholds
-    if not a < b < c:
-        raise ValueError(f"thresholds must be strictly increasing, got {thresholds}")
-    if x < a:
-        return 0
-    if x < b:
-        return 1
-    if x < c:
-        return 2
-    return 3
+    """Quantize into four bins by increasing thresholds; boundary values
+    fall upward, and NaN falls in the top bin."""
+    return bisect.bisect_right(thresholds, x)
 
 
 def mean(a: np.ndarray) -> np.floating:

@@ -13,7 +13,8 @@ luminance array, one Sobel pass and one colourfulness per image.
 
 Everything here is reproducible from first principles: the projection
 matrix comes from a SplitMix64 stream with a documented seed, and
-``constants_dict`` emits every constant an external oracle needs.
+``ToyMediaDomain.constants`` holds every constant an external oracle
+needs.
 
 rng consumption, in order, per call:
 - generate: topic = integers(16); length = integers(8, 65); tokens(length,
@@ -117,6 +118,15 @@ def topic_posterior(tokens: np.ndarray) -> np.ndarray:
     return shifted / shifted.sum()
 
 
+def token_posterior(payload: np.ndarray) -> np.ndarray:
+    """The ``topic_posterior`` analysis embedding: a stored payload's topic
+    posterior, or a ValueError when it is not a token array."""
+    tokens = np.asarray(payload)
+    if tokens.ndim != 1 or tokens.dtype.kind not in "iu" or np.any((tokens < 0) | (tokens >= VOCAB)):
+        raise ValueError(f"payload is not a 1-D integer token array in [0, {VOCAB})")
+    return topic_posterior(tokens)
+
+
 def text_analysis(tokens: np.ndarray) -> tuple[int | None, tuple[np.ndarray, float] | None]:
     """A text's bin and, when it has one, its ``text_features``.
 
@@ -133,11 +143,6 @@ def text_analysis(tokens: np.ndarray) -> tuple[int | None, tuple[np.ndarray, flo
     return (top, features) if features[0][top] >= CLASSIFY_THRESHOLD else (None, None)
 
 
-def classify_text(tokens: np.ndarray) -> int | None:
-    """Top topic, or None unless it is unique with posterior >= 0.40."""
-    return text_analysis(tokens)[0]
-
-
 def std(a: np.ndarray) -> np.floating:
     """``np.std`` of a float array, by its own ufunc steps."""
     x = a - np.add.reduce(a, axis=None, keepdims=True) / a.size
@@ -146,11 +151,6 @@ def std(a: np.ndarray) -> np.floating:
 
 def luminance(pixels: np.ndarray) -> np.ndarray:
     return 0.299 * pixels[..., 0] + 0.587 * pixels[..., 1] + 0.114 * pixels[..., 2]
-
-
-def edge_complexity(pixels: np.ndarray) -> float:
-    """The fraction of interior pixels with an edge, as ``image_analysis`` defines it."""
-    return float(image_vector(pixels)[IMAGE_VECTOR_LAYOUT.index("global_edge_complexity")])
 
 
 def colourfulness(pixels: np.ndarray) -> float:
@@ -213,25 +213,10 @@ def _fraction(mask: np.ndarray) -> float:
     return float(np.count_nonzero(mask)) / mask.size
 
 
-def describe_image(pixels: np.ndarray) -> int:
-    """An image's bin: edge complexity crossed with colourfulness."""
-    return image_analysis(pixels)[0]
-
-
-def image_vector(pixels: np.ndarray) -> np.ndarray:
-    """The 16 image statistics listed in IMAGE_VECTOR_LAYOUT, in order."""
-    return image_analysis(pixels)[1]
-
-
 def text_features(tokens: np.ndarray) -> tuple[np.ndarray, float]:
     """A text's coherence features: its topic posterior and its norm."""
     e_txt = topic_posterior(tokens)
     return e_txt, norm(e_txt)
-
-
-def image_features(pixels: np.ndarray) -> tuple[np.ndarray, float]:
-    """An image's coherence features: M @ image_vector and its norm."""
-    return image_analysis(pixels)[2]
 
 
 def combine_features(text: tuple[np.ndarray, float], image: tuple[np.ndarray, float]) -> float:
@@ -255,27 +240,25 @@ def box_blur(pixels: np.ndarray) -> np.ndarray:
     return sum(windows, np.zeros_like(pixels)) / 9.0
 
 
-def constants_dict() -> dict:
-    """Every constant an external implementation needs to reproduce the
-    descriptors and coherence bit-exactly."""
-    return {
+class ToyMediaDomain(DomainBinding):
+    name = "toy_media"
+    # Every constant an external implementation needs to reproduce the
+    # descriptors and coherence bit-exactly.
+    constants = {
         "vocabulary_size": VOCAB,
         "topic_count": TOPICS,
         "token_length_range": [MIN_TOKENS, MAX_TOKENS],
         "classification_threshold": CLASSIFY_THRESHOLD,
-        "topic_rows": [[float(p) for p in row] for row in TOPIC_ROWS],
+        "topic_rows": TOPIC_ROWS.tolist(),
         "edge_threshold": EDGE_THRESHOLD,
         "complexity_bin_thresholds": list(COMPLEXITY_BIN_THRESHOLDS),
         "colourfulness_bin_thresholds": list(COLOURFULNESS_BIN_THRESHOLDS),
         "colourfulness_scale": COLOURFULNESS_SCALE,
         "projection_seed": PROJECTION_SEED,
-        "projection": [[float(v) for v in row] for row in PROJECTION],
+        "projection": PROJECTION.tolist(),
         "image_vector_layout": list(IMAGE_VECTOR_LAYOUT),
     }
-
-
-class ToyMediaDomain(DomainBinding):
-    name = "toy_media"
+    distances = {"topic_posterior": token_posterior}
 
     def __init__(self, width: int = 32, height: int = 32, noise_sigma: float = 0.1):
         self.width = require_int("width", width, 3)
@@ -324,12 +307,12 @@ class ToyMediaDomain(DomainBinding):
         return self.analyse(modality, payload)[0]
 
     def cohere(self, payloads: tuple[np.ndarray, ...]) -> float:
-        return combine_features(text_features(payloads[0]), image_features(payloads[1]))
+        return combine_features(text_features(payloads[0]), image_analysis(payloads[1])[2])
 
     def features(self, modality: int, payload: np.ndarray) -> tuple[np.ndarray, float]:
         if modality == 0:
             return text_features(payload)
-        return image_features(payload)
+        return image_analysis(payload)[2]
 
     def analyse(self, modality: int, payload: np.ndarray) -> tuple[int | None, tuple | None]:
         if modality == 0:

@@ -12,8 +12,7 @@ import numpy as np
 from .. import __version__
 from ..checks import require_finite, require_int
 from ..clustering import k_medoids
-from ..domains import make_domain
-from ..domains.toy_media import VOCAB, constants_dict, topic_posterior
+from ..domains import DOMAINS, make_domain
 from ..metrics import MetricsSample, auc, diversity, euclidean_matrix
 from ..run import METHODS, run
 from ..stats import rank_sum_test
@@ -43,12 +42,14 @@ def run_experiment(
     out.mkdir(parents=True, exist_ok=True)
 
     digest = config_hash(config.to_dict())
-    if config.run_template["domain"] == "toy_media":
-        write_json(out / "constants.json", constants_dict())
-
     runs: list[dict] = []
     complete = False
     try:
+        # Read from the registered class: an unregistered name has none and
+        # fails in make_domain below, and a wrapped instance may not forward it.
+        constants = getattr(DOMAINS.get(config.run_template["domain"]), "constants", None)
+        if constants is not None:
+            write_json(out / "constants.json", constants)
         for label in config.labels:
             for method in METHODS:
                 (out / method).mkdir(exist_ok=True)
@@ -216,16 +217,9 @@ def compare_summary(report: CompareReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _token_posterior(payload: np.ndarray) -> np.ndarray:
-    tokens = np.asarray(payload)
-    if tokens.ndim != 1 or tokens.dtype.kind not in "iu" or np.any((tokens < 0) | (tokens >= VOCAB)):
-        raise ValueError(f"payload is not a 1-D integer token array in [0, {VOCAB})")
-    return topic_posterior(tokens)
-
-
 DISTANCES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "euclidean": lambda payload: np.asarray(payload, dtype=np.float64).ravel(),
-    "topic_posterior": _token_posterior,
+    **{name: embed for cls in DOMAINS.values() for name, embed in cls.distances.items()},
 }
 
 

@@ -22,7 +22,7 @@ from melita import (
     run,
     seed_archive,
 )
-from melita.domains.toy_media import PROJECTION, image_vector, topic_posterior
+from melita.domains.toy_media import PROJECTION, image_analysis, topic_posterior
 from melita.harness.serialize import archive_to_dict, canonical_json
 
 import oracles
@@ -32,7 +32,7 @@ def media_reference(tokens, pixels):
     """The coherence formula as written before the split, operation for
     operation."""
     e_txt = topic_posterior(tokens)
-    mapped = PROJECTION @ image_vector(pixels)
+    mapped = PROJECTION @ image_analysis(pixels)[1]
     tn = float(np.linalg.norm(e_txt))
     mn = float(np.linalg.norm(mapped))
     if tn == 0.0 or mn == 0.0:

@@ -1,11 +1,26 @@
+import ast
 import json
 import math
+import pkgutil
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from melita import Archive, Artefact, MetricsSample, RunConfig, Solution, ToyMediaDomain, run
+import melita.domains
+import melita.harness
+from melita import (
+    DOMAINS,
+    Archive,
+    Artefact,
+    MetricsSample,
+    RunConfig,
+    Solution,
+    ToyMediaDomain,
+    VectorPairDomain,
+    run,
+)
 from melita.harness import (
     ConfigError,
     ExperimentConfig,
@@ -19,6 +34,7 @@ from melita.harness import (
 from melita.harness import cli
 from melita.harness.cli import main as cli_main
 from melita.harness.config import Label
+from melita.harness.experiment import DISTANCES
 from melita.harness.serialize import (
     archive_to_dict,
     canonical_json,
@@ -193,6 +209,60 @@ def test_toy_media_run_emits_constants(tmp_path):
     constants = json.loads((tmp_path / "out" / "constants.json").read_text())
     assert constants["vocabulary_size"] == 64
     assert len(constants["projection"]) == 16
+
+
+# ------------------------------------------------------ domain independence
+
+
+def test_harness_names_no_domain():
+    """No harness module imports a domain's own module or spells a
+    registered domain's name; what it needs of a domain it reads from the
+    registry."""
+    submodules = {m.name for m in pkgutil.iter_modules(melita.domains.__path__)}
+    for path in sorted(Path(melita.harness.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                package = ["melita", "harness"][: 3 - node.level] if node.level else []
+                module = ".".join(package + ([node.module] if node.module else []))
+                names = {alias.name for alias in node.names}
+                assert not module.startswith("melita.domains."), f"{path.name}: imports {module}"
+                assert module != "melita.domains" or not names & submodules, f"{path.name}: {names}"
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    assert not alias.name.startswith("melita.domains."), f"{path.name}: {alias.name}"
+            elif isinstance(node, ast.Constant):
+                assert node.value not in DOMAINS, f"{path.name}:{node.lineno}: {node.value!r}"
+
+
+def test_run_writes_the_registered_domains_constants(tmp_path, monkeypatch):
+    class Stub(VectorPairDomain):
+        name = "stub"
+        constants = {"scale": 0.5, "layout": ["a", "b"], "seed": 7}
+
+    monkeypatch.setitem(DOMAINS, "stub", Stub)
+    config = ExperimentConfig.from_dict(
+        {
+            "labels": [{"name": "s", "seed": 3}],
+            "runs_per_method": 1,
+            "run": {"domain": "stub", "steps": 5, "init_count": 10},
+        }
+    )
+    run_experiment(config, tmp_path)
+    assert (tmp_path / "constants.json").read_text() == canonical_json(Stub.constants)
+
+
+def test_unregistered_domain_fails_inside_the_run_loop(tmp_path):
+    config = ExperimentConfig(labels=(Label("x", 1),), run_template={"domain": "nowhere"}, runs_per_method=1)
+    with pytest.raises(ValueError, match="^unknown domain 'nowhere'"):
+        run_experiment(config, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["complete"] is False and manifest["runs"] == []
+    assert not (tmp_path / "constants.json").exists()
+
+
+def test_distances_are_euclidean_and_each_registered_domains():
+    assert set(DISTANCES) == {"euclidean"}.union(*(cls.distances for cls in DOMAINS.values()))
+    assert DISTANCES["topic_posterior"] is ToyMediaDomain.distances["topic_posterior"]
 
 
 # ------------------------------------------------------------------- compare

@@ -19,16 +19,12 @@ from melita.domains.toy_media import (
     TOPICS,
     VOCAB,
     box_blur,
-    classify_text,
     colourfulness,
-    constants_dict,
-    describe_image,
-    edge_complexity,
-    image_features,
-    image_vector,
+    image_analysis,
     luminance,
     preferred_token_counts,
     splitmix64_stream,
+    text_analysis,
     text_features,
     topic_posterior,
 )
@@ -62,6 +58,11 @@ def half_black_white(h=8, w=8):
     img = np.zeros((h, w, 3))
     img[:, w // 2 :] = 1.0
     return img
+
+
+def edge_complexity(pixels):
+    """The fraction of interior pixels with an edge, from the image statistics."""
+    return float(image_analysis(pixels)[1][IMAGE_VECTOR_LAYOUT.index("global_edge_complexity")])
 
 
 # ---------------------------------------------------------------- text model
@@ -104,14 +105,14 @@ def test_posterior_sums_to_one():
 
 
 def test_classify_unique_max():
-    assert classify_text(np.array([0, 1, 4])) == 0
-    assert classify_text(np.array([20, 21, 22, 23, 0])) == 5
+    assert text_analysis(np.array([0, 1, 4]))[0] == 0
+    assert text_analysis(np.array([20, 21, 22, 23, 0]))[0] == 5
 
 
 def test_classify_tie_is_none():
-    assert classify_text(np.array([0, 4])) is None  # topics 0 and 1 tie
-    assert classify_text(np.array([0, 1, 4, 5])) is None
-    assert classify_text(np.array([32, 36, 40, 44])) is None  # 4-way tie
+    assert text_analysis(np.array([0, 4]))[0] is None  # topics 0 and 1 tie
+    assert text_analysis(np.array([0, 1, 4, 5]))[0] is None
+    assert text_analysis(np.array([32, 36, 40, 44]))[0] is None  # 4-way tie
 
 
 def test_unique_max_always_passes_threshold():
@@ -126,7 +127,7 @@ def test_unique_max_always_passes_threshold():
         counts = preferred_token_counts(tokens)
         top = int(np.argmax(counts))
         unique = int((counts == counts[top]).sum()) == 1
-        got = classify_text(tokens)
+        got = text_analysis(tokens)[0]
         if unique:
             assert got == top
             assert topic_posterior(tokens)[top] >= 0.8 - 1e-12
@@ -232,9 +233,9 @@ def test_colourfulness_red_blue_pair():
 
 
 def test_describe_image_known_bins():
-    assert describe_image(gray(0.5)) == 0
-    assert describe_image(solid(1.0, 0.0, 0.0)) == 3  # flat but colourful
-    assert describe_image(half_black_white()) == 12  # edgy but gray
+    assert image_analysis(gray(0.5))[0] == 0
+    assert image_analysis(solid(1.0, 0.0, 0.0))[0] == 3  # flat but colourful
+    assert image_analysis(half_black_white())[0] == 12  # edgy but gray
 
 
 # ------------------------------------------------------------------ mutation
@@ -428,7 +429,7 @@ def test_image_vector_layout_and_values():
     rng = np.random.default_rng(13)
     for _ in range(10):
         pixels = rng.random((8, 8, 3))
-        vec = image_vector(pixels)
+        vec = image_analysis(pixels)[1]
         assert vec.shape == (16,)
         assert np.allclose(vec, image_vector_oracle(pixels), atol=1e-12)
 
@@ -531,11 +532,12 @@ def test_image_analysis_matches_two_pass_reference(h, w, seed, kind, layout):
     pixels = image_layout(pixels, layout)
     bin_index, features = oracles.media_image_analysis(np.ascontiguousarray(pixels))
     got_bin, got_features = ToyMediaDomain(width=w, height=h).analyse(1, pixels)
-    assert got_bin == describe_image(pixels) == bin_index
-    assert hexed_features(got_features) == hexed_features(image_features(pixels))
+    full_bin, vector, full_features = image_analysis(pixels)
+    assert got_bin == full_bin == bin_index
+    assert hexed_features(got_features) == hexed_features(full_features)
     assert hexed_features(got_features) == hexed_features(features)
     if min(h // 2, w // 2) < 3:
-        assert 0.0 in image_vector(pixels)[4:8].tolist()
+        assert 0.0 in vector[4:8].tolist()
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -547,15 +549,15 @@ def test_image_analysis_matches_two_pass_reference(h, w, seed, kind, layout):
 @example(tokens=[0, 1, 4, 5], threshold=CLASSIFY_THRESHOLD)  # tie
 @example(tokens=[0] + [4 * k for k in range(TOPICS)], threshold=0.85)  # posterior 0.8
 def test_text_analysis_matches_two_pass_reference(tokens, threshold):
-    """One topic posterior gives the bin and features of ``classify_text``
-    and ``text_features``, with None features for an unclassified text.
+    """One topic posterior gives the top-topic bin and the
+    ``text_features``, with None features for an unclassified text.
     Under the built-in 0.40 threshold a unique top topic always passes
     (see above), so higher thresholds exercise the posterior check."""
     tokens = np.array(tokens, dtype=np.int64)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(toy_media, "CLASSIFY_THRESHOLD", threshold)
         got_bin, got_features = ToyMediaDomain().analyse(0, tokens)
-        assert classify_text(tokens) == got_bin
+        assert text_analysis(tokens)[0] == got_bin
     bin_index, features = oracles.media_text_analysis(tokens, threshold)
     assert got_bin == bin_index
     if bin_index is None:
@@ -602,7 +604,7 @@ def test_domain_validation():
 
 
 def test_constants_dict_is_complete():
-    constants = constants_dict()
+    constants = ToyMediaDomain.constants
     assert constants["vocabulary_size"] == VOCAB
     assert constants["topic_count"] == TOPICS
     assert constants["token_length_range"] == [MIN_TOKENS, MAX_TOKENS]

@@ -36,8 +36,9 @@ def test_bin4():
     assert bin4(0.2, thresholds) == 2
     assert bin4(0.30, thresholds) == 3  # boundary falls upward
     assert bin4(0.05, thresholds) == 1
-    with pytest.raises(ValueError):
-        bin4(0.1, (0.3, 0.2, 0.1))
+    assert bin4(-math.inf, thresholds) == 0
+    assert bin4(math.inf, thresholds) == 3
+    assert bin4(math.nan, thresholds) == 3  # NaN compares below no threshold
 
 
 def test_describe_text_known_angles():
