@@ -25,8 +25,9 @@ class Archive:
     Replacement uses strict fitness inequality, so per-cell occupant
     fitness never decreases over a run. Cells are filled or replaced but
     never removed, by ``insert`` and by direct writes to ``cells`` alike,
-    so the cached occupied order is stale exactly when ``cells`` has
-    grown past it; it and its rows are rebuilt lazily on the next read.
+    and ``cells`` keeps fill order, so a read of the index (the occupied
+    order and each row, sorted tuples) sorts again only the entries that
+    the newest keys join, and marks those in the ``occupancy`` mask.
 
     ``selected`` and ``inserted`` hold, per cell, how often its current
     occupant was selected and how many of its offspring were inserted:
@@ -41,28 +42,27 @@ class Archive:
     evicted_selections: int = 0
     selected: np.ndarray = field(init=False, repr=False, compare=False)
     inserted: np.ndarray = field(init=False, repr=False, compare=False)
-    _order: tuple[Coords, ...] = field(default=(), init=False, repr=False, compare=False)
-    _rows: dict[tuple[int, int], tuple[Coords, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _flat: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    occupancy: np.ndarray = field(init=False, repr=False, compare=False)
+    _index: dict = field(default_factory=lambda: {None: ()}, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.axis_sizes = tuple(int(s) for s in self.axis_sizes)
         if not self.axis_sizes or any(s < 1 for s in self.axis_sizes):
             raise ValueError(f"axis sizes must be positive, got {self.axis_sizes}")
         self.selected, self.inserted = np.zeros(self.axis_sizes), np.zeros(self.axis_sizes)
+        self.occupancy = np.zeros(self.axis_sizes, dtype=bool)
 
     def __len__(self) -> int:
         return len(self.cells)
 
     def __deepcopy__(self, memo: dict) -> Archive:
-        """Share the frozen cells and copy the counter grids, so a snapshot
-        costs one dict copy and two array copies."""
+        """Share the frozen cells and index tuples and copy the grids, so a
+        snapshot costs two dict copies and three array copies."""
         copy = Archive(
             self.axis_sizes, dict(self.cells), self.total_selections, self.evicted_selections
         )
         copy.selected, copy.inserted = self.selected.copy(), self.inserted.copy()
+        copy.occupancy, copy._index = self.occupancy.copy(), dict(self._index)
         return copy
 
     @property
@@ -70,21 +70,18 @@ class Archive:
         return math.prod(self.axis_sizes)
 
     def ordered(self) -> tuple[Coords, ...]:
-        """Occupied coordinates in ascending lexicographic order, sorted
-        again only after a new cell has been filled."""
-        if len(self._order) != len(self.cells):
-            self._order = tuple(sorted(self.cells))
-            self._rows, self._flat = {}, None
-        return self._order
-
-    def flat_order(self) -> np.ndarray:
-        """``ordered()`` as row-major indices into the counter grids, built
-        on the first call after the order changes."""
-        order = self.ordered()
-        if self._flat is None:
-            coords = np.array(order, dtype=np.intp).reshape(-1, len(self.axis_sizes)).T
-            self._flat = np.ravel_multi_index(coords, self.axis_sizes)
-        return self._flat
+        """Occupied coordinates in ascending lexicographic order. Cells
+        filled since the last read join the entries they belong to."""
+        if len(self.cells) > (seen := len(self._index[None])):
+            new = list(self.cells)[seen:]
+            groups: dict[tuple[int, int] | None, list[Coords]] = {None: new}
+            for coords in new:
+                self.occupancy[coords] = True
+                for key in enumerate(coords):
+                    groups.setdefault(key, []).append(coords)
+            for key, coords in groups.items():
+                self._index[key] = tuple(sorted([*self._index.get(key, ()), *coords]))
+        return self._index[None]
 
     def occupied(self) -> list[Coords]:
         """A fresh list of ``ordered()``, safe for the caller to change."""
@@ -93,11 +90,8 @@ class Archive:
     def row(self, axis: int, index: int) -> tuple[Coords, ...]:
         """Occupied coordinates whose ``axis`` coordinate is ``index``, in
         ascending lexicographic order."""
-        order = self.ordered()
-        row = self._rows.get((axis, index))
-        if row is None:
-            row = self._rows[axis, index] = tuple(c for c in order if c[axis] == index)
-        return row
+        self.ordered()
+        return self._index.get((axis, index), ())
 
     def solutions(self) -> list[Solution]:
         return [self.cells[c].solution for c in self.ordered()]

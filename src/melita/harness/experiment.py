@@ -217,16 +217,19 @@ def compare_summary(report: CompareReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-DISTANCES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "euclidean": lambda payload: np.asarray(payload, dtype=np.float64).ravel(),
-    **{name: embed for cls in DOMAINS.values() for name, embed in cls.distances.items()},
-}
+def distance_table() -> dict[str, Callable[[np.ndarray], np.ndarray]]:
+    """``euclidean`` plus every domain's ``distances``, read from ``DOMAINS`` at each call."""
+    return {
+        "euclidean": lambda payload: np.asarray(payload, dtype=np.float64).ravel(),
+        **{name: embed for cls in DOMAINS.values() for name, embed in cls.distances.items()},
+    }
 
 
 def _distance_matrix(solutions: list[Solution], modality: int, name: str) -> np.ndarray:
     """One modality's matrix of distance ``name``, each payload embedded once."""
+    embed = distance_table()[name]
     try:
-        vectors = [DISTANCES[name](s.artefacts[modality].payload) for s in solutions]
+        vectors = [embed(s.artefacts[modality].payload) for s in solutions]
     except ValueError as exc:
         raise ValueError(f"modality {modality}, distance {name!r}: {exc}") from None
     odd = next((v.shape for v in vectors if v.shape != vectors[0].shape), None)
@@ -247,10 +250,8 @@ def _load_elites(archive_path: str | Path) -> list[Solution]:
 def analyze_diversity(archive_path: str | Path, modality: int, distance_name: str) -> dict:
     """Per-elite mean and nearest-neighbour payload distances for one
     modality of a stored archive."""
-    if distance_name not in DISTANCES:
-        raise ValueError(
-            f"unknown distance {distance_name!r}; available: {sorted(DISTANCES)}"
-        )
+    if distance_name not in (table := distance_table()):
+        raise ValueError(f"unknown distance {distance_name!r}; available: {sorted(table)}")
     modality = require_int("modality", modality, 0)
     solutions = _load_elites(archive_path)
     if modality >= len(solutions[0].artefacts):

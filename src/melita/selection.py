@@ -3,7 +3,8 @@
 Both policies consume exactly one ``rng.integers`` draw per call and scan
 occupied cells in ascending lexicographic coordinate order, so a given
 archive state and rng state always yield the same parent. UCB scores
-every occupied cell in one numpy pass over the archive's counter grids;
+every occupied cell in one numpy pass over the archive's counter grids,
+read through its boolean ``occupancy`` mask in that same order;
 numpy's division and square root are correctly rounded, as ``math``'s
 are, so each score has the bits of a cell-by-cell loop.
 """
@@ -43,12 +44,12 @@ def select_ucb(archive: Archive, rng: np.random.Generator, c: float = 1.0) -> Co
     occupied = archive.ordered()
     if not occupied:
         raise NoElitesError("cannot select a parent from an empty archive")
-    flat = archive.flat_order()
-    n = archive.selected.take(flat)
+    # ordered() has updated the mask, which reads the grids in ``occupied`` order.
+    n = archive.selected[archive.occupancy]
     (ties,) = (n == 0).nonzero()
     if not len(ties):
         two_log_t = 2.0 * math.log(max(archive.total_selections, 1))
-        score = archive.inserted.take(flat) / n + c * np.sqrt(two_log_t / n)
+        score = archive.inserted[archive.occupancy] / n + c * np.sqrt(two_log_t / n)
         (ties,) = (score == score.max()).nonzero()
     coords = occupied[ties[int(rng.integers(len(ties)))]]
     archive.record_selection(coords)

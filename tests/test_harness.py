@@ -34,7 +34,7 @@ from melita.harness import (
 from melita.harness import cli
 from melita.harness.cli import main as cli_main
 from melita.harness.config import Label
-from melita.harness.experiment import DISTANCES
+from melita.harness.experiment import distance_table
 from melita.harness.serialize import (
     archive_to_dict,
     canonical_json,
@@ -261,8 +261,25 @@ def test_unregistered_domain_fails_inside_the_run_loop(tmp_path):
 
 
 def test_distances_are_euclidean_and_each_registered_domains():
-    assert set(DISTANCES) == {"euclidean"}.union(*(cls.distances for cls in DOMAINS.values()))
-    assert DISTANCES["topic_posterior"] is ToyMediaDomain.distances["topic_posterior"]
+    table = distance_table()
+    assert set(table) == {"euclidean"}.union(*(cls.distances for cls in DOMAINS.values()))
+    assert table["topic_posterior"] is ToyMediaDomain.distances["topic_posterior"]
+
+
+def test_a_domain_registered_after_import_brings_its_distances(tmp_path, monkeypatch):
+    class Late(VectorPairDomain):
+        name = "late"
+        distances = {"norm": lambda payload: np.array([np.linalg.norm(payload)])}
+
+    path = tmp_path / "archive.json"
+    save_pair_archive(
+        path, [pair_solution((0, 0), 0.5, [0.0, 0.0], [1.0]), pair_solution((1, 2), 0.6, [3.0, 4.0], [2.0])]
+    )
+    with pytest.raises(ValueError, match=r"^unknown distance 'norm'; available: \['euclidean', "):
+        analyze_diversity(path, 0, "norm")
+    monkeypatch.setitem(DOMAINS, "late", Late)
+    report = analyze_diversity(path, 0, "norm")
+    assert report["distance"] == "norm" and report["mean_distance"] == 5.0
 
 
 # ------------------------------------------------------------------- compare

@@ -1,20 +1,17 @@
-"""The archive's occupied-cell index: lexicographic order, rows and
-row-major flat indices after every kind of write the library makes,
-callers cannot corrupt it, a step that fills no new cell does not sort
-the archive again, and only UCB selection builds the flat indices."""
+"""The archive's occupied-cell index: lexicographic order, rows and the
+occupancy mask after every kind of write the library makes, callers
+cannot corrupt it, and a step changes only the entries its new cell
+joins."""
 import copy
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-import melita.archive
-import melita.metrics
-import melita.selection
-import melita.steps
-from melita import INSERTED_EMPTY, Archive, Artefact, RunConfig, Solution, VectorPairDomain, run
+from melita import INSERTED_EMPTY, Archive, Artefact, Solution, VectorPairDomain
 from melita.archive import Cell
 from melita.harness.serialize import archive_from_dict, archive_to_dict
+from melita.selection import select_uniform
+from melita.steps import melita_step, seed_archive
 
 
 def solution(coords, fitness):
@@ -25,8 +22,7 @@ def solution(coords, fitness):
 def assert_index(archive):
     scan = sorted(archive.cells)
     assert archive.occupied() == scan
-    flat = [np.ravel_multi_index(c, archive.axis_sizes) for c in scan]
-    assert archive.flat_order().tolist() == flat
+    assert np.argwhere(archive.occupancy).tolist() == [list(c) for c in scan]
     for axis, size in enumerate(archive.axis_sizes):
         for index in range(size):
             assert archive.row(axis, index) == tuple(c for c in scan if c[axis] == index)
@@ -85,41 +81,27 @@ def test_snapshot_index_is_independent():
     snapshot.insert(solution((2, 2), 0.5))
     assert archive.occupied() == [(0, 0), (1, 1)]
     assert snapshot.occupied() == [(1, 1), (2, 2)]
+    assert np.argwhere(archive.occupancy).tolist() == [[0, 0], [1, 1]]
+    assert np.argwhere(snapshot.occupancy).tolist() == [[1, 1], [2, 2]]
 
 
-def test_steps_that_fill_no_cell_do_not_sort(monkeypatch):
-    sorts = []
-
-    def counting_sorted(*args, **kwargs):
-        sorts.append(1)
-        return sorted(*args, **kwargs)
-
-    for module in (melita.archive, melita.metrics, melita.selection, melita.steps):
-        monkeypatch.setattr(module, "sorted", counting_sorted, raising=False)
-    config = RunConfig(domain="vector_pair", seed=101000, method="melita", steps=2000)
-    record = run(VectorPairDomain(), config, np.random.default_rng(101000))
-    filled = sum(r.outcome.kind == INSERTED_EMPTY for r in record.reports)
+def test_a_step_changes_only_the_entries_its_new_cell_joins():
+    domain, rng = VectorPairDomain(), np.random.default_rng(101000)
+    archive = Archive(domain.axis_sizes)
+    seed_archive(archive, domain, 100, rng)
+    keys = [(axis, i) for axis, size in enumerate(archive.axis_sizes) for i in range(size)]
+    order, rows = archive.ordered(), {key: archive.row(*key) for key in keys}
+    filled = 0
+    for _ in range(2000):
+        outcome = melita_step(archive, domain, rng, select_uniform).outcome
+        before_order, before_rows = order, rows
+        order, rows = archive.ordered(), {key: archive.row(*key) for key in keys}
+        changed = {key for key in keys if rows[key] is not before_rows[key]}
+        if outcome.kind == INSERTED_EMPTY:
+            filled += 1
+            assert order is not before_order
+            assert changed == set(enumerate(outcome.coords))
+        else:
+            assert order is before_order and not changed
     assert 0 < filled < 2000
-    assert 0 < len(sorts) <= filled + 1
-
-
-@pytest.mark.parametrize("selection", ["uniform", "ucb"])
-def test_only_ucb_builds_flat_indices_once_per_filled_cell(monkeypatch, selection):
-    builds = []
-    ravel = np.ravel_multi_index
-
-    def counting_ravel(*args, **kwargs):
-        builds.append(1)
-        return ravel(*args, **kwargs)
-
-    monkeypatch.setattr(np, "ravel_multi_index", counting_ravel)
-    config = RunConfig(
-        domain="vector_pair", seed=101000, method="melita", selection=selection, steps=2000
-    )
-    record = run(VectorPairDomain(), config, np.random.default_rng(101000))
-    filled = sum(r.outcome.kind == INSERTED_EMPTY for r in record.reports)
-    assert 0 < filled < 2000
-    if selection == "uniform":
-        assert builds == []
-    else:
-        assert 0 < len(builds) <= filled + 1
+    assert_index(archive)

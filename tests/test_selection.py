@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from melita import Archive, Artefact, NoElitesError, Solution, select_ucb, select_uniform
+from melita.archive import Cell
 from conftest import scalar_solution
 
 
@@ -121,7 +122,8 @@ def ucb_cases(draw):
         counters[draw(st.sampled_from(occupied))] = (0, 0)
     total = sum(k for k, _ in counters.values()) + draw(st.integers(0, 50))
     c = draw(st.one_of(st.sampled_from([0.0, 5e-324, 1.0, 1e6]), st.floats(0.0, 10.0)))
-    return axes, counters, total, c, draw(st.integers(0, 2**32 - 1))
+    direct = draw(st.sets(st.sampled_from(occupied)))
+    return axes, counters, total, c, direct, draw(st.integers(0, 2**32 - 1))
 
 
 # Equal success rates that a reciprocal-then-multiply would round apart:
@@ -131,14 +133,21 @@ RATE_TIES = {(0,): (6, 5), (1,): (30, 25), (2,): (12, 10), (3,): (6, 1)}
 
 @settings(max_examples=400, deadline=None, database=None)
 @given(ucb_cases())
-@example(((4,), RATE_TIES, 54, 0.0, 3))
-@example(((4,), RATE_TIES, 54, 5e-324, 3))
+@example(((4,), RATE_TIES, 54, 0.0, set(), 3))
+@example(((4,), RATE_TIES, 54, 5e-324, {(1,), (3,)}, 3))
 def test_ucb_matches_straight_line_oracle(case):
-    axes, counters, total, c, seed = case
+    """Cells in ``direct`` are written straight into ``cells`` after the
+    index has last been read, so the occupancy mask must catch up on them."""
+    axes, counters, total, c, direct, seed = case
     archive = Archive(axes)
     for coords, (n, inserted) in counters.items():
         artefacts = tuple(Artefact(m, np.array([float(x)])) for m, x in enumerate(coords))
-        archive.insert(Solution(artefacts, 0.5, coords))
+        solution = Solution(artefacts, 0.5, coords)
+        if coords in direct:
+            archive.cells[coords] = Cell(solution, birth_step=0)
+        else:
+            archive.insert(solution)
+            archive.ordered()
         archive.selected[coords], archive.inserted[coords] = n, inserted
     archive.total_selections = total
     rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
