@@ -148,7 +148,6 @@ class CompareRow:
 class CompareReport:
     rows: tuple[CompareRow, ...]
     warnings: tuple[str, ...]
-    note: str = AUC_NOTE
 
 
 def compare(a_dir: str | Path, b_dir: str | Path) -> CompareReport:
@@ -192,7 +191,7 @@ def compare(a_dir: str | Path, b_dir: str | Path) -> CompareReport:
 
 
 def compare_table(report: CompareReport) -> str:
-    lines = [f"# {report.note}"]
+    lines = [f"# {AUC_NOTE}"]
     lines.append("label,metric,mean_a,mean_b,u_statistic,p_two_tail,significant")
     for r in report.rows:
         lines.append(
@@ -203,7 +202,7 @@ def compare_table(report: CompareReport) -> str:
 
 
 def compare_summary(report: CompareReport) -> str:
-    lines = [report.note]
+    lines = [AUC_NOTE]
     for warning in report.warnings:
         lines.append(f"warning: {warning}")
     width = max(len(m) for m in COMPARE_METRICS)

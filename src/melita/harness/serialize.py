@@ -143,7 +143,8 @@ def _field(data: object, name: str, convert: Callable[[Any], Any]) -> Any:
 
 def archive_from_dict(data: dict) -> Archive:
     """The archive ``data`` describes; a missing or malformed field raises
-    ValueError naming it, and the cell's index for bad or repeated coords or fitness."""
+    ValueError naming it, and the cell's index for bad or repeated coords,
+    bad fitness, or artefacts out of modality order."""
     archive = Archive(_field(data, "axis_sizes", lambda v: [require_int("axis size", s, 1) for s in v]))
     for index, entry in enumerate(_field(data, "cells", list)):
         artefacts = tuple([
@@ -156,8 +157,11 @@ def archive_from_dict(data: dict) -> Archive:
             raise ValueError(f"field 'coords' of cell {index}: expected integers, got {entry['coords']!r}")
         if type(fitness := _field(entry, "fitness", lambda v: v)) not in (float, int):
             raise ValueError(f"field 'fitness' of cell {index}: expected a number, got {fitness!r}")
-        solution = Solution(artefacts, float(fitness), coords)
-        archive.check_coords(coords)
+        try:
+            solution = Solution(artefacts, float(fitness), coords)
+            archive.check_coords(coords)
+        except ValueError as exc:
+            raise ValueError(f"cell {index}: {exc}") from None
         if coords in archive.cells:
             earlier = list(archive.cells).index(coords)
             raise ValueError(f"field 'coords' of cell {index}: {list(coords)} repeats cell {earlier}")

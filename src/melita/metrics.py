@@ -5,9 +5,9 @@ never-NaN fitness values; neither depends on the order of the elites,
 so a metric recomputed from a serialized archive reproduces the value
 recorded during the run bit for bit.
 
-A run keeps RunningMetrics instead: its QD score is running Shewchuk
-partials, which sum to the elite fitnesses exactly, so their fsum is
-the correctly rounded sum archive_metrics takes, bit for bit.
+A run keeps RunningMetrics instead: its QD score is an exact integer
+count of 2**-1074 units, and int true division rounds that count
+correctly, as fsum rounds the sum archive_metrics takes, bit for bit.
 """
 from __future__ import annotations
 
@@ -19,6 +19,10 @@ import numpy as np
 
 from .archive import Archive
 from .types import INSERTED_EMPTY, REPLACED, Outcome
+
+
+# 2**-1074, the smallest subnormal, divides every float in [0, 1].
+_UNITS_PER_ONE = 2**1074
 
 
 class MetricsSample(NamedTuple):
@@ -48,43 +52,37 @@ def archive_metrics(archive: Archive, step: int = 0) -> MetricsSample:
 
 class RunningMetrics:
     """``archive_metrics`` of one archive, kept current from the Outcome
-    of every change made to it. The maximum only grows, because a
-    replacement is strictly fitter than the elite it evicts."""
+    of every change made to it. The QD score is kept exactly, as
+    ``units``, an integer count of 2**-1074. The maximum only grows,
+    because a replacement is strictly fitter than the elite it evicts."""
 
     def __init__(self, archive: Archive) -> None:
         self.archive, self.cell_count = archive, archive.cell_count
-        self.count, self.best, self.qd, self.partials = 0, 0.0, 0.0, []
+        self.count, self.best, self.qd, self.units = 0, 0.0, 0.0, 0
         for coords in archive.cells:
             self.record(Outcome(INSERTED_EMPTY, coords))
 
     def record(self, outcome: Outcome) -> None:
         if outcome.kind == REPLACED:
             self.count -= 1
-            self._add(-outcome.old_fitness)
+            self.units -= _units(outcome.old_fitness)
         elif outcome.kind != INSERTED_EMPTY:
             return
         fitness = self.archive.cells[outcome.coords].solution.fitness
         self.count += 1
         self.best = max(self.best, fitness)
-        self._add(fitness)
-        self.qd = math.fsum(self.partials)
-
-    def _add(self, x: float) -> None:
-        """Shewchuk's exact addition into non-overlapping partials."""
-        i = 0
-        for y in self.partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                self.partials[i] = lo
-                i += 1
-            x = hi
-        self.partials[i:] = [x]
+        self.units += _units(fitness)
+        self.qd = self.units / _UNITS_PER_ONE
 
     def sample(self, step: int = 0) -> MetricsSample:
         return _sample(step, self.count, self.cell_count, self.qd, self.best)
+
+
+def _units(fitness: float) -> int:
+    """``fitness`` in units of 2**-1074: ``n * (_UNITS_PER_ONE // d)``, as
+    the ratio's denominator ``d`` is a power of two no larger than 2**1074."""
+    n, d = fitness.as_integer_ratio()
+    return n << (1075 - d.bit_length())
 
 
 def auc(series: Sequence[float]) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -20,7 +21,7 @@ from .binding import DomainBinding
 from .checks import require_finite, require_int
 from .metrics import MetricsSample, RunningMetrics, archive_metrics
 from .selection import select_ucb, select_uniform
-from .steps import SelectFn, melita_step, seed_archive, vanilla_step
+from .steps import melita_step, seed_archive, vanilla_step
 from .types import StepReport
 
 METHODS = ("mapelites", "melita")
@@ -75,13 +76,6 @@ class RunRecord:
     snapshots: tuple[tuple[int, Archive], ...] = ()
 
 
-def _select_fn(config: RunConfig) -> SelectFn:
-    if config.selection == "ucb":
-        c = config.ucb_c
-        return lambda archive, rng: select_ucb(archive, rng, c=c)
-    return select_uniform
-
-
 def run(domain: DomainBinding, config: RunConfig, rng: np.random.Generator) -> RunRecord:
     """Execute one full seeded run and return its complete trace."""
     if domain.name != config.domain:
@@ -93,7 +87,7 @@ def run(domain: DomainBinding, config: RunConfig, rng: np.random.Generator) -> R
     archive = Archive(config.axis_sizes)
     seed_archive(archive, domain, config.init_count, rng)
 
-    select = _select_fn(config)
+    select = partial(select_ucb, c=config.ucb_c) if config.selection == "ucb" else select_uniform
     step = melita_step if config.method == "melita" else vanilla_step
 
     metrics = RunningMetrics(archive)

@@ -70,10 +70,8 @@ def require_fitness(fitness: float) -> float:
 
 
 def payloads_equal(a: tuple[Artefact, ...], b: tuple[Artefact, ...]) -> bool:
-    """True when two artefact tuples carry identical payloads in every
-    modality; an artefact object always matches itself, NaN or not."""
-    if len(a) != len(b):
-        return False
+    """True when two equally long artefact tuples carry identical payloads
+    in every modality; an artefact object always matches itself, NaN or not."""
     return all(x is y or np.array_equal(x.payload, y.payload) for x, y in zip(a, b))
 
 

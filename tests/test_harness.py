@@ -742,9 +742,20 @@ def cells(*cells):
         (cells(([0, True], 0.5)), "field 'coords' of cell 0: expected integers, got [0, True]"),
         (cells(([0, 0], 0.5), ([2, 1], "0.5")), "field 'fitness' of cell 1: expected a number, got '0.5'"),
         (cells(([0, 0], True)), "field 'fitness' of cell 0: expected a number, got True"),
+        (cells(([0, 0], 0.5), ([2, 1], 1.5)), "cell 1: fitness must lie in [0, 1], got 1.5"),
+        (cells(([0, 0], float("nan"))), "cell 0: fitness must lie in [0, 1], got nan"),
+        (cells(([0, 0], 0.5), ([1, 1], 0.5), ([4, 0], 0.5)),
+         "cell 2: coords (4, 0) out of range for axes (4, 4)"),
+        (cells(([0, 0], 0.5), ([1], 0.5)), "cell 1: coords must have one entry per modality"),
+        ({"axis_sizes": [4, 4], "cells": [{
+            "coords": [0, 0], "fitness": 0.5, "birth_step": 0,
+            "artefacts": [{"modality": 1, "payload": [1.0]}, {"modality": 0, "payload": [1.0]}],
+        }]},
+         "cell 0: artefacts must cover modalities 0..N-1 in order, got (1, 0)"),
     ],
     ids=["list", "int_axis_sizes", "list_cell", "repeated_coords", "float_coords", "bool_coords",
-         "string_fitness", "bool_fitness"],
+         "string_fitness", "bool_fitness", "fitness_above_one", "nan_fitness", "coords_out_of_range",
+         "short_coords", "reversed_artefacts"],
 )
 def test_wrongly_typed_archive_names_file_and_field(tmp_path, capsys, data, message):
     path = tmp_path / "archive.json"
