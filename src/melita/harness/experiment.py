@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +19,9 @@ from ..run import METHODS, run
 from ..stats import rank_sum_test
 from ..types import Solution
 from .config import ExperimentConfig
-from .serialize import config_hash, load_archive, load_metrics, save_archive, save_metrics, write_json
+from .serialize import config_hash, load_archive, metric_columns, save_archive, save_metrics, write_json
+# Not called here; perfbench's tracer swaps it (and load_archive) by attribute and fails without it.
+from .serialize import load_metrics  # noqa: F401
 
 AUC_NOTE = "AUC: left Riemann sum over per-selection metric samples (unit step)."
 
@@ -108,10 +111,9 @@ COMPARE_METRICS = FINAL_METRICS + AUC_METRICS
 
 
 def _run_quantities(path: Path) -> dict[str, float]:
-    samples = load_metrics(path)
-    if not samples:
+    _, *columns = metric_columns(path)  # each metric's whole series, step left out
+    if not columns[0]:
         raise ValueError(f"{path}: empty metric series")
-    _, *columns = zip(*samples)  # each metric's whole series, step left out
     series = dict(zip(MetricsSample._fields[1:], columns))
     finals = {f"final_{m}": v[-1] for m, v in series.items()}
     return finals | {f"auc_{m}": auc(v) for m, v in series.items()}
@@ -119,12 +121,12 @@ def _run_quantities(path: Path) -> dict[str, float]:
 
 def _collect(directory: Path) -> dict[str, list[dict[str, float]]]:
     by_label: dict[str, list[tuple[int, dict[str, float]]]] = {}
-    for path in sorted(directory.iterdir()):
-        match = _METRICS_FILE.match(path.name)
+    for name in sorted(os.listdir(directory)):  # str order: Path comparisons cost more
+        match = _METRICS_FILE.match(name)
         if match is None:
             continue
         by_label.setdefault(match["label"], []).append(
-            (int(match["index"]), _run_quantities(path))
+            (int(match["index"]), _run_quantities(directory / name))
         )
     if not by_label:
         raise ValueError(f"{directory}: no metrics files matching *_run<N>_metrics.csv")
@@ -238,9 +240,9 @@ def _distance_matrix(solutions: list[Solution], modality: int, name: str) -> np.
     return euclidean_matrix(vectors)
 
 
-def _load_elites(archive_path: str | Path) -> list[Solution]:
-    """A stored archive's elites in ascending coordinate order."""
-    solutions = load_archive(archive_path).solutions()
+def _load_elites(archive_path: str | Path, modalities: tuple[int, ...] | None) -> list[Solution]:
+    """A stored archive's elites in ascending coordinate order, decoding ``modalities``' payloads."""
+    solutions = load_archive(archive_path, modalities=modalities).solutions()
     if not solutions:
         raise ValueError(f"{archive_path}: archive holds no elites")
     return solutions
@@ -252,7 +254,7 @@ def analyze_diversity(archive_path: str | Path, modality: int, distance_name: st
     if distance_name not in (table := distance_table()):
         raise ValueError(f"unknown distance {distance_name!r}; available: {sorted(table)}")
     modality = require_int("modality", modality, 0)
-    solutions = _load_elites(archive_path)
+    solutions = _load_elites(archive_path, (modality,))
     if modality >= len(solutions[0].artefacts):
         raise ValueError(f"modality {modality} out of range")
     report = diversity(_distance_matrix(solutions, modality, distance_name))
@@ -286,7 +288,8 @@ def medoid_exemplars(
     a common payload shape); some weight must be positive. Terms square with
     Python's ``**`` (libm ``pow``; ``d * d`` and ``np.power`` differ in some last bits)."""
     k = require_int("k", k, 1)
-    solutions = _load_elites(archive_path)
+    read = None if weights is None else tuple(m for m, w in enumerate(weights) if w)
+    solutions = _load_elites(archive_path, read)
     modalities = len(solutions[0].artefacts)
     if weights is None:
         weights = (1.0,) * modalities

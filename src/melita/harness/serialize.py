@@ -17,7 +17,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import IO, Any, Callable, Iterator
+from typing import IO, Any, Callable, Container, Iterator
 
 import numpy as np
 
@@ -96,16 +96,21 @@ def encode_payload(payload: np.ndarray) -> object:
     raise ValueError(f"no payload encoding for array with shape {arr.shape} and dtype {arr.dtype}")
 
 
+def _number_dtype(data: list) -> type:
+    """int64 for a list of plain ints, float64 for ints and floats; other items raise ValueError."""
+    if not (types := set(map(type, data))) <= {int, float}:
+        raise ValueError(f"payload holds a {'boolean' if bool in types else 'non-number'}: {data!r}")
+    return np.int64 if types <= {int} else np.float64
+
+
 def decode_payload(data: object) -> np.ndarray:
     if isinstance(data, dict):
         shape = tuple(_field(data, n, lambda v: require_int(n, v, 1)) for n in ("height", "width"))
         return _field(data, "pixels", lambda v: (
             np.frombuffer(base64.b64decode(v, validate=True), "<f8") if isinstance(v, str)
-            else np.fromiter(v, np.float64)).reshape(shape + (3,)))
+            else np.asarray(v, _number_dtype(v)).astype(np.float64)).reshape(shape + (3,)))
     if isinstance(data, list):
-        if bool in (types := set(map(type, data))):
-            raise ValueError(f"payload holds a boolean: {data!r}")
-        return np.asarray(data, dtype=np.int64 if types <= {int} else np.float64)
+        return np.asarray(data, _number_dtype(data))
     raise ValueError(f"no payload decoding for {type(data).__name__}")
 
 
@@ -137,21 +142,23 @@ def _field(data: object, name: str, convert: Callable[[Any], Any]) -> Any:
         raise ValueError(f"missing field {name!r}")
     try:
         return convert(data[name])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"field {name!r}: {exc}") from None
 
 
-def archive_from_dict(data: dict) -> Archive:
-    """The archive ``data`` describes; a missing or malformed field raises
-    ValueError naming it, and the cell's index for bad or repeated coords,
-    bad fitness, or artefacts out of modality order."""
+def _artefact(data: object, modalities: Container[int] | None) -> Artefact:
+    modality = _field(data, "modality", lambda v: require_int("modality", v, 0))
+    decode = decode_payload if modalities is None or modality in modalities else lambda v: None
+    return Artefact(modality, _field(data, "payload", decode))
+
+
+def archive_from_dict(data: dict, *, modalities: Container[int] | None = None) -> Archive:
+    """The archive ``data`` describes, only ``modalities``' payloads decoded (all when None;
+    others load as None). A missing or malformed field raises ValueError naming it, and the
+    cell's index for bad or repeated coords, bad fitness, or artefacts out of modality order."""
     archive = Archive(_field(data, "axis_sizes", lambda v: [require_int("axis size", s, 1) for s in v]))
     for index, entry in enumerate(_field(data, "cells", list)):
-        artefacts = tuple([
-            Artefact(_field(a, "modality", lambda v: require_int("modality", v, 0)),
-                     _field(a, "payload", decode_payload))
-            for a in _field(entry, "artefacts", list)
-        ])
+        artefacts = tuple([_artefact(a, modalities) for a in _field(entry, "artefacts", list)])
         coords = _field(entry, "coords", tuple)
         if not set(map(type, coords)) <= {int}:  # a bool is not an int here
             raise ValueError(f"field 'coords' of cell {index}: expected integers, got {entry['coords']!r}")
@@ -191,9 +198,9 @@ def save_archive(
         f.write(("\n  ]" if archive.cells else "]") + tail)
 
 
-def load_archive(path: str | Path) -> Archive:
+def load_archive(path: str | Path, *, modalities: Container[int] | None = None) -> Archive:
     try:
-        return archive_from_dict(json.loads(Path(path).read_text()))
+        return archive_from_dict(json.loads(Path(path).read_text()), modalities=modalities)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -207,17 +214,27 @@ def save_metrics(path: str | Path, samples: tuple[MetricsSample, ...]) -> None:
         )
 
 
-def load_metrics(path: str | Path) -> list[MetricsSample]:
+def metric_columns(path: str | Path) -> tuple[list, ...]:
+    """A metrics file's five columns, steps as ints and the rest as floats, each converted
+    in one pass; only on failure are the rows read one by one, to name the first bad line."""
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != METRICS_HEADER:
         raise ValueError(f"{path}: missing metrics header {METRICS_HEADER!r}")
-    samples = []
-    for number, line in enumerate(lines[1:], start=2):
-        try:
-            step, coverage, mean_f, max_f, qd = line.split(",")
-            samples.append(
-                MetricsSample(int(step), float(coverage), float(mean_f), float(max_f), float(qd))
-            )
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {number}: {exc}") from None
-    return samples
+    rows = lines[1:]
+    try:
+        if not set(map(str.count, rows, [","] * len(rows))) <= {4}:
+            raise ValueError("a row does not hold five fields")
+        fields = ",".join(rows).split(",") if rows else []
+        return (list(map(int, fields[0::5])), *(list(map(float, fields[i::5])) for i in range(1, 5)))
+    except ValueError:
+        for number, line in enumerate(rows, start=2):
+            try:
+                step, coverage, mean_f, max_f, qd = line.split(",")
+                int(step), float(coverage), float(mean_f), float(max_f), float(qd)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {number}: {exc}") from None
+        raise
+
+
+def load_metrics(path: str | Path) -> list[MetricsSample]:
+    return list(map(MetricsSample, *metric_columns(path)))

@@ -3,9 +3,9 @@ vector-pair search step for step-procedure tests, UCB parent selection
 over plain counters for the selection tests, and a pair-by-pair
 distance matrix, PAM k-medoids and the medoids report for the analysis
 tests, per-item diversity and point-by-point PAM assignment for the
-array-pass analysis tests, the per-element payload encoding for the
-serialization tests, and the two-pass toy_media bin and features for the
-one-pass analysis tests.
+array-pass analysis tests, the per-element payload encoding and the
+line-by-line metrics reader for the serialization tests, and the
+two-pass toy_media bin and features for the one-pass analysis tests.
 
 Nothing here imports the library's archive or step code. Archive state
 is a plain dict mapping coords -> (fitness, text_payload, visual_payload)
@@ -20,6 +20,7 @@ from __future__ import annotations
 import base64
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -307,6 +308,25 @@ def encode_payload(payload):
     if arr.ndim == 1 and np.issubdtype(arr.dtype, np.floating):
         return [float(v) for v in arr]
     raise ValueError(f"no payload encoding for array with shape {arr.shape} and dtype {arr.dtype}")
+
+
+METRICS_HEADER = "step,coverage,mean_fitness,max_fitness,qd_score"
+
+
+def load_metrics(path):
+    """A metrics CSV's rows as (step, coverage, mean, max, qd) tuples, read
+    line by line; the first malformed line raises, naming file and line."""
+    lines = Path(path).read_text().splitlines()
+    if not lines or lines[0] != METRICS_HEADER:
+        raise ValueError(f"{path}: missing metrics header {METRICS_HEADER!r}")
+    rows = []
+    for number, line in enumerate(lines[1:], start=2):
+        try:
+            step, coverage, mean_f, max_f, qd = line.split(",")
+            rows.append((int(step), float(coverage), float(mean_f), float(max_f), float(qd)))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {number}: {exc}") from None
+    return rows
 
 
 def _luminance(pixels: np.ndarray) -> np.ndarray:

@@ -603,6 +603,45 @@ def test_medoid_zero_weight_skips_toy_media_text(tmp_path):
         medoid_exemplars(path, 3, weights=(1.0, 1.0))
 
 
+def test_analysis_decodes_only_the_modalities_it_reads(tmp_path):
+    config = RunConfig(domain="toy_media", seed=4, steps=20, init_count=30,
+                       domain_params={"width": 8, "height": 8})
+    data = archive_to_dict(run(ToyMediaDomain(width=8, height=8), config, np.random.default_rng(4)).archive)
+    path = tmp_path / "archive.json"
+
+    def write(mutate):
+        changed = json.loads(json.dumps(data))
+        mutate(changed["cells"][2]["artefacts"])
+        path.write_text(json.dumps(changed))
+
+    def text_diversity():
+        return analyze_diversity(path, 0, "topic_posterior")
+
+    def image_medoids():
+        return medoid_exemplars(path, 2, weights=(0, 1))
+
+    write(lambda artefacts: None)
+    expected = text_diversity(), image_medoids()
+    reads_images = [lambda: analyze_diversity(path, 1, "euclidean"), image_medoids,
+                    lambda: medoid_exemplars(path, 2), lambda: load_archive(path)]
+
+    write(lambda artefacts: artefacts[1]["payload"].update(pixels="AAAA!AAA"))
+    assert text_diversity() == expected[0]
+    for call in reads_images:
+        with pytest.raises(ValueError, match=re.escape(f"{path}: field 'payload': field 'pixels': ")):
+            call()
+
+    write(lambda artefacts: artefacts[0].update(payload=[True]))
+    assert image_medoids() == expected[1]
+    with pytest.raises(ValueError, match=re.escape(f"{path}: field 'payload': payload holds a boolean")):
+        text_diversity()
+
+    write(lambda artefacts: artefacts[1].pop("payload"))
+    for call in [text_diversity, *reads_images]:
+        with pytest.raises(ValueError, match=re.escape(f"{path}: missing field 'payload'")):
+            call()
+
+
 # ----------------------------------------------------------------------- CLI
 
 

@@ -23,6 +23,8 @@ from melita.harness.serialize import (
     decode_payload,
     encode_payload,
     load_archive,
+    load_metrics,
+    metric_columns,
     save_archive,
     save_metrics,
     write_json,
@@ -309,13 +311,19 @@ TOKENS_AT, IMAGE_AT = ("cells", 0, "artefacts", 0), ("cells", 0, "artefacts", 1,
         (IMAGE_AT + ("pixels",), None, "field 'pixels': "),
         (TOKENS_AT + ("payload",), [True, False], "field 'payload': payload holds a boolean: [True, False]"),
         (TOKENS_AT + ("payload",), [1.5, False], "field 'payload': payload holds a boolean: [1.5, False]"),
+        (TOKENS_AT + ("payload",), [3, None], "field 'payload': payload holds a non-number: [3, None]"),
+        (TOKENS_AT + ("payload",), ["1.5", 2], "field 'payload': payload holds a non-number: ['1.5', 2]"),
+        (TOKENS_AT + ("payload",), [[3, 1], [4, 1]], "field 'payload': payload holds a non-number: [[3, 1], [4, 1]]"),
+        (IMAGE_AT + ("pixels",), [True] + [0.5] * 17, "field 'pixels': payload holds a boolean: [True, 0.5"),
+        (TOKENS_AT + ("payload",), [2**70], "field 'payload': Python int too large to convert to C long"),
     ],
     ids=[
         "float_axis", "bool_axis", "zero_axis", "float_modality", "bool_modality",
         "negative_modality", "string_birth_step", "float_birth_step", "negative_birth_step",
         "float_width", "bool_height", "zero_width", "short_pixel_bytes", "long_pixel_bytes",
         "ragged_pixel_bytes", "bad_base64", "short_pixel_list", "nested_pixel_list",
-        "null_pixels", "bool_tokens", "bool_in_vector",
+        "null_pixels", "bool_tokens", "bool_in_vector", "null_in_tokens", "string_in_tokens",
+        "nested_tokens", "bool_pixel", "huge_token",
     ],
 )
 def test_loader_rejects_mistyped_fields_and_wrong_pixel_counts(path, value, message):
@@ -327,6 +335,61 @@ def test_loader_rejects_mistyped_fields_and_wrong_pixel_counts(path, value, mess
     target[path[-1]] = value
     with pytest.raises(ValueError, match=re.escape(message)):
         archive_from_dict(json.loads(json.dumps(data)))
+
+
+INT_FIELDS = st.integers(-5, 10**6).map(str) | st.sampled_from(["1_0", "+7", " 2 ", "0"])
+VALUE_FIELDS = (
+    st.floats().map(repr)
+    | st.floats(0, 1).map("{:.9g}".format)
+    | INT_FIELDS
+    | st.sampled_from(["nan", "inf", "-inf", " 0.5", "1e-3", "-0.0"])
+)
+
+
+def rows_of(fields, size):
+    return st.lists(fields, min_size=size, max_size=size).map(",".join)
+
+
+GOOD_ROWS = st.tuples(INT_FIELDS, *[VALUE_FIELDS] * 4).map(",".join) | rows_of(INT_FIELDS, 5)
+BAD_ROWS = (
+    st.sampled_from(["", "2,0.5,x,0.5,0.5", "0.5,0.5,0.5,0.5,0.5", "nan,0,0,0,0", "1,0.5,0.5,0.5,"])
+    | rows_of(VALUE_FIELDS, 4) | rows_of(VALUE_FIELDS, 6) | rows_of(INT_FIELDS, 4) | rows_of(INT_FIELDS, 6)
+)
+
+
+@st.composite
+def metrics_texts(draw):
+    """A metrics CSV: mostly the header and well-formed rows, sometimes
+    malformed rows or a wrong header, with LF or CRLF line endings."""
+    rows = draw(st.lists(GOOD_ROWS, max_size=12))
+    for bad in draw(st.lists(BAD_ROWS, max_size=2)):
+        rows.insert(draw(st.integers(0, len(rows))), bad)
+    header = draw(st.sampled_from([oracles.METRICS_HEADER] * 4 + ["", "step,coverage"]))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join([header, *rows]) + draw(st.sampled_from([ending, ""]))
+
+
+def _exact(rows):
+    return [(step, *map(float.hex, values)) for step, *values in rows]
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=metrics_texts())
+def test_metrics_readers_match_the_line_by_line_oracle(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("metrics") / "metrics.csv"
+    path.write_bytes(text.encode())
+    try:
+        expected = _exact(oracles.load_metrics(path))
+    except ValueError as exc:
+        for reader in (load_metrics, metric_columns):
+            with pytest.raises(ValueError) as raised:
+                reader(path)
+            assert str(raised.value) == str(exc)
+        return
+    assert _exact(load_metrics(path)) == expected
+    assert all(type(s) is MetricsSample for s in load_metrics(path))
+    assert _exact(zip(*metric_columns(path))) == expected
+    assert len(metric_columns(path)) == 5
 
 
 def archive_with_bad_payload():
