@@ -120,18 +120,19 @@ def _run_quantities(path: Path) -> dict[str, float]:
 
 
 def _collect(directory: Path) -> dict[str, list[dict[str, float]]]:
-    by_label: dict[str, list[tuple[int, dict[str, float]]]] = {}
+    by_label: dict[str, dict[int, str]] = {}  # label -> run index -> file name
     for name in sorted(os.listdir(directory)):  # str order: Path comparisons cost more
         match = _METRICS_FILE.match(name)
         if match is None:
             continue
-        by_label.setdefault(match["label"], []).append(
-            (int(match["index"]), _run_quantities(directory / name))
-        )
+        index = int(match["index"])
+        if (first := by_label.setdefault(match["label"], {}).setdefault(index, name)) != name:
+            raise ValueError(f"{directory / first} and {directory / name} share run index {index}")
     if not by_label:
         raise ValueError(f"{directory}: no metrics files matching *_run<N>_metrics.csv")
     return {
-        label: [q for _, q in sorted(entries)] for label, entries in by_label.items()
+        label: [_run_quantities(directory / runs[i]) for i in sorted(runs)]
+        for label, runs in by_label.items()
     }
 
 

@@ -167,6 +167,8 @@ def archive_from_dict(data: dict, *, modalities: Container[int] | None = None) -
         try:
             solution = Solution(artefacts, float(fitness), coords)
             archive.check_coords(coords)
+        except OverflowError as exc:  # an integer fitness beyond float range
+            raise ValueError(f"field 'fitness' of cell {index}: {exc}") from None
         except ValueError as exc:
             raise ValueError(f"cell {index}: {exc}") from None
         if coords in archive.cells:

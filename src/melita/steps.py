@@ -37,7 +37,7 @@ def characterize(domain: DomainBinding, payloads: tuple[Any, ...]) -> Solution |
 
     Returns None (the death penalty) at the first unclassified payload,
     whose successors are not analysed; such a solution never enters the
-    archive. Fitness comes from ``_coherence``, as in the steps.
+    archive. Fitness comes from ``_score``, as in the steps.
     """
     if len(payloads) != domain.modality_count:
         raise ValueError(f"expected {domain.modality_count} payloads, got {len(payloads)}")
@@ -48,7 +48,7 @@ def characterize(domain: DomainBinding, payloads: tuple[Any, ...]) -> Solution |
             return None
         artefacts.append(_analysed(modality, payload, features))
         coords.append(int(bin_index))
-    return Solution(tuple(artefacts), _coherence(domain, tuple(artefacts)), tuple(coords))
+    return Solution(tuple(artefacts), _score(domain, [a.features for a in artefacts]), tuple(coords))
 
 
 def _analysed(modality: int, payload: Any, features: Any) -> Artefact:
@@ -58,39 +58,10 @@ def _analysed(modality: int, payload: Any, features: Any) -> Artefact:
     return artefact
 
 
-def _coherence(domain: DomainBinding, artefacts: tuple[Artefact, ...]) -> float:
-    """Coherence of artefacts that carry their features, through the
-    binding's split form; every scored candidate passes the [0, 1] check."""
-    return require_fitness(float(domain.combine(tuple([a.features for a in artefacts]))))
-
-
-def _make_offspring(
-    archive: Archive,
-    domain: DomainBinding,
-    rng: np.random.Generator,
-    select: SelectFn,
-) -> tuple[Coords, int, Candidate | None]:
-    """Shared stochastic prefix of both step procedures.
-
-    Selects a parent, mutates one uniformly chosen modality, analyses the
-    new payload once, and builds the direct offspring with cached bins
-    and features carried over for the unchanged modalities (one
-    coherence evaluation). The offspring is None when variation failed
-    or the new artefact is unclassified.
-    """
-    parent_coords = select(archive, rng)
-    parent = archive.cells[parent_coords].solution
-    modality = int(rng.integers(domain.modality_count))
-
-    payload = domain.vary(modality, parent, rng)
-    new_bin, features = (None, None) if payload is None else domain.analyse(modality, payload)
-    if new_bin is None:
-        return parent_coords, modality, None
-
-    new = (_analysed(modality, payload, features),)
-    artefacts = parent.artefacts[:modality] + new + parent.artefacts[modality + 1 :]
-    coords = parent.coords[:modality] + (int(new_bin),) + parent.coords[modality + 1 :]
-    return parent_coords, modality, Candidate(artefacts, _coherence(domain, artefacts), coords)
+def _score(domain: DomainBinding, features: list[Any]) -> float:
+    """One coherence evaluation: a candidate's fitness from its features in
+    modality order, through the binding's split form, checked to lie in [0, 1]."""
+    return require_fitness(float(domain.combine(tuple(features))))
 
 
 def vanilla_step(
@@ -133,7 +104,7 @@ def transverse_candidates(
             continue
         features = [a.features for a in elite.artefacts]
         features[modality] = new_features
-        fitness = require_fitness(float(domain.combine(tuple(features))))
+        fitness = _score(domain, features)
         scored += 1
         if fitness > elite.fitness:
             artefacts = elite.artefacts[:modality] + (new_artefact,) + elite.artefacts[modality + 1 :]
@@ -150,15 +121,29 @@ def melita_step(
 ) -> StepReport:
     """One transverse-assessment cycle.
 
-    Of the direct offspring and all transverse candidates, the members
-    the archive accepts compete, and the one with the least key
+    Selects a parent, mutates one uniformly chosen modality and analyses
+    the new payload once. A failed variation (``vary`` returns None) or an
+    unclassified payload ends the step as ``OFFSPRING_INVALID``, with no
+    evaluation. Otherwise the direct offspring keeps the parent's other
+    artefacts, bins and features, and scoring it is one evaluation. Of
+    it and all transverse candidates, the members the archive accepts
+    compete, and the one with the least key
     (-fitness, 0 for the direct offspring else 1, coords) is inserted:
     at most one cell changes. With ``transverse=False`` the direct
     offspring is the only member: the plain cycle.
     """
-    parent_coords, modality, offspring = _make_offspring(archive, domain, rng, select)
-    if offspring is None:
+    parent_coords = select(archive, rng)
+    parent = archive.cells[parent_coords].solution
+    modality = int(rng.integers(domain.modality_count))
+    payload = domain.vary(modality, parent, rng)
+    new_bin, features = (None, None) if payload is None else domain.analyse(modality, payload)
+    if new_bin is None:
         return StepReport(parent_coords, modality, 0, Outcome(OFFSPRING_INVALID))
+
+    new_artefact = _analysed(modality, payload, features)
+    artefacts = parent.artefacts[:modality] + (new_artefact,) + parent.artefacts[modality + 1 :]
+    coords = parent.coords[:modality] + (int(new_bin),) + parent.coords[modality + 1 :]
+    offspring = Candidate(artefacts, _score(domain, [a.features for a in artefacts]), coords)
 
     members = [offspring] if archive.accepts(offspring) else []
     scored = 0

@@ -359,6 +359,21 @@ def test_compare_empty_directory(tmp_path):
         compare(tmp_path / "a", tmp_path / "a")
 
 
+@pytest.mark.parametrize("duplicate_final", [0.6, 0.9], ids=["equal_values", "different_values"])
+def test_compare_rejects_two_files_with_one_run_index(tmp_path, capsys, duplicate_final):
+    # run1 and run01 share run index 1, whether or not their values differ.
+    write_runs(tmp_path / "a", [0.5, 0.6, 0.7])
+    first, second = tmp_path / "a" / "trend_run01_metrics.csv", tmp_path / "a" / "trend_run1_metrics.csv"
+    save_metrics(first, fake_series(duplicate_final))
+    message = f"{first} and {second} share run index 1"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        compare(tmp_path / "a", tmp_path / "a")
+    assert cli_main(["compare", "--a", str(tmp_path / "a"), "--b", str(tmp_path / "a"),
+                     "--out", str(tmp_path / "table.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "table.csv").exists()
+
+
 # ------------------------------------------------- diversity / medoids tools
 
 
@@ -783,6 +798,7 @@ def cells(*cells):
         (cells(([0, 0], True)), "field 'fitness' of cell 0: expected a number, got True"),
         (cells(([0, 0], 0.5), ([2, 1], 1.5)), "cell 1: fitness must lie in [0, 1], got 1.5"),
         (cells(([0, 0], float("nan"))), "cell 0: fitness must lie in [0, 1], got nan"),
+        (cells(([0, 0], 10**400)), "field 'fitness' of cell 0: int too large to convert to float"),
         (cells(([0, 0], 0.5), ([1, 1], 0.5), ([4, 0], 0.5)),
          "cell 2: coords (4, 0) out of range for axes (4, 4)"),
         (cells(([0, 0], 0.5), ([1], 0.5)), "cell 1: coords must have one entry per modality"),
@@ -793,8 +809,8 @@ def cells(*cells):
          "cell 0: artefacts must cover modalities 0..N-1 in order, got (1, 0)"),
     ],
     ids=["list", "int_axis_sizes", "list_cell", "repeated_coords", "float_coords", "bool_coords",
-         "string_fitness", "bool_fitness", "fitness_above_one", "nan_fitness", "coords_out_of_range",
-         "short_coords", "reversed_artefacts"],
+         "string_fitness", "bool_fitness", "fitness_above_one", "nan_fitness", "huge_int_fitness",
+         "coords_out_of_range", "short_coords", "reversed_artefacts"],
 )
 def test_wrongly_typed_archive_names_file_and_field(tmp_path, capsys, data, message):
     path = tmp_path / "archive.json"

@@ -366,25 +366,37 @@ def test_melita_tie_between_eligible_members_goes_to_offspring():
     assert archive.cells[(0, 1)].solution.fitness == 0.50
 
 
-@pytest.mark.parametrize("coherence", [-0.1, float("nan")])
-def test_out_of_range_coherence_raises_for_a_losing_candidate(coherence):
-    # The direct offspring would win; the transverse candidate's
-    # coherence is checked all the same.
+@pytest.mark.parametrize(
+    "step, bad, coherence",
+    [
+        pytest.param(step, bad, coherence, id=f"{prefix}{coherence}")
+        for step, bad, prefix in [
+            (melita_step, (2.0, 1.5), ""),  # R1' would lose to E'
+            (melita_step, (0.0, 1.5), "melita_offspring_"),  # E' would lose to R1'
+            (vanilla_step, (0.0, 1.5), "vanilla_offspring_"),  # E' is the only member
+        ]
+        for coherence in (-0.1, float("nan"))
+    ],
+)
+def test_out_of_range_coherence_raises_for_a_losing_candidate(step, bad, coherence):
+    # Every scored candidate's coherence is checked, the direct
+    # offspring's included, whichever member would win.
     table = {
         (0.0, 1.0): 0.50,  # parent at (0, 1)
         (2.0, 1.2): 0.60,  # R1 at (2, 1)
-        (0.0, 1.5): 0.90,  # E' replaces the parent
-        (2.0, 1.5): coherence,  # R1': out of range
-    }
+        (0.0, 1.5): 0.90,  # E' at (0, 1)
+        (2.0, 1.5): 0.95,  # R1' at (2, 1)
+    } | {bad: coherence}
     domain = ScriptedDomain(fitness_table=table)
     archive = Archive(domain.axis_sizes)
     archive.insert(scripted_solution(domain, 0, 1.0))
     archive.insert(scripted_solution(domain, 2, 1.2))
+    before = archive_to_dict(archive)
 
     domain.push(1, 1.5)
     with pytest.raises(ValueError, match=r"^fitness must lie in \[0, 1\]"):
-        melita_step(archive, domain, np.random.default_rng(find_seed(2, 0, 1)))
-    assert archive.cells[(0, 1)].solution.fitness == 0.50
+        step(archive, domain, np.random.default_rng(find_seed(2, 0, 1)))
+    assert archive_to_dict(archive) == before
 
 
 def test_seed_archive():
