@@ -12,6 +12,8 @@ from .types import Solution
 class DomainBinding(abc.ABC):
     """Bundle of generator, per-modality variation, per-modality
     behavioural descriptors, and the cross-modality coherence function.
+    ``axis_sizes``, one behavioural axis per modality, sets the modality
+    count and the axes of every archive ``run`` builds for the domain.
 
     A binding deals only in payloads, which the library wraps as
     ``Artefact``s in every ``Solution`` it builds. ``describe`` and
@@ -44,11 +46,11 @@ class DomainBinding(abc.ABC):
 
     @property
     @abc.abstractmethod
-    def modality_count(self) -> int: ...
+    def axis_sizes(self) -> tuple[int, ...]: ...
 
     @property
-    @abc.abstractmethod
-    def axis_sizes(self) -> tuple[int, ...]: ...
+    def modality_count(self) -> int:
+        return len(self.axis_sizes)
 
     @abc.abstractmethod
     def generate(self, rng: np.random.Generator) -> tuple[Any, ...] | None:

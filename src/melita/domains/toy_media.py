@@ -266,10 +266,6 @@ class ToyMediaDomain(DomainBinding):
         self.noise_sigma = require_finite("noise_sigma", noise_sigma)
 
     @property
-    def modality_count(self) -> int:
-        return 2
-
-    @property
     def axis_sizes(self) -> tuple[int, ...]:
         return (TOPICS, 16)
 

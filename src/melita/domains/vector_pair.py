@@ -64,10 +64,6 @@ class VectorPairDomain(DomainBinding):
         self.sigma = require_finite("sigma", sigma)
 
     @property
-    def modality_count(self) -> int:
-        return 2
-
-    @property
     def axis_sizes(self) -> tuple[int, ...]:
         return (TEXT_BINS, 16)
 

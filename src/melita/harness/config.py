@@ -4,8 +4,8 @@ A config names a set of labels (each a seed base), a run template shared
 by both methods, and a run count. Method and seed are never part of the
 template: the harness runs both methods per label, and per-run seeds are
 derived as label seed + run index so paired runs start from identical
-populations. The template's keys, defaults, types and ranges are those
-of RunConfig; this module adds only what JSON itself needs.
+populations. RunConfig owns the template's run settings; this module
+owns its domain keys: ``domain``, ``domain_params`` and ``axis_sizes``.
 """
 from __future__ import annotations
 
@@ -74,7 +74,8 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def run_config(self, label: Label, run_index: int, method: str) -> RunConfig:
-        return RunConfig(seed=label.seed + run_index, method=method, **self.run_template)
+        settings = {key: self.run_template[key] for key in _RUN_KEYS if key in self.run_template}
+        return RunConfig(seed=label.seed + run_index, method=method, **settings)
 
     def to_dict(self) -> dict:
         """Fully resolved, output-dir-independent form; hashing this
@@ -119,26 +120,27 @@ class ExperimentConfig:
         raw_run = _require_mapping(data.get("run"), "run")
         if any(key in raw_run for key in _DERIVED):
             _fail("run", "method and seed are derived by the harness, not configured")
-        _reject_unknown(raw_run, set(_RUN_KEYS), "run")
+        _reject_unknown(raw_run, {*_RUN_KEYS, "domain", "domain_params", "axis_sizes"}, "run")
+        name = _require_str(raw_run.get("domain"), "run.domain")
+        params = _require_mapping(raw_run.get("domain_params", {}), "run.domain_params")
+        settings = {key: raw_run[key] for key in _RUN_KEYS if key in raw_run}
         try:
-            # A missing domain is reported by RunConfig, like a bad one.
-            run = RunConfig(seed=0, method=METHODS[0], **{"domain": None, **raw_run})
+            run = RunConfig(seed=0, method=METHODS[0], **settings)
         except ValueError as exc:
             raise ConfigError(f"run.{exc}") from None
-        template = {key: getattr(run, key) for key in _RUN_KEYS}
-        template["axis_sizes"] = list(run.axis_sizes)  # the one tuple field, as plain JSON
 
         try:
-            domain = make_domain(run.domain, run.domain_params)
+            domain = make_domain(name, params)
         except ValueError as exc:
             raise ConfigError(f"run.domain: {exc}") from None
-        except TypeError as exc:
+        except TypeError as exc:  # among others, a key that is not a string
             raise ConfigError(f"run.domain_params: {exc}") from None
-        if run.axis_sizes != domain.axis_sizes:
-            _fail(
-                "run.axis_sizes",
-                f"must match the domain's bins {list(domain.axis_sizes)}, got {template['axis_sizes']}",
-            )
+        axes = [int(a) for a in domain.axis_sizes]
+        given = raw_run.get("axis_sizes", axes)
+        if given != axes or any(type(a) is not int for a in given):
+            _fail("run.axis_sizes", f"must be the domain's bins {axes}, got {given!r}")
+        template = {key: getattr(run, key) for key in _RUN_KEYS}
+        template.update(domain=name, domain_params=dict(params), axis_sizes=axes)
 
         return cls(
             labels=tuple(labels),
@@ -149,9 +151,8 @@ class ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    text = Path(path).read_text()
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = json.loads(Path(path).read_text())
+    except ValueError as exc:  # undecodable bytes or invalid JSON
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     return ExperimentConfig.from_dict(data)

@@ -50,7 +50,8 @@ def run_experiment(
     try:
         # Read from the registered class: an unregistered name has none and
         # fails in make_domain below, and a wrapped instance may not forward it.
-        constants = getattr(DOMAINS.get(config.run_template["domain"]), "constants", None)
+        name, params = config.run_template["domain"], config.run_template.get("domain_params")
+        constants = getattr(DOMAINS.get(name), "constants", None)
         if constants is not None:
             write_json(out / "constants.json", constants)
         for label in config.labels:
@@ -58,7 +59,7 @@ def run_experiment(
                 (out / method).mkdir(exist_ok=True)
                 for index in range(config.runs_per_method):
                     rc = config.run_config(label, index, method)
-                    domain = make_domain(rc.domain, rc.domain_params)
+                    domain = make_domain(name, params)
                     record = run(domain, rc, np.random.default_rng(rc.seed))
 
                     stem = f"{method}/{label.name}_run{index}"
@@ -115,8 +116,17 @@ def _run_quantities(path: Path) -> dict[str, float]:
     if not columns[0]:
         raise ValueError(f"{path}: empty metric series")
     series = dict(zip(MetricsSample._fields[1:], columns))
-    finals = {f"final_{m}": v[-1] for m, v in series.items()}
-    return finals | {f"auc_{m}": auc(v) for m, v in series.items()}
+    try:  # a sum is finite exactly when its series is, so only a failure scans the rows
+        aucs = {f"auc_{m}": auc(v) for m, v in series.items()}
+        if not all(map(math.isfinite, aucs.values())):
+            raise ValueError("a metric value is not finite")
+    except (ValueError, OverflowError) as exc:  # also -inf + inf, or a sum beyond float range
+        for number, row in enumerate(zip(*columns), start=2):
+            for name, value in zip(series, row):
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}: line {number}: {name} must be finite, got {value}") from None
+        raise ValueError(f"{path}: {exc}") from None
+    return {f"final_{m}": v[-1] for m, v in series.items()} | aucs
 
 
 def _collect(directory: Path) -> dict[str, list[dict[str, float]]]:

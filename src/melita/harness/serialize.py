@@ -219,7 +219,10 @@ def save_metrics(path: str | Path, samples: tuple[MetricsSample, ...]) -> None:
 def metric_columns(path: str | Path) -> tuple[list, ...]:
     """A metrics file's five columns, steps as ints and the rest as floats, each converted
     in one pass; only on failure are the rows read one by one, to name the first bad line."""
-    lines = Path(path).read_text().splitlines()
+    try:
+        lines = Path(path).read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not lines or lines[0] != METRICS_HEADER:
         raise ValueError(f"{path}: missing metrics header {METRICS_HEADER!r}")
     rows = lines[1:]

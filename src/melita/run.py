@@ -10,9 +10,8 @@ determines the RunRecord exactly.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -32,39 +31,27 @@ SELECTIONS = ("uniform", "ucb")
 class RunConfig:
     """One run's settings: the only owner of their names, defaults, types
     and ranges, which the experiment config's ``run`` object reuses.
-    Every ValueError it raises begins with the field's name."""
+    Every ValueError it raises begins with the field's name. The run's
+    domain, and with it the archive's axes, is the binding ``run`` is given."""
 
-    domain: str
     seed: int
     method: str = "mapelites"
     selection: str = "uniform"
     ucb_c: float = 1.0
-    axis_sizes: tuple[int, ...] = (16, 16)
     init_count: int = 100
     steps: int = 2000
     snapshot_every: int = 0
-    domain_params: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.selection not in SELECTIONS:
             raise ValueError(f"selection must be one of {SELECTIONS}, got {self.selection!r}")
-        if not isinstance(self.domain, str) or not self.domain:
-            raise ValueError(f"domain must be a non-empty string, got {self.domain!r}")
         for name, minimum in (("seed", 0), ("init_count", 1), ("steps", 0), ("snapshot_every", 0)):
             object.__setattr__(self, name, require_int(name, getattr(self, name), minimum))
         if self.seed >= 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         object.__setattr__(self, "ucb_c", require_finite("ucb_c", self.ucb_c))
-        axes = self.axis_sizes
-        if isinstance(axes, str) or not isinstance(axes, Sequence) or not axes:
-            raise ValueError(f"axis_sizes must be a non-empty sequence, got {axes!r}")
-        object.__setattr__(self, "axis_sizes", tuple(require_int("axis_sizes", a, 1) for a in axes))
-        params = self.domain_params
-        if not isinstance(params, Mapping) or not all(isinstance(k, str) for k in params):
-            raise ValueError(f"domain_params must be a mapping with string keys, got {params!r}")
-        object.__setattr__(self, "domain_params", dict(params))
 
 
 @dataclass(frozen=True)
@@ -78,13 +65,7 @@ class RunRecord:
 
 def run(domain: DomainBinding, config: RunConfig, rng: np.random.Generator) -> RunRecord:
     """Execute one full seeded run and return its complete trace."""
-    if domain.name != config.domain:
-        raise ValueError(f"config names domain {config.domain!r} but got {domain.name!r}")
-    if tuple(config.axis_sizes) != tuple(domain.axis_sizes):
-        raise ValueError(
-            f"config axis_sizes {config.axis_sizes} do not match the domain's {domain.axis_sizes}"
-        )
-    archive = Archive(config.axis_sizes)
+    archive = Archive(domain.axis_sizes)
     seed_archive(archive, domain, config.init_count, rng)
 
     select = partial(select_ucb, c=config.ucb_c) if config.selection == "ucb" else select_uniform

@@ -143,13 +143,7 @@ def test_criterion_4_transverse_gains_fitness_without_coverage():
         coverage = {"mapelites": [], "melita": []}
         for method in ("mapelites", "melita"):
             for index in range(10):
-                config = RunConfig(
-                    domain="vector_pair",
-                    seed=base_seed + index,
-                    method=method,
-                    steps=2000,
-                    init_count=100,
-                )
+                config = RunConfig(seed=base_seed + index, method=method, steps=2000, init_count=100)
                 record = run(domain, config, np.random.default_rng(config.seed))
                 finals[method].append(record.samples[-1].mean_fitness)
                 coverage[method].append(record.samples[-1].coverage)

@@ -186,7 +186,7 @@ def test_k_medoids_matches_the_straight_line_oracle(matrix, data):
 def test_matches_oracle_on_vector_pair_medoid_exemplars(tmp_path, monkeypatch):
     # The library and the oracle see the same combined distance matrix
     # and initial draw inside the harness's medoid_exemplars.
-    config = RunConfig(domain="vector_pair", seed=7, method="melita", steps=300, init_count=30)
+    config = RunConfig(seed=7, method="melita", steps=300, init_count=30)
     record = run(VectorPairDomain(), config, np.random.default_rng(7))
     path = tmp_path / "archive.json"
     save_archive(path, record.archive)
@@ -212,7 +212,7 @@ def test_matches_oracle_on_vector_pair_medoid_exemplars(tmp_path, monkeypatch):
 def test_medoids_report_matches_payload_oracle(tmp_path):
     # The report's cost and assignments, recomputed pair by pair from the
     # payloads, for equal, unequal and zero weights.
-    config = RunConfig(domain="vector_pair", seed=11, method="melita", steps=300, init_count=30)
+    config = RunConfig(seed=11, method="melita", steps=300, init_count=30)
     record = run(VectorPairDomain(), config, np.random.default_rng(11))
     path = tmp_path / "archive.json"
     save_archive(path, record.archive)

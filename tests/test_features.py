@@ -122,17 +122,7 @@ def record_view(record):
     ],
 )
 def test_cohere_only_binding_gives_identical_record(make, params):
-    domain = make(**params)
-    config = RunConfig(
-        domain=domain.name,
-        seed=31,
-        method="melita",
-        axis_sizes=domain.axis_sizes,
-        init_count=40,
-        steps=150,
-        snapshot_every=50,
-        domain_params=params,
-    )
+    config = RunConfig(seed=31, method="melita", init_count=40, steps=150, snapshot_every=50)
     bare = run(make(**params), config, np.random.default_rng(config.seed))
     wrapped = run(Forwarding(make(**params)), config, np.random.default_rng(config.seed))
     assert record_view(wrapped) == record_view(bare)
@@ -209,14 +199,7 @@ class CountingSparsePair(Counting, SparsePair):
 
 def test_melita_run_computes_features_at_most_once_per_artefact():
     domain = CountingMedia(width=8, height=8)
-    config = RunConfig(
-        domain="toy_media",
-        seed=7,
-        method="melita",
-        init_count=60,
-        steps=200,
-        domain_params={"width": 8, "height": 8},
-    )
+    config = RunConfig(seed=7, method="melita", init_count=60, steps=200)
     record = run(domain, config, np.random.default_rng(config.seed))
     replay = ToyMediaDomain(width=8, height=8)
     rng = np.random.default_rng(config.seed)
@@ -243,16 +226,7 @@ def test_each_new_payload_is_analysed_once(make, plain, params, default_hook, me
     none for a seed's payloads after its first unclassified one; no
     library path calls ``describe`` or ``features`` itself."""
     domain = make(**params)
-    config = RunConfig(
-        domain=domain.name,
-        seed=11,
-        method=method,
-        axis_sizes=domain.axis_sizes,
-        init_count=60,
-        steps=300,
-        snapshot_every=100,
-        domain_params=params,
-    )
+    config = RunConfig(seed=11, method=method, init_count=60, steps=300, snapshot_every=100)
     record = run(domain, config, np.random.default_rng(config.seed))
 
     plain = plain(**params)

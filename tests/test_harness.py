@@ -81,6 +81,14 @@ def test_load_config_applies_defaults(tmp_path):
     assert config.output_dir is None
 
 
+def test_axis_sizes_is_optional_and_taken_from_the_domain():
+    given = json.loads(json.dumps(MINIMAL))
+    given["run"]["axis_sizes"] = [16, 16]
+    omitted, stated = ExperimentConfig.from_dict(MINIMAL), ExperimentConfig.from_dict(given)
+    assert omitted.to_dict() == stated.to_dict()
+    assert config_hash(omitted.to_dict()) == config_hash(stated.to_dict())
+
+
 def test_config_round_trips_through_to_dict(tmp_path):
     config = load_config(write_config(tmp_path, MINIMAL))
     again = ExperimentConfig.from_dict(config.to_dict())
@@ -106,6 +114,14 @@ def test_invalid_json_is_config_error(tmp_path):
         (lambda d: d["run"].update(method="melita"), "run"),
         (lambda d: d["run"].update(seed=9), "run"),
         (lambda d: d["run"].update(axis_sizes=[4, 4]), "run.axis_sizes"),
+        pytest.param(lambda d: d["run"].update(axis_sizes=[]), "run.axis_sizes", id="empty_axes"),
+        pytest.param(lambda d: d["run"].update(axis_sizes=[16.0, 16]), "run.axis_sizes", id="float_axes"),
+        pytest.param(lambda d: d["run"].update(axis_sizes=[True, 16]), "run.axis_sizes", id="bool_axes"),
+        pytest.param(lambda d: d["run"].update(axis_sizes="16"), "run.axis_sizes", id="string_axes"),
+        pytest.param(lambda d: d["run"].pop("domain"), "run.domain", id="missing_domain"),
+        pytest.param(lambda d: d["run"].update(domain=""), "run.domain", id="empty_domain"),
+        pytest.param(lambda d: d["run"].update(domain=["vector_pair"]), "run.domain", id="list_domain"),
+        pytest.param(lambda d: d["run"].update(domain_params=[]), "run.domain_params", id="list_params"),
         (lambda d: d["run"].update(domain="warp_field"), "run.domain"),
         (lambda d: d["run"].update(domain_params={"sigma": -2}), "run.domain"),
         (lambda d: d["run"].update(domain_params={"zeta": 1}), "run.domain_params"),
@@ -605,8 +621,7 @@ def test_medoid_combine_squares_with_python_pow(tmp_path):
 def test_medoid_zero_weight_skips_toy_media_text(tmp_path):
     # Token payloads differ in length, so only the image modality can be
     # compared; a zero text weight must leave it out entirely.
-    config = RunConfig(domain="toy_media", seed=4, steps=20, init_count=30,
-                       domain_params={"width": 8, "height": 8})
+    config = RunConfig(seed=4, steps=20, init_count=30)
     record = run(ToyMediaDomain(width=8, height=8), config, np.random.default_rng(4))
     path = tmp_path / "archive.json"
     save_archive(path, record.archive)
@@ -619,8 +634,7 @@ def test_medoid_zero_weight_skips_toy_media_text(tmp_path):
 
 
 def test_analysis_decodes_only_the_modalities_it_reads(tmp_path):
-    config = RunConfig(domain="toy_media", seed=4, steps=20, init_count=30,
-                       domain_params={"width": 8, "height": 8})
+    config = RunConfig(seed=4, steps=20, init_count=30)
     data = archive_to_dict(run(ToyMediaDomain(width=8, height=8), config, np.random.default_rng(4)).archive)
     path = tmp_path / "archive.json"
 
@@ -823,20 +837,57 @@ def test_wrongly_typed_archive_names_file_and_field(tmp_path, capsys, data, mess
 
 
 @pytest.mark.parametrize(
-    "row, problem",
-    [("2,0.5", "not enough values to unpack"), ("2,0.5,0.5,0.5,x", "could not convert")],
+    "rows, problem, parses",
+    [
+        ({3: "2,0.5"}, "line 3: not enough values to unpack", False),
+        ({3: "2,0.5,0.5,0.5,x"}, "line 3: could not convert", False),
+        # The readers keep non-finite values; compare rejects them.
+        ({4: "3,nan,0.5,0.5,0.5"}, "line 4: coverage must be finite, got nan", True),
+        ({3: "2,0.5,inf,0.5,5", 4: "3,0.5,-inf,0.5,5"}, "line 3: mean_fitness must be finite, got inf", True),
+        ({3: "2,0.5,0.5,0.5,1e308", 4: "3,0.5,0.5,0.5,1e308"}, "intermediate overflow in fsum", True),
+    ],
+    ids=["2,0.5-not enough values to unpack", "2,0.5,0.5,0.5,x-could not convert", "nan_last_row",
+         "inf_and_minus_inf", "sum_beyond_float_range"],
 )
-def test_malformed_metrics_row_names_file_and_line(tmp_path, capsys, row, problem):
+def test_malformed_metrics_row_names_file_and_line(tmp_path, capsys, rows, problem, parses):
     write_runs(tmp_path / "a", [0.5, 0.6])
     path = tmp_path / "a" / "trend_run0_metrics.csv"
     lines = path.read_text().splitlines()
-    lines[2] = row
+    for number, row in rows.items():
+        lines[number - 1] = row
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: {problem}")):
+    message = f"{path}: {problem}"
+    if parses:
         load_metrics(path)
+    else:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_metrics(path)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        compare(tmp_path / "a", tmp_path / "a")
     assert cli_main(["compare", "--a", str(tmp_path / "a"), "--b", str(tmp_path / "a"),
                      "--out", str(tmp_path / "table.csv")]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {path}: line 3: {problem}")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_undecodable_metrics_and_config_name_their_file(tmp_path, capsys):
+    write_runs(tmp_path / "a", [0.5, 0.6])
+    metrics = tmp_path / "a" / "trend_run1_metrics.csv"
+    data = metrics.read_bytes()
+    metrics.write_bytes(data[:60] + b"\xff" + data[61:])
+    assert cli_main(["compare", "--a", str(tmp_path / "a"), "--b", str(tmp_path / "a"),
+                     "--out", str(tmp_path / "table.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {metrics}: 'utf-8' codec can't decode byte 0xff in position 60")
+    assert err.count("\n") == 1
+
+    config = tmp_path / "config.json"
+    config.write_bytes(json.dumps(MINIMAL).encode().replace(b"base", b"b\xffse"))
+    assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: invalid JSON: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["compare", "diversity", "medoids"])

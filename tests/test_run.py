@@ -1,5 +1,6 @@
 import copy
 import importlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ run_module = importlib.import_module("melita.run")
 
 
 def vp_config(**overrides):
-    base = dict(domain="vector_pair", seed=3, steps=50, init_count=20)
+    base = dict(seed=3, steps=50, init_count=20)
     base.update(overrides)
     return RunConfig(**base)
 
@@ -75,27 +76,23 @@ def test_config_validation():
         vp_config(steps=-1)
     with pytest.raises(ValueError):
         vp_config(ucb_c=-0.5)
-    with pytest.raises(ValueError):
-        vp_config(axis_sizes=())
-    with pytest.raises(ValueError):
-        RunConfig(domain="", seed=0)
     with pytest.raises(ValueError, match="^ucb_c"):
         vp_config(ucb_c=float("nan"))
     with pytest.raises(ValueError, match="^steps"):
         vp_config(steps=True)
 
 
-def test_domain_mismatch_rejected():
-    with pytest.raises(ValueError):
-        run(VectorPairDomain(), vp_config(domain="toy_media"), np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        run(VectorPairDomain(), vp_config(axis_sizes=(4, 4)), np.random.default_rng(0))
+def test_readme_library_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    coverage, mean_fitness, qd_score = map(float, capsys.readouterr().out.split())
+    assert 0 < coverage <= 1 and 0 < mean_fitness <= 1 and qd_score > 0
 
 
 def test_empty_archive_propagates_no_elites():
     domain = ScriptedDomain()  # generate() always returns None
-    config = RunConfig(domain="scripted", seed=0, axis_sizes=(4, 4),
-                       init_count=10, steps=5)
+    config = RunConfig(seed=0, init_count=10, steps=5)
     with pytest.raises(NoElitesError):
         run(domain, config, np.random.default_rng(0))
 
@@ -190,7 +187,7 @@ def test_samples_equal_recomputed_metrics_bit_for_bit(monkeypatch, method, selec
         monkeypatch.setattr(run_module, name, recording(getattr(run_module, name)))
     for seed in (1, 2, 3):
         recomputed.clear()
-        config = RunConfig(domain="vector_pair", seed=seed, method=method, selection=selection)
+        config = RunConfig(seed=seed, method=method, selection=selection)
         record = run(VectorPairDomain(), config, np.random.default_rng(seed))
         assert len(recomputed) == config.steps
         assert [hexed(s) for s in record.samples] == [hexed(s) for s in recomputed]
@@ -218,7 +215,7 @@ def test_step_loop_builds_one_solution_per_insertion(monkeypatch, method):
     monkeypatch.setattr(Solution, "__post_init__", counting_post_init)
     monkeypatch.setattr(run_module, "seed_archive", seeding)
     monkeypatch.setattr(run_module, "archive_metrics", counting_recompute)
-    config = RunConfig(domain="vector_pair", seed=101000, method=method, steps=2000)
+    config = RunConfig(seed=101000, method=method, steps=2000)
     record = run(VectorPairDomain(), config, np.random.default_rng(101000))
     inserted = sum(r.source != "none" for r in record.reports)
     assert 0 < inserted < 2000

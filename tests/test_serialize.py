@@ -93,18 +93,14 @@ def test_renderer_rejects_what_it_cannot_render():
 
 def vp_record(method, seed):
     config = RunConfig(
-        domain="vector_pair", method=method, seed=seed, steps=300, init_count=30,
-        selection="ucb", snapshot_every=100,
+        method=method, seed=seed, steps=300, init_count=30, selection="ucb", snapshot_every=100,
     )
     return run(VectorPairDomain(), config, np.random.default_rng(seed))
 
 
 def media_record(method, seed):
     domain = ToyMediaDomain(width=8, height=8)
-    config = RunConfig(
-        domain="toy_media", method=method, seed=seed, steps=60, init_count=20,
-        axis_sizes=domain.axis_sizes, snapshot_every=30,
-    )
+    config = RunConfig(method=method, seed=seed, steps=60, init_count=20, snapshot_every=30)
     return run(domain, config, np.random.default_rng(seed))
 
 
@@ -248,10 +244,7 @@ def assert_same_archive(loaded, archive):
 
 def media_melita_archive(seed):
     domain = ToyMediaDomain()
-    config = RunConfig(
-        domain="toy_media", method="melita", seed=seed, steps=300, init_count=40,
-        axis_sizes=domain.axis_sizes,
-    )
+    config = RunConfig(method="melita", seed=seed, steps=300, init_count=40)
     return run(domain, config, np.random.default_rng(seed)).archive
 
 

@@ -7,6 +7,7 @@ from melita import (
     REJECTED,
     REPLACED,
     Archive,
+    DomainBinding,
     Outcome,
     VectorPairDomain,
     characterize,
@@ -62,6 +63,33 @@ def test_characterize_rejects_a_wrong_payload_count():
         seed_archive(archive, domain, 1, np.random.default_rng(0))
     with pytest.raises(ValueError, match="expected 2 payloads, got 3"):
         characterize(domain, (np.array([1.0]),) * 3)
+
+
+class ThreeAxes(DomainBinding):
+    """Three axes, and no modality count of its own."""
+
+    @property
+    def axis_sizes(self):
+        return (4, 4, 4)
+
+    def generate(self, rng):
+        return None
+
+    def vary(self, modality, parent, rng):
+        return None
+
+    def describe(self, modality, payload):
+        return 0
+
+    def cohere(self, payloads):
+        return 0.5
+
+
+def test_modality_count_is_the_number_of_axes():
+    domain = ThreeAxes()
+    assert domain.modality_count == 3
+    with pytest.raises(ValueError, match="expected 3 payloads, got 2"):
+        characterize(domain, (np.array([1.0]),) * 2)
 
 
 def test_vanilla_replaces_own_cell():
