@@ -14,7 +14,10 @@ def require_int(name: str, value: object, minimum: int) -> int:
 
 
 def require_finite(name: str, value: object) -> float:
-    """A finite, non-negative number; bools are rejected."""
-    if isinstance(value, bool) or not isinstance(value, Real) or not 0 <= value < math.inf:
-        raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
-    return float(value)
+    """A finite, non-negative number within float range; bools are rejected."""
+    try:
+        if not isinstance(value, bool) and isinstance(value, Real) and 0 <= value < math.inf:
+            return float(value)
+    except OverflowError:  # an integer beyond float range
+        pass
+    raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")

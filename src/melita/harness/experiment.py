@@ -248,7 +248,17 @@ def _distance_matrix(solutions: list[Solution], modality: int, name: str) -> np.
     if odd is not None:
         shapes = f"shapes {vectors[0].shape} {odd}"
         raise ValueError(f"modality {modality}: operands could not be broadcast together with {shapes}")
-    return euclidean_matrix(vectors)
+    # An inf or nan distance fails checked_distances, which names its pair.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return euclidean_matrix(vectors)
+
+
+def _fsum_or_inf(terms: tuple[float, ...]) -> float:
+    """``math.fsum`` of non-negative terms, or inf where their sum passes float range."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
 
 
 def _load_elites(archive_path: str | Path, modalities: tuple[int, ...] | None) -> list[Solution]:
@@ -297,8 +307,12 @@ def medoid_exemplars(
     """k representative elites under d = sqrt(sum_m w_m * d_m^2), with one
     Euclidean d_m matrix per modality of nonzero weight (so only those need
     a common payload shape); some weight must be positive. Terms square with
-    Python's ``**`` (libm ``pow``; ``d * d`` and ``np.power`` differ in some last bits)."""
+    ``np.float_power`` (libm ``pow`` per element, as Python's ``**``; ``d * d``
+    and ``np.power`` differ in some last bits). One or two terms add in IEEE
+    arithmetic, which is ``fsum`` for them; three or more take ``fsum`` per pair.
+    A sum beyond float range is inf, which ``k_medoids`` rejects as a distance."""
     k = require_int("k", k, 1)
+    seed = require_int("seed", seed, 0)
     read = None if weights is None else tuple(m for m, w in enumerate(weights) if w)
     solutions = _load_elites(archive_path, read)
     modalities = len(solutions[0].artefacts)
@@ -312,10 +326,13 @@ def medoid_exemplars(
         raise ValueError(f"weights must include a positive weight, got {list(weights)}")
 
     upper = np.triu_indices(len(solutions), 1)
-    terms = [[w * d ** 2 for d in _distance_matrix(solutions, m, "euclidean")[upper].tolist()]
-             for m, w in enumerate(weights) if w]
+    with np.errstate(over="ignore"):
+        terms = [w * np.float_power(_distance_matrix(solutions, m, "euclidean")[upper], 2.0)
+                 for m, w in enumerate(weights) if w]
+        sums = (terms[0] if len(terms) == 1 else np.add(*terms) if len(terms) == 2
+                else [_fsum_or_inf(pair) for pair in zip(*map(np.ndarray.tolist, terms))])
     combined = np.zeros((len(solutions),) * 2)
-    combined[upper] = combined[upper[::-1]] = list(map(math.sqrt, map(math.fsum, zip(*terms))))
+    combined[upper] = combined[upper[::-1]] = np.sqrt(sums)
     result = k_medoids(combined, k, np.random.default_rng(seed))
     sizes = [result.labels.count(cluster) for cluster in range(k)]
     return {

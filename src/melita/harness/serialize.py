@@ -28,9 +28,17 @@ from ..types import Artefact, Solution
 
 METRICS_HEADER = "step,coverage,mean_fitness,max_fitness,qd_score"
 
-# CPython's C encoders; json.dumps uses them only when indent is None.
-_flat = json.JSONEncoder(sort_keys=True).encode
+# CPython's C encoders; json.dumps uses them only when indent is None. The
+# one C encoder is built here with JSONEncoder(sort_keys=True)'s settings,
+# less the circular-reference check, instead of once per encode call.
 _key = json.encoder.encode_basestring_ascii
+_encode = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, _key, None, ": ", ", ", True, False, True
+)
+
+
+def _flat(obj: object) -> str:
+    return "".join(_encode(obj, 0))
 
 
 def _render(obj: object, indent: str) -> str:

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import math
+import sys
 
 import numpy as np
 import oracles
@@ -263,3 +264,87 @@ def test_three_modality_medoids_report_matches_payload_oracle(tmp_path, monkeypa
         assert tuple(a["cluster"] for a in report["assignments"]) == labels
     expected = oracles.distance_matrix(solutions, lambda a, b: math.sqrt(math.fsum(terms(a, b))))
     assert matrices[0].tobytes() == expected.tobytes()
+
+
+# Zero, subnormal, tiny, ordinary and huge weights; 1e308 makes some sums
+# pass float range. Payload scales reach squares that underflow to
+# subnormals and norms whose squares overflow.
+MEDOID_WEIGHTS = st.sampled_from([0.0, 5e-324, 1e-300, 1e-16, 0.5, 1.0, 3.0, 1e300, 1e308])
+PAYLOAD_SCALES = st.sampled_from([1e-170, 1e-5, 1.0, 1e150, 1e160])
+
+
+@st.composite
+def weighted_archives(draw):
+    """(solutions, weights): 2-6 elites over 1-3 modalities, some weight positive."""
+    modalities = draw(st.integers(1, 3))
+    weights = draw(st.lists(MEDOID_WEIGHTS, min_size=modalities, max_size=modalities).filter(any))
+    shapes = [(draw(st.integers(1, 3)), draw(PAYLOAD_SCALES)) for _ in range(modalities)]
+    values = st.floats(-10.0, 10.0, allow_subnormal=False)
+    solutions = []
+    for i in range(draw(st.integers(2, 6))):
+        payloads = [np.array(draw(st.lists(values, min_size=size, max_size=size))) * scale
+                    for size, scale in shapes]
+        artefacts = tuple(Artefact(m, p) for m, p in enumerate(payloads))
+        solutions.append(Solution(artefacts, 0.5, (i,) + (0,) * (modalities - 1)))
+    return solutions, tuple(weights)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=weighted_archives())
+def test_medoids_matrix_is_the_per_pair_fsum_of_python_squares(tmp_path_factory, case):
+    # The combined matrix, entry by entry, against sqrt(fsum(w * d ** 2))
+    # computed one pair at a time; where Python's ** or fsum overflows the
+    # distance is inf, which k_medoids rejects.
+    solutions, weights = case
+    archive = Archive((len(solutions),) + (1,) * (len(weights) - 1))
+    for solution in solutions:
+        archive.insert(solution)
+    path = tmp_path_factory.mktemp("medoids") / "archive.json"
+    save_archive(path, archive)
+
+    def distance(a, b):
+        try:
+            return math.sqrt(math.fsum(w * float(np.linalg.norm(x.payload - y.payload)) ** 2
+                                       for w, x, y in zip(weights, a.artefacts, b.artefacts) if w))
+        except OverflowError:
+            return math.inf
+
+    with np.errstate(over="ignore"):
+        expected = oracles.distance_matrix(archive.solutions(), distance)
+    matrices = []
+
+    def captured(matrix, k, rng):
+        matrices.append(matrix.copy())
+        return k_medoids(matrix, k, rng)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiment, "k_medoids", captured)
+        if np.isinf(expected).any():
+            with pytest.raises(ValueError, match="invalid distance inf between items"):
+                medoid_exemplars(path, 1, weights)
+        else:
+            medoid_exemplars(path, 1, weights)
+    assert [x.hex() for x in matrices[0].ravel().tolist()] == [x.hex() for x in expected.ravel().tolist()]
+
+
+def test_float_power_squares_with_the_bits_of_python_pow():
+    # The medoids report squares distances with np.float_power; its bytes
+    # rest on each square being Python's d ** 2 (libm pow), which d * d and
+    # np.power are not for about one value in a thousand.
+    rng = np.random.default_rng(23)
+    edge = math.sqrt(sys.float_info.max)  # 1.34e154: the largest d whose square is finite
+    specials = [0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-162, 1.5e-154, math.inf,
+                math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf), 1e300]
+    distances = np.concatenate([rng.random(250_000) * scale for scale in (1e-150, 1.0, 1e3, 1e150)]
+                               + [np.array(specials)])
+    squares = []
+    for d in distances.tolist():
+        try:
+            squares.append(d ** 2)
+        except OverflowError:
+            squares.append(math.inf)
+    with np.errstate(over="ignore"):
+        result = np.float_power(distances, 2.0)
+        assert (np.power(distances, 2.0) != result).any()
+    assert squares.count(math.inf) == 3  # past the edge: its successor, 1e300 and inf
+    assert result.tobytes() == np.array(squares).tobytes()

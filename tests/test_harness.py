@@ -599,6 +599,54 @@ def test_analysis_k_and_modality_must_be_integers(tmp_path):
     assert analyze_diversity(path, 1, "euclidean")["modality"] == 1
 
 
+def test_cli_medoids_rejects_a_seed_that_is_not_a_non_negative_integer(tmp_path, capsys):
+    path = tmp_path / "archive.json"
+    save_pair_archive(
+        path, [pair_solution((0, 0), 0.5, [0.0], [0.0]), pair_solution((1, 1), 0.6, [1.0], [1.0])]
+    )
+    for seed in (1.5, True):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer >= 0, got {seed!r}")):
+            medoid_exemplars(path, 1, seed=seed)
+    assert cli_main(["medoids", "--archive", str(path), "-k", "1", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("weights", ["1e308,1e308", "1e308,1e308,1e308"], ids=["two_terms", "three_terms"])
+def test_cli_medoids_distance_beyond_float_range_is_one_error_line(tmp_path, capsys, weights):
+    # Each weighted square is finite, but their sum passes float range:
+    # np.add gives inf for two terms, and fsum's OverflowError becomes inf
+    # for three.
+    modalities = weights.count(",") + 1
+    archive = Archive((2,) + (1,) * (modalities - 1))
+    for i, value in enumerate((0.0, 1.0)):
+        artefacts = tuple(Artefact(m, np.array([value])) for m in range(modalities))
+        archive.insert(Solution(artefacts, 0.5, (i,) + (0,) * (modalities - 1)))
+    path = tmp_path / "archive.json"
+    save_archive(path, archive)
+    assert cli_main(["medoids", "--archive", str(path), "-k", "1", "--weights", weights]) == 2
+    assert capsys.readouterr().err == "error: invalid distance inf between items 0 and 1\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["diversity", "--modality", "0", "--distance", "euclidean"], ["medoids", "-k", "1"]],
+    ids=["diversity", "medoids"],
+)
+@pytest.mark.parametrize("first, second, distance", [(0.0, 1e200, "inf"), (math.inf, math.inf, "nan")],
+                         ids=["overflow", "inf_minus_inf"])
+def test_cli_payload_distance_beyond_float_range_is_one_error_line(tmp_path, capsys, command,
+                                                                   first, second, distance):
+    # The squared norm of 1e200 passes float range, and inf - inf is nan.
+    # numpy's overflow or invalid-value warning (an error under this suite's
+    # warning filter) must not reach stderr; the distance fails naming its pair.
+    path = tmp_path / "archive.json"
+    save_pair_archive(
+        path, [pair_solution((0, 0), 0.5, [first], [0.0]), pair_solution((1, 1), 0.6, [second], [1.0])]
+    )
+    assert cli_main([command[0], "--archive", str(path), *command[1:]]) == 2
+    assert capsys.readouterr().err == f"error: invalid distance {distance} between items 0 and 1\n"
+
+
 def test_medoid_combine_squares_with_python_pow(tmp_path):
     # x ** 2 (libm pow) and x * x differ in the last bit for some x, and
     # the medoids report keeps the bits of **. A payload [x] against [0.0]
@@ -918,6 +966,27 @@ def test_cli_failed_report_write_leaves_no_partial_file(tmp_path, monkeypatch, c
     else:
         assert list(out.iterdir()) == [target]
         assert target.read_bytes() == existing
+
+
+BEYOND_FLOAT = 10**400  # 401 digits: finite as a JSON integer, not as a float
+
+
+@pytest.mark.parametrize(
+    "run_keys, field",
+    [
+        ({"domain": "vector_pair", "selection": "ucb", "ucb_c": BEYOND_FLOAT}, "run.ucb_c"),
+        ({"domain": "vector_pair", "domain_params": {"sigma": BEYOND_FLOAT}}, "run.domain: sigma"),
+        ({"domain": "toy_media", "domain_params": {"width": 8, "height": 8, "noise_sigma": BEYOND_FLOAT}},
+         "run.domain: noise_sigma"),
+    ],
+    ids=["ucb_c", "sigma", "noise_sigma"],
+)
+def test_cli_run_rejects_an_integer_beyond_float_range(tmp_path, capsys, run_keys, field):
+    data = {"labels": [{"name": "big", "seed": 1}], "run": {"steps": 2, "init_count": 4, **run_keys}}
+    config = write_config(tmp_path, data)
+    assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    message = f"{field} must be a finite non-negative number, got {BEYOND_FLOAT!r}"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cli_run_without_output_dir(tmp_path, capsys):
