@@ -6,10 +6,13 @@ import math
 from numbers import Integral, Real
 
 
-def require_int(name: str, value: object, minimum: int) -> int:
-    """An integer of at least ``minimum``; bools and floats are rejected."""
+def require_int(name: str, value: object, minimum: int, maximum: int | None = None) -> int:
+    """An integer of at least ``minimum`` and, when given, at most
+    ``maximum``; bools and floats are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, Integral)) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be an integer <= {maximum}, got {value!r}")
     return int(value)
 
 

@@ -48,6 +48,8 @@ COMPLEXITY_BIN_THRESHOLDS = (0.05, 0.15, 0.30)
 COLOURFULNESS_BIN_THRESHOLDS = (20.0, 40.0, 60.0)
 COLOURFULNESS_SCALE = 300.0
 PROJECTION_SEED = 0xC0FFEE
+# Largest image width or height: one 1024x1024 image is 24 MiB of float64.
+MAX_SIDE = 1024
 
 IMAGE_VECTOR_LAYOUT = (
     "quadrant_mean_luminance_tl",
@@ -261,8 +263,8 @@ class ToyMediaDomain(DomainBinding):
     distances = {"topic_posterior": token_posterior}
 
     def __init__(self, width: int = 32, height: int = 32, noise_sigma: float = 0.1):
-        self.width = require_int("width", width, 3)
-        self.height = require_int("height", height, 3)
+        self.width = require_int("width", width, 3, MAX_SIDE)
+        self.height = require_int("height", height, 3, MAX_SIDE)
         self.noise_sigma = require_finite("noise_sigma", noise_sigma)
 
     @property

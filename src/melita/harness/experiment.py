@@ -1,6 +1,7 @@
 """Batch execution and the analysis commands behind the CLI."""
 from __future__ import annotations
 
+import copy
 import math
 import os
 import re
@@ -15,7 +16,7 @@ from ..checks import require_finite, require_int
 from ..clustering import k_medoids
 from ..domains import DOMAINS, make_domain
 from ..metrics import MetricsSample, auc, diversity, euclidean_matrix
-from ..run import METHODS, run
+from ..run import METHODS, run, seeded_archive
 from ..stats import rank_sum_test
 from ..types import Solution
 from .config import ExperimentConfig
@@ -34,9 +35,13 @@ def run_experiment(
     """Execute every (label, method, run) cell and persist the results.
 
     Both methods for the same (label, run index) share a seed, so their
-    initial populations match. The manifest is written even when a run
-    fails, with complete=false, and carries the resolved config so the
-    experiment can be reproduced from the manifest alone.
+    initial populations match. Each such start is seeded once: the first
+    method's run seeds its archive, and the second method's run starts
+    from a copy of that archive and of the generator as seeding left
+    them. Since ``generate`` draws only from its generator, that gives
+    the files seeding again would. The manifest is written even when a
+    run fails, with complete=false, and carries the resolved config so
+    the experiment can be reproduced from the manifest alone.
     """
     target = out_dir if out_dir is not None else config.output_dir
     if target is None:
@@ -46,6 +51,7 @@ def run_experiment(
 
     digest = config_hash(config.to_dict())
     runs: list[dict] = []
+    starts: dict[tuple[int, int], tuple] = {}  # (seed, init_count) -> (archive, generator)
     complete = False
     try:
         # Read from the registered class: an unregistered name has none and
@@ -60,7 +66,14 @@ def run_experiment(
                 for index in range(config.runs_per_method):
                     rc = config.run_config(label, index, method)
                     domain = make_domain(name, params)
-                    record = run(domain, rc, np.random.default_rng(rc.seed))
+                    # The first method seeds and keeps a copy; the second takes it over.
+                    start = starts.pop((rc.seed, rc.init_count), None)
+                    if start is None:
+                        rng = np.random.default_rng(rc.seed)
+                        start = seeded_archive(domain, rc.init_count, rng), rng
+                        starts[rc.seed, rc.init_count] = copy.deepcopy(start)
+                    archive, rng = start
+                    record = run(domain, rc, rng, archive)
 
                     stem = f"{method}/{label.name}_run{index}"
                     blocks = {} if record.snapshots else None  # cells shared by this run's files

@@ -1,11 +1,11 @@
 """Configuration and the top-level run loop.
 
-A run seeds an empty archive, executes a fixed budget of step calls
-(every call counts, including rejected and invalid offspring), and
-records archive metrics after each one: running metrics, checked
-against a full recompute once at the end. All stochasticity flows
-through the single generator passed in, so (domain, config, seed)
-determines the RunRecord exactly.
+A run seeds an empty archive, or takes over one already seeded, then
+executes a fixed budget of step calls (every call counts, including
+rejected and invalid offspring), and records archive metrics after each
+one: running metrics, checked against a full recompute once at the end.
+All stochasticity flows through the single generator passed in, so
+(domain, config, seed) determines the RunRecord exactly.
 """
 from __future__ import annotations
 
@@ -63,10 +63,27 @@ class RunRecord:
     snapshots: tuple[tuple[int, Archive], ...] = ()
 
 
-def run(domain: DomainBinding, config: RunConfig, rng: np.random.Generator) -> RunRecord:
-    """Execute one full seeded run and return its complete trace."""
+def seeded_archive(domain: DomainBinding, init_count: int, rng: np.random.Generator) -> Archive:
+    """A new archive for ``domain`` after ``init_count`` generation attempts."""
     archive = Archive(domain.axis_sizes)
-    seed_archive(archive, domain, config.init_count, rng)
+    seed_archive(archive, domain, init_count, rng)
+    return archive
+
+
+def run(
+    domain: DomainBinding,
+    config: RunConfig,
+    rng: np.random.Generator,
+    start: Archive | None = None,
+) -> RunRecord:
+    """Execute one full seeded run and return its complete trace.
+
+    Without ``start`` the run seeds its own archive from ``rng``. With it,
+    the run takes over ``start``, an archive that ``seeded_archive(domain,
+    config.init_count, ·)`` filled, and ``rng`` must be the generator as
+    that seeding left it; the record is then the one seeding would give.
+    """
+    archive = seeded_archive(domain, config.init_count, rng) if start is None else start
 
     select = partial(select_ucb, c=config.ucb_c) if config.selection == "ucb" else select_uniform
     step = melita_step if config.method == "melita" else vanilla_step

@@ -24,6 +24,36 @@ def hexed(sample):
     return tuple(v.hex() if isinstance(v, float) else v for v in sample)
 
 
+class Forwarding(DomainBinding):
+    """Forwards only the abstract methods, so ``features`` and
+    ``combine`` fall back to the contract's defaults, as perfbench's
+    traced binding does."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+
+    @property
+    def modality_count(self):
+        return self.inner.modality_count
+
+    @property
+    def axis_sizes(self):
+        return self.inner.axis_sizes
+
+    def generate(self, rng):
+        return self.inner.generate(rng)
+
+    def vary(self, modality, parent, rng):
+        return self.inner.vary(modality, parent, rng)
+
+    def describe(self, modality, payload):
+        return self.inner.describe(modality, payload)
+
+    def cohere(self, payloads):
+        return self.inner.cohere(payloads)
+
+
 # Multiples of 0.1 and of 1000.1 make near-ties whose order of summation decides them.
 DISTANCE_VALUES = (
     st.sampled_from([0.0, -0.0, 0.30000000000000004, 1.0])

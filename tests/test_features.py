@@ -13,7 +13,6 @@ import pytest
 from melita import (
     Archive,
     Artefact,
-    DomainBinding,
     RunConfig,
     ToyMediaDomain,
     VectorPairDomain,
@@ -26,6 +25,7 @@ from melita.domains.toy_media import PROJECTION, image_analysis, topic_posterior
 from melita.harness.serialize import archive_to_dict, canonical_json
 
 import oracles
+from conftest import Forwarding
 
 
 def media_reference(tokens, pixels):
@@ -74,35 +74,6 @@ def test_vector_pair_split_is_bit_identical():
         split(domain, (zero, rng.standard_normal(8)))
     with pytest.raises(ValueError):
         domain.cohere((rng.standard_normal(8), zero))
-
-
-class Forwarding(DomainBinding):
-    """Forwards only the abstract methods, so ``features`` and
-    ``combine`` fall back to the contract's defaults."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.name = inner.name
-
-    @property
-    def modality_count(self):
-        return self.inner.modality_count
-
-    @property
-    def axis_sizes(self):
-        return self.inner.axis_sizes
-
-    def generate(self, rng):
-        return self.inner.generate(rng)
-
-    def vary(self, modality, parent, rng):
-        return self.inner.vary(modality, parent, rng)
-
-    def describe(self, modality, payload):
-        return self.inner.describe(modality, payload)
-
-    def cohere(self, payloads):
-        return self.inner.cohere(payloads)
 
 
 def record_view(record):

@@ -3,6 +3,7 @@ import json
 import math
 import pkgutil
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 import melita.domains
 import melita.harness
+import melita.harness.experiment as experiment
 from melita import (
     DOMAINS,
     Archive,
@@ -44,6 +46,8 @@ from melita.harness.serialize import (
     save_archive,
     save_metrics,
 )
+
+from conftest import Forwarding
 
 MINIMAL = {
     "labels": [{"name": "base", "seed": 100}],
@@ -188,15 +192,68 @@ def test_paired_methods_share_seeds(tmp_path):
         assert by_key[("mapelites", index)] == by_key[("melita", index)]
 
 
+def tree_bytes(root):
+    """Every file under ``root``, by relative path, with its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 def test_rerun_is_byte_identical(tmp_path):
     config = small_experiment()
     run_experiment(config, tmp_path / "a")
     run_experiment(config, tmp_path / "b")
-    a_files = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*") if p.is_file())
-    b_files = sorted(p.relative_to(tmp_path / "b") for p in (tmp_path / "b").rglob("*") if p.is_file())
-    assert a_files == b_files and a_files
-    for rel in a_files:
-        assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+    files = tree_bytes(tmp_path / "a")
+    assert files and files == tree_bytes(tmp_path / "b")
+
+
+# Two labels whose seed ranges overlap (seeds 0, 1 and 1, 2), so that one
+# (seed, init_count) start is seeded, taken over and dropped per label.
+SHARED_START_RUNS = {
+    "vector_pair": {"domain": "vector_pair", "steps": 30, "init_count": 20, "snapshot_every": 10},
+    "toy_media": {"domain": "toy_media", "steps": 10, "init_count": 20, "domain_params": {"width": 8, "height": 8}},
+}
+
+
+def overlapping_labels(run_keys):
+    labels = [{"name": "a", "seed": 0}, {"name": "b", "seed": 1}]
+    return ExperimentConfig.from_dict({"labels": labels, "runs_per_method": 2, "run": run_keys})
+
+
+@pytest.mark.parametrize("run_keys", SHARED_START_RUNS.values(), ids=SHARED_START_RUNS)
+def test_shared_start_writes_the_files_of_self_seeded_runs(tmp_path, monkeypatch, run_keys):
+    config = overlapping_labels(run_keys)
+    run_experiment(config, tmp_path / "shared")
+
+    def self_seeded(domain, rc, rng, start=None):
+        return run(domain, rc, np.random.default_rng(rc.seed))
+
+    monkeypatch.setattr(experiment, "run", self_seeded)
+    run_experiment(config, tmp_path / "seeded")
+    files = tree_bytes(tmp_path / "shared")
+    assert len(files) > 8 and files == tree_bytes(tmp_path / "seeded")
+
+
+@pytest.mark.parametrize("run_keys", SHARED_START_RUNS.values(), ids=SHARED_START_RUNS)
+def test_each_run_index_is_seeded_once(tmp_path, monkeypatch, run_keys):
+    calls = []  # generate calls per binding, in the order the harness builds them
+    make_domain = experiment.make_domain
+
+    class Counting(Forwarding):
+        def __init__(self, inner):
+            super().__init__(inner)
+            self.index = len(calls)
+            calls.append(0)
+
+        def generate(self, rng):
+            calls[self.index] += 1
+            return super().generate(rng)
+
+    monkeypatch.setattr(experiment, "make_domain", lambda *args: Counting(make_domain(*args)))
+    config = overlapping_labels(run_keys)
+    manifest = run_experiment(config, tmp_path)
+    per_run = Counter()
+    for entry, count in zip(manifest["runs"], calls, strict=True):
+        per_run[entry["label"], entry["run_index"]] += count
+    assert per_run == {(label, index): run_keys["init_count"] for label in "ab" for index in range(2)}
 
 
 def test_archive_file_round_trips_bytewise(tmp_path):
@@ -987,6 +1044,25 @@ def test_cli_run_rejects_an_integer_beyond_float_range(tmp_path, capsys, run_key
     assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "out"), "--quiet"]) == 2
     message = f"{field} must be a finite non-negative number, got {BEYOND_FLOAT!r}"
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("side", ["width", "height"])
+@pytest.mark.parametrize("value", [10**400, 2**40], ids=["401_digits", "2_40"])
+def test_image_side_beyond_its_bound_fails_when_the_config_loads(tmp_path, capsys, monkeypatch, side, value):
+    def allocates(self, rng):
+        raise AssertionError("generate ran, so an image would be allocated")
+
+    monkeypatch.setattr(ToyMediaDomain, "generate", allocates)
+    params = {"width": 8, "height": 8, side: value}
+    data = {"labels": [{"name": "wide", "seed": 1}], "run": {"domain": "toy_media", "domain_params": params}}
+    config = write_config(tmp_path, data)
+    message = f"run.domain: {side} must be an integer <= 1024, got {value!r}"
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(config)
+    assert str(excinfo.value) == message
+    assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_without_output_dir(tmp_path, capsys):

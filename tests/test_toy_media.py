@@ -11,6 +11,7 @@ from melita.domains.toy_media import (
     COLOURFULNESS_SCALE,
     EDGE_THRESHOLD,
     IMAGE_VECTOR_LAYOUT,
+    MAX_SIDE,
     MAX_TOKENS,
     MIN_TOKENS,
     PROJECTION,
@@ -595,6 +596,9 @@ def test_generate_is_deterministic_and_valid():
 def test_domain_validation():
     with pytest.raises(ValueError):
         ToyMediaDomain(width=2)
+    assert ToyMediaDomain(width=MAX_SIDE, height=MAX_SIDE).width == MAX_SIDE == 1024
+    with pytest.raises(ValueError, match="^height must be an integer <= 1024, got 1025$"):
+        ToyMediaDomain(height=MAX_SIDE + 1)
     with pytest.raises(ValueError):
         ToyMediaDomain(noise_sigma=-1.0)
     bad = [("width", True), ("height", 8.7), ("noise_sigma", float("nan")), ("noise_sigma", False)]
