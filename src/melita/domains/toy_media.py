@@ -11,6 +11,25 @@ The two embeddings with their norms are the binding's per-artefact
 embeds a payload in one pass: one topic posterior per text, and one
 luminance array, one Sobel pass and one colourfulness per image.
 
+The image kernels (``image_analysis``, ``box_blur``) give the bits of
+the plain array-at-a-time formulas (``luminance``, ``colourfulness``,
+``np.mean``, the nine-term window sum) in fewer passes over contiguous
+data. They rely on four rules:
+- An elementwise operation gives the same bits whatever the memory
+  layout and whether it writes in place, so each element only keeps its
+  operations in order: the Sobel and blur terms are flat slices at row
+  offsets, summed in place in the formula's order.
+- ``np.add.reduce`` sums a C-contiguous array's row (axis=1), the whole
+  of a C-contiguous array (axis=None) and a strided 1-D view in the same
+  pairwise order, so one row reduce of the (3, h*w) planes gives the
+  channel means, and two of the luminance, rg and yb rows give their
+  means and standard deviations. A quadrant is summed as a contiguous
+  copy.
+- Python-float scalars are weak (NEP 50), so a float32 image stays
+  float32 throughout, as in the plain formulas.
+- The blur's sum starts from zero, which maps -0.0 to 0.0; padding by
+  adding 0 does the same, so the sum can start from its first two terms.
+
 Everything here is reproducible from first principles: the projection
 matrix comes from a SplitMix64 stream with a documented seed, and
 ``ToyMediaDomain.constants`` holds every constant an external oracle
@@ -178,22 +197,58 @@ def image_analysis(pixels: np.ndarray) -> tuple[int, np.ndarray, tuple[np.ndarra
     Border pixels count in neither the edges nor the denominator. A
     quadrant's interior gradients are the same elementwise operations on
     the same luminance values, so its edges are a slice of the image's
-    mask; a quadrant under 3x3 counts 0.0. Quadrant means are taken on
-    contiguous copies, which sum in the order a new array would. Pixels
-    are read C-ordered, so no statistic depends on their memory layout.
+    mask; a quadrant under 3x3 counts 0.0.
+
+    The statistics are those of ``luminance``, ``colourfulness`` and
+    ``np.mean`` on the pixels read C-ordered, bit for bit, so none depends
+    on the memory layout (see the module docstring for how).
     """
-    pixels = np.ascontiguousarray(pixels)
     h, w = pixels.shape[:2]
     if h < 3 or w < 3:
         raise ValueError(f"edge complexity needs at least 3x3 pixels, got {h}x{w}")
-    y = luminance(pixels)
-    tl, tc, tr = y[:-2, :-2], y[:-2, 1:-1], y[:-2, 2:]
-    ml, mr = y[1:-1, :-2], y[1:-1, 2:]
-    bl, bc, br = y[2:, :-2], y[2:, 1:-1], y[2:, 2:]
-    gx = (tr + 2.0 * mr + br - tl - 2.0 * ml - bl) / 4.0
-    gy = (bl + 2.0 * bc + br - tl - 2.0 * tc - tr) / 4.0
-    edges = np.hypot(gx, gy) > EDGE_THRESHOLD
-    complexity, colour = _fraction(edges), colourfulness(pixels)
+    n = h * w
+    planes = np.ascontiguousarray(pixels.transpose(2, 0, 1)[:3]).reshape(3, n)
+    scaled = planes * 255.0
+    rows = np.empty_like(scaled)  # luminance, rg and yb
+    y, rg, yb = rows
+    np.multiply(planes[0], 0.299, out=y)
+    y += np.multiply(planes[1], 0.587, out=rg)
+    y += np.multiply(planes[2], 0.114, out=rg)
+    np.subtract(scaled[0], scaled[1], out=rg)
+    np.add(scaled[0], scaled[1], out=yb)
+    yb *= 0.5
+    yb -= scaled[2]
+    means = np.add.reduce(rows, axis=1) / n
+    centred = np.subtract(rows, means[:, None], out=scaled)
+    stds = np.sqrt(np.add.reduce(np.square(centred, out=centred), axis=1) / n)
+    colour = math.hypot(float(stds[1]), float(stds[2])) + 0.3 * math.hypot(float(means[1]), float(means[2]))
+
+    # Sobel terms are flat slices of y at row offsets; a slice's last two
+    # columns per row wrap into the next row and are dropped.
+    span = (h - 2) * w - 2
+    twice = 2.0 * y
+    grads = np.empty((2, (h - 2) * w), rows.dtype)
+    gx, gy = grads[:, :span]
+
+    def at(a: np.ndarray, i: int, j: int) -> np.ndarray:
+        return a[i * w + j : i * w + j + span]
+
+    np.add(at(y, 0, 2), at(twice, 1, 2), out=gx)
+    gx += at(y, 2, 2)
+    gx -= at(y, 0, 0)
+    gx -= at(twice, 1, 0)
+    gx -= at(y, 2, 0)
+    np.add(at(y, 2, 0), at(twice, 2, 1), out=gy)
+    gy += at(y, 2, 2)
+    gy -= at(y, 0, 0)
+    gy -= at(twice, 0, 1)
+    gy -= at(y, 0, 2)
+    grads[:, :span] /= 4.0
+    np.hypot(gx, gy, out=gx)
+    edges = grads[0].reshape(h - 2, w)[:, : w - 2] > EDGE_THRESHOLD
+
+    complexity = _fraction(edges)
+    y = y.reshape(h, w)
     h2, w2 = h // 2, w // 2
     quads = ((0, h2, 0, w2), (0, h2, w2, w), (h2, h, 0, w2), (h2, h, w2, w))
     stats = [float(mean(y[r0:r1, c0:c1].copy())) for r0, r1, c0, c1 in quads]
@@ -201,10 +256,11 @@ def image_analysis(pixels: np.ndarray) -> tuple[int, np.ndarray, tuple[np.ndarra
         _fraction(edges[r0 : r1 - 2, c0 : c1 - 2]) if min(r1 - r0, c1 - c0) >= 3 else 0.0
         for r0, r1, c0, c1 in quads
     ]
-    stats += [float(mean(pixels[..., ch])) for ch in range(3)]
-    stats += [min(colour / COLOURFULNESS_SCALE, 1.0), complexity, float(std(y))]
+    stats += (np.add.reduce(planes, axis=1) / n).tolist()
+    stats += [min(colour / COLOURFULNESS_SCALE, 1.0), complexity, float(stds[0])]
+    step = np.subtract(y[:, 1:], y[:, :-1])
     y_range = np.maximum.reduce(y, axis=None) - np.minimum.reduce(y, axis=None)
-    stats += [float(mean(np.abs(y[:, 1:] - y[:, :-1]))), float(y_range)]
+    stats += [float(mean(np.abs(step, out=step))), float(y_range)]
     vector = np.array(stats, dtype=np.float64)
     mapped = PROJECTION @ vector
     bin_index = 4 * bin4(complexity, COMPLEXITY_BIN_THRESHOLDS) + bin4(colour, COLOURFULNESS_BIN_THRESHOLDS)
@@ -232,14 +288,28 @@ def combine_features(text: tuple[np.ndarray, float], image: tuple[np.ndarray, fl
 
 
 def box_blur(pixels: np.ndarray) -> np.ndarray:
-    """3x3 box blur with edge replication, per channel."""
-    h, w = pixels.shape[:2]
-    padded = np.empty((h + 2, w + 2, pixels.shape[2]), pixels.dtype)
-    padded[1:-1, 1:-1] = pixels
-    padded[0, 1:-1], padded[-1, 1:-1] = pixels[0], pixels[-1]
+    """3x3 box blur with edge replication, per channel: the nine window
+    terms summed in row-major order from zero, then divided by 9.
+
+    The windows are flat slices of the padded image at row offsets; each
+    output row's last two padded columns wrap into the next row and are
+    dropped. Adding 0 when padding maps -0.0 to 0.0, as the sum from zero
+    does, so the chain can start from the first two terms.
+    """
+    h, w, c = pixels.shape
+    padded = np.empty((h + 2, w + 2, c), pixels.dtype)
+    np.add(pixels, 0, out=padded[1:-1, 1:-1])
+    padded[0, 1:-1], padded[-1, 1:-1] = padded[1, 1:-1], padded[-2, 1:-1]
     padded[:, 0], padded[:, -1] = padded[:, 1], padded[:, -2]
-    windows = (padded[di : di + h, dj : dj + w] for di in range(3) for dj in range(3))
-    return sum(windows, np.zeros_like(pixels)) / 9.0
+    flat = padded.reshape(-1)
+    row = (w + 2) * c
+    span = h * row - 2 * c
+    sums = np.empty(h * row, pixels.dtype)
+    total = sums[:span]
+    np.add(flat[:span], flat[c : c + span], out=total)  # windows (0, 0) and (0, 1)
+    for start in (2 * c, row, row + c, row + 2 * c, 2 * row, 2 * row + c, 2 * row + 2 * c):
+        total += flat[start : start + span]  # windows (0, 2) to (2, 2), row-major
+    return np.divide(sums.reshape(h, w + 2, c)[:, :w], 9.0)
 
 
 class ToyMediaDomain(DomainBinding):

@@ -3,8 +3,10 @@
 Both modalities are 8-component real vectors; coherence is their cosine
 similarity mapped to [0,1]. The text-like axis bins the angle of the
 first two components, the visual-like axis crosses a norm bin with a
-roughness bin. Cheap to evaluate and fully transparent, which makes it
-the workhorse for oracle and trend tests.
+roughness bin. A vector whose norm is not finite (an overflowed
+variation, say) is unclassified on both axes. Cheap to evaluate and
+fully transparent, which makes it the workhorse for oracle and trend
+tests.
 
 rng consumption per call is documented so independent oracles can
 replay a run: generate draws two 8-vectors (resampling any with norm
@@ -38,7 +40,11 @@ def describe_text(values: np.ndarray) -> int | None:
 
 
 def describe_visual(values: np.ndarray) -> int:
-    norm_bin = bin4(norm(values), NORM_THRESHOLDS)
+    return _visual_bin(values, norm(values))
+
+
+def _visual_bin(values: np.ndarray, length: float) -> int:
+    norm_bin = bin4(length, NORM_THRESHOLDS)
     roughness = float(mean(np.abs(np.subtract(values[1:], values[:-1]))))
     return 4 * norm_bin + bin4(roughness, ROUGHNESS_THRESHOLDS)
 
@@ -49,11 +55,13 @@ def vector_features(values: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def combine_features(t: tuple[np.ndarray, float], v: tuple[np.ndarray, float]) -> float:
-    """(1 + cos(t, v)) / 2 from two ``vector_features`` results."""
+    """(1 + cos(t, v)) / 2 from two ``vector_features`` results. Raises
+    when a norm, or the product of the two, is zero or not finite."""
     (t_values, tn), (v_values, vn) = t, v
-    if tn == 0.0 or vn == 0.0:
-        raise ValueError("coherence is undefined for zero-norm vectors")
-    cos = float(t_values.dot(v_values)) / (tn * vn)
+    scale = tn * vn
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"coherence is undefined for vectors of norm {tn} and {vn}")
+    cos = float(t_values.dot(v_values)) / scale
     return (1.0 + max(-1.0, min(1.0, cos))) / 2.0
 
 
@@ -82,9 +90,12 @@ class VectorPairDomain(DomainBinding):
         return parent.artefacts[modality].payload + rng.normal(0.0, self.sigma, DIMS)
 
     def describe(self, modality: int, payload: np.ndarray) -> int | None:
-        if modality == 0:
-            return describe_text(payload)
-        return describe_visual(payload)
+        """A vector whose norm is not finite is unclassified, the death
+        penalty: it has no angle or norm bin, and no cosine."""
+        length = norm(payload)
+        if not math.isfinite(length):
+            return None
+        return describe_text(payload) if modality == 0 else _visual_bin(payload, length)
 
     def cohere(self, payloads: tuple[np.ndarray, ...]) -> float:
         return combine_features(vector_features(payloads[0]), vector_features(payloads[1]))

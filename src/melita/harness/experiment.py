@@ -73,7 +73,10 @@ def run_experiment(
                         start = seeded_archive(domain, rc.init_count, rng), rng
                         starts[rc.seed, rc.init_count] = copy.deepcopy(start)
                     archive, rng = start
-                    record = run(domain, rc, rng, archive)
+                    # A variation may overflow; the binding bins what it yields
+                    # (vector_pair leaves a vector of non-finite norm unclassified).
+                    with np.errstate(over="ignore"):
+                        record = run(domain, rc, rng, archive)
 
                     stem = f"{method}/{label.name}_run{index}"
                     blocks = {} if record.snapshots else None  # cells shared by this run's files

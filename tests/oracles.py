@@ -5,7 +5,8 @@ distance matrix, PAM k-medoids and the medoids report for the analysis
 tests, per-item diversity and point-by-point PAM assignment for the
 array-pass analysis tests, the per-element payload encoding and the
 line-by-line metrics reader for the serialization tests, and the
-two-pass toy_media bin and features for the one-pass analysis tests.
+two-pass toy_media bin and features for the one-pass analysis tests,
+and the stepwise toy_media image kernels for the flat-slice kernel tests.
 
 Nothing here imports the library's archive or step code. Archive state
 is a plain dict mapping coords -> (fitness, text_payload, visual_payload)
@@ -24,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from melita.domains.common import bin4, mean, norm
 from melita.domains.toy_media import (
     COLOURFULNESS_BIN_THRESHOLDS,
     COLOURFULNESS_SCALE,
@@ -394,3 +396,90 @@ def media_text_analysis(tokens: np.ndarray, threshold: float):
     if int((preferred == preferred[top]).sum()) > 1 or posterior[top] < threshold:
         return None, None
     return top, (posterior, float(np.linalg.norm(posterior)))
+
+
+# ------------------------------------------- toy_media image kernels, stepwise
+
+# The array-at-a-time image kernels, one numpy expression per formula: the
+# library's flat-slice kernels must match them bit for bit.
+
+
+def std(a: np.ndarray) -> np.floating:
+    """``np.std`` of a float array, by its own ufunc steps."""
+    x = a - np.add.reduce(a, axis=None, keepdims=True) / a.size
+    return np.sqrt(mean(np.square(x, out=x)))
+
+
+def luminance(pixels: np.ndarray) -> np.ndarray:
+    return 0.299 * pixels[..., 0] + 0.587 * pixels[..., 1] + 0.114 * pixels[..., 2]
+
+
+def colourfulness(pixels: np.ndarray) -> float:
+    """Hasler-Susstrunk colourfulness on 0..255-scaled channels, with
+    population standard deviations."""
+    r = pixels[..., 0] * 255.0
+    g = pixels[..., 1] * 255.0
+    b = pixels[..., 2] * 255.0
+    rg = r - g
+    yb = 0.5 * (r + g) - b
+    sigma = math.hypot(float(std(rg)), float(std(yb)))
+    mu = math.hypot(float(mean(rg)), float(mean(yb)))
+    return sigma + 0.3 * mu
+
+
+def image_analysis(pixels: np.ndarray) -> tuple[int, np.ndarray, tuple[np.ndarray, float]]:
+    """An image's bin (edge complexity crossed with colourfulness), its
+    IMAGE_VECTOR_LAYOUT statistics, and its coherence features: M @ vector
+    and that vector's norm.
+
+    Gradients come from the 3x3 Sobel pair divided by 4, so a unit step
+    edge measures exactly 1; an edge is a magnitude above EDGE_THRESHOLD.
+    Border pixels count in neither the edges nor the denominator. A
+    quadrant's interior gradients are the same elementwise operations on
+    the same luminance values, so its edges are a slice of the image's
+    mask; a quadrant under 3x3 counts 0.0. Quadrant means are taken on
+    contiguous copies, which sum in the order a new array would. Pixels
+    are read C-ordered, so no statistic depends on their memory layout.
+    """
+    pixels = np.ascontiguousarray(pixels)
+    h, w = pixels.shape[:2]
+    if h < 3 or w < 3:
+        raise ValueError(f"edge complexity needs at least 3x3 pixels, got {h}x{w}")
+    y = luminance(pixels)
+    tl, tc, tr = y[:-2, :-2], y[:-2, 1:-1], y[:-2, 2:]
+    ml, mr = y[1:-1, :-2], y[1:-1, 2:]
+    bl, bc, br = y[2:, :-2], y[2:, 1:-1], y[2:, 2:]
+    gx = (tr + 2.0 * mr + br - tl - 2.0 * ml - bl) / 4.0
+    gy = (bl + 2.0 * bc + br - tl - 2.0 * tc - tr) / 4.0
+    edges = np.hypot(gx, gy) > EDGE_THRESHOLD
+    complexity, colour = _fraction(edges), colourfulness(pixels)
+    h2, w2 = h // 2, w // 2
+    quads = ((0, h2, 0, w2), (0, h2, w2, w), (h2, h, 0, w2), (h2, h, w2, w))
+    stats = [float(mean(y[r0:r1, c0:c1].copy())) for r0, r1, c0, c1 in quads]
+    stats += [
+        _fraction(edges[r0 : r1 - 2, c0 : c1 - 2]) if min(r1 - r0, c1 - c0) >= 3 else 0.0
+        for r0, r1, c0, c1 in quads
+    ]
+    stats += [float(mean(pixels[..., ch])) for ch in range(3)]
+    stats += [min(colour / COLOURFULNESS_SCALE, 1.0), complexity, float(std(y))]
+    y_range = np.maximum.reduce(y, axis=None) - np.minimum.reduce(y, axis=None)
+    stats += [float(mean(np.abs(y[:, 1:] - y[:, :-1]))), float(y_range)]
+    vector = np.array(stats, dtype=np.float64)
+    mapped = PROJECTION @ vector
+    bin_index = 4 * bin4(complexity, COMPLEXITY_BIN_THRESHOLDS) + bin4(colour, COLOURFULNESS_BIN_THRESHOLDS)
+    return bin_index, vector, (mapped, norm(mapped))
+
+
+def _fraction(mask: np.ndarray) -> float:
+    return float(np.count_nonzero(mask)) / mask.size
+
+
+def box_blur(pixels: np.ndarray) -> np.ndarray:
+    """3x3 box blur with edge replication, per channel."""
+    h, w = pixels.shape[:2]
+    padded = np.empty((h + 2, w + 2, pixels.shape[2]), pixels.dtype)
+    padded[1:-1, 1:-1] = pixels
+    padded[0, 1:-1], padded[-1, 1:-1] = pixels[0], pixels[-1]
+    padded[:, 0], padded[:, -1] = padded[:, 1], padded[:, -2]
+    windows = (padded[di : di + h, dj : dj + w] for di in range(3) for dj in range(3))
+    return sum(windows, np.zeros_like(pixels)) / 9.0

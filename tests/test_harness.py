@@ -1069,3 +1069,19 @@ def test_cli_run_without_output_dir(tmp_path, capsys):
     config_path = write_config(tmp_path, MINIMAL)
     assert cli_main(["run", "--config", str(config_path)]) == 2
     assert "output" in capsys.readouterr().err
+
+
+def test_huge_sigma_experiment_runs_without_warnings(tmp_path, capsys):
+    """A finite sigma whose variations overflow still gives a complete
+    experiment: the run scores an overflowed vector as unclassified, and
+    the harness prints no numpy warning (the suite turns one into an
+    error). At seed 114 a NaN component used to end the melita run with
+    exit 2, naming no field."""
+    data = {
+        "labels": [{"name": "vp", "seed": 114}],
+        "run": {"domain": "vector_pair", "steps": 30, "init_count": 20, "domain_params": {"sigma": 1e308}},
+    }
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(write_config(tmp_path, data)), "--out", str(out), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((out / "manifest.json").read_text())["complete"] is True

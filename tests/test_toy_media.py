@@ -541,6 +541,74 @@ def test_image_analysis_matches_two_pass_reference(h, w, seed, kind, layout):
         assert 0.0 in vector[4:8].tolist()
 
 
+def signed_zeros(rng, h, w):
+    """An image of 0.0 and -0.0 with a few values in (0, 1)."""
+    zeros = np.where(rng.random((h, w, 3)) < 0.5, -0.0, 0.0)
+    return np.where(rng.random((h, w, 3)) < 0.2, rng.random((h, w, 3)), zeros)
+
+
+def sobel_ties(rng, h, w):
+    """Gray stripes whose Sobel magnitude is EDGE_THRESHOLD up to rounding:
+    a sawtooth of step 0.125 along one axis, each line across it offset by
+    a few ulps, so that summing one Sobel term out of order moves edges
+    across the threshold."""
+    n = max(h, w)
+    lines = 0.5 * rng.random() + rng.integers(-64, 64, n) * 2.0**-48
+    values = lines[:, None] + 0.125 * (np.arange(n) % 4)
+    values = (values if rng.random() < 0.5 else values.T)[:h, :w]
+    return np.repeat(values[:, :, None], 3, axis=2)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    h=st.integers(1, 40),
+    w=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["random", "blurred", "gray", "signed_zeros", "sobel_ties"]),
+    layout=st.sampled_from(["contiguous", "strided", "reversed", "fortran", "transposed", "float32"]),
+)
+@example(h=1, w=1, seed=1, kind="random", layout="contiguous")
+@example(h=1, w=7, seed=2, kind="signed_zeros", layout="strided")
+@example(h=3, w=3, seed=3, kind="random", layout="float32")
+@example(h=3, w=40, seed=4, kind="blurred", layout="fortran")
+@example(h=40, w=3, seed=5, kind="signed_zeros", layout="contiguous")
+@example(h=24, w=24, seed=6, kind="sobel_ties", layout="contiguous")
+@example(h=24, w=24, seed=7, kind="sobel_ties", layout="reversed")
+@example(h=192, w=190, seed=6, kind="random", layout="contiguous")
+@example(h=192, w=190, seed=6, kind="random", layout="strided")
+@example(h=192, w=190, seed=6, kind="random", layout="reversed")
+@example(h=192, w=190, seed=6, kind="random", layout="fortran")
+@example(h=192, w=190, seed=6, kind="random", layout="transposed")
+@example(h=192, w=190, seed=6, kind="random", layout="float32")
+def test_image_kernels_match_stepwise_reference(h, w, seed, kind, layout):
+    """The flat-slice ``image_analysis`` and ``box_blur`` give the bits of
+    the array-at-a-time kernels they replaced (``oracles``): the bin, all
+    16 statistics and the features, and every blurred value, signed zeros
+    included, from 1x1 (blur) and 3x3 (analysis) up, in every layout and
+    in float32. Edge counts see a Sobel sum's rounding only at the
+    threshold, which ``sobel_ties`` images sit on. The 192x190 image's
+    planes and quadrants pass the 8192 elements of numpy's reduction
+    buffer."""
+    rng = np.random.default_rng(seed)
+    pixels = {
+        "random": lambda: rng.random((h, w, 3)),
+        "blurred": lambda: oracles.box_blur(rng.random((h, w, 3))),
+        "gray": lambda: gray(rng.random(), h, w),
+        "signed_zeros": lambda: signed_zeros(rng, h, w),
+        "sobel_ties": lambda: sobel_ties(rng, h, w),
+    }[kind]()
+    pixels = image_layout(pixels, layout)
+    blurred, expected = box_blur(pixels), oracles.box_blur(pixels)
+    assert (blurred.dtype, blurred.shape) == (expected.dtype, expected.shape)
+    assert blurred.tobytes() == expected.tobytes()
+    if min(h, w) >= 3:
+        got_bin, vector, features = image_analysis(pixels)
+        want_bin, want_vector, want_features = oracles.image_analysis(pixels)
+        assert got_bin == want_bin
+        assert [v.hex() for v in vector.tolist()] == [v.hex() for v in want_vector.tolist()]
+        assert hexed_features(features) == hexed_features(want_features)
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(
     tokens=st.lists(st.integers(0, VOCAB - 1), max_size=70),

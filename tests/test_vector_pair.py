@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from melita import VectorPairDomain, characterize
+from melita import OFFSPRING_INVALID, RunConfig, VectorPairDomain, characterize, run
 from melita.domains.common import bin4, norm
 from melita.domains.vector_pair import (
     combine_features,
@@ -192,3 +192,40 @@ def test_primitives_match_numpy_bit_for_bit(pair):
     expected = oracles.cohere(t, v).hex()
     assert VectorPairDomain().cohere((t, v)).hex() == expected
     assert combine_features(vector_features(t), vector_features(v)).hex() == expected
+
+
+# ------------------------------------------------------------ non-finite norms
+
+
+@pytest.mark.parametrize(
+    "values", [vec(math.inf, 1.0), np.full(8, 1e160)], ids=["inf_component", "norm_overflows"]
+)
+def test_vector_of_non_finite_norm_is_unclassified(values):
+    """A vector whose norm is not finite is unclassified on both axes, and
+    coherence with it raises. Its angle bin used to be finite, and its
+    cosine inf / inf, which the clamp read as 1."""
+    domain = VectorPairDomain()
+    other = vec(1.0, 2.0, 3.0)
+    with np.errstate(over="ignore"):  # the squares of 1e160 overflow
+        for modality in (0, 1):
+            assert domain.describe(modality, values) is None
+            assert domain.analyse(modality, values) == (None, None)
+            assert not math.isfinite(domain.features(modality, values)[1])
+        for payloads in ((values, other), (other, values)):
+            with pytest.raises(ValueError, match="^coherence is undefined for vectors of norm"):
+                domain.cohere(payloads)
+
+
+@pytest.mark.parametrize("sigma", [1e308, 1e200])
+def test_huge_sigma_run_keeps_finite_elites(sigma):
+    """Variation at a huge sigma overflows. At 1e308 a NaN component used
+    to crash the angle bin partway through the run, and at 1e200 elites of
+    infinite norm were kept, scored 0.5. Such offspring are now invalid."""
+    config = RunConfig(seed=1, method="melita", init_count=20, steps=300)
+    with np.errstate(over="ignore"):
+        record = run(VectorPairDomain(sigma=sigma), config, np.random.default_rng(config.seed))
+    assert len(record.reports) == 300
+    for artefact in (a for s in record.archive.solutions() for a in s.artefacts):
+        values, length = artefact.features
+        assert np.all(np.isfinite(values)) and math.isfinite(length)
+    assert any(report.outcome.kind == OFFSPRING_INVALID for report in record.reports)
