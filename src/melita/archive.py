@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .types import INSERTED_EMPTY, REJECTED, REPLACED, Candidate, Coords, Outcome, Solution
+from .types import INSERTED_EMPTY, REJECTED_OUTCOME, REPLACED, Candidate, Coords, Outcome, Solution
 
 
 class Cell(NamedTuple):
@@ -112,7 +112,7 @@ class Archive:
         """Place a candidate at its own coordinates if ``accepts`` it."""
         self.check_coords(candidate.coords)
         if not self.accepts(candidate):
-            return Outcome(REJECTED)
+            return REJECTED_OUTCOME
         cell = self.cells.get(candidate.coords)
         self.cells[candidate.coords] = Cell(candidate, birth_step=self.total_selections)
         if cell is None:

@@ -3,10 +3,12 @@
 Both modalities are 8-component real vectors; coherence is their cosine
 similarity mapped to [0,1]. The text-like axis bins the angle of the
 first two components, the visual-like axis crosses a norm bin with a
-roughness bin. A vector whose norm is not finite (an overflowed
-variation, say) is unclassified on both axes. Cheap to evaluate and
-fully transparent, which makes it the workhorse for oracle and trend
-tests.
+roughness bin. ``analyse`` takes a payload's norm once for its bin and
+its features, and ``describe`` is its bin, so a subclass changes binning
+by overriding ``analyse``. A vector whose norm is not finite (an
+overflowed variation, say) is unclassified on both axes. Cheap to
+evaluate and fully transparent, which makes it the workhorse for oracle
+and trend tests.
 
 rng consumption per call is documented so independent oracles can
 replay a run: generate draws two 8-vectors (resampling any with norm
@@ -37,10 +39,6 @@ def describe_text(values: np.ndarray) -> int | None:
         return None
     theta = math.atan2(values[1], values[0])
     return min(TEXT_BINS - 1, int(TEXT_BINS * (theta + math.pi) / (2 * math.pi)))
-
-
-def describe_visual(values: np.ndarray) -> int:
-    return _visual_bin(values, norm(values))
 
 
 def _visual_bin(values: np.ndarray, length: float) -> int:
@@ -90,18 +88,21 @@ class VectorPairDomain(DomainBinding):
         return parent.artefacts[modality].payload + rng.normal(0.0, self.sigma, DIMS)
 
     def describe(self, modality: int, payload: np.ndarray) -> int | None:
-        """A vector whose norm is not finite is unclassified, the death
-        penalty: it has no angle or norm bin, and no cosine."""
-        length = norm(payload)
-        if not math.isfinite(length):
-            return None
-        return describe_text(payload) if modality == 0 else _visual_bin(payload, length)
+        return self.analyse(modality, payload)[0]
 
     def cohere(self, payloads: tuple[np.ndarray, ...]) -> float:
         return combine_features(vector_features(payloads[0]), vector_features(payloads[1]))
 
     def features(self, modality: int, payload: np.ndarray) -> tuple[np.ndarray, float]:
         return vector_features(payload)
+
+    def analyse(self, modality: int, payload: np.ndarray) -> tuple[int | None, tuple | None]:
+        """The bin and ``vector_features`` from one norm; a norm not finite is unclassified."""
+        length = norm(payload)
+        if not math.isfinite(length):
+            return None, None
+        bin_index = describe_text(payload) if modality == 0 else _visual_bin(payload, length)
+        return bin_index, None if bin_index is None else (np.asarray(payload), length)
 
     def combine(self, features: tuple[tuple[np.ndarray, float], ...]) -> float:
         return combine_features(features[0], features[1])

@@ -17,12 +17,11 @@ from .archive import Archive
 from .binding import DomainBinding
 from .selection import select_uniform
 from .types import (
-    OFFSPRING_INVALID,
-    REJECTED,
+    INVALID_OUTCOME,
+    REJECTED_OUTCOME,
     Artefact,
     Candidate,
     Coords,
-    Outcome,
     Solution,
     StepReport,
     payloads_equal,
@@ -138,7 +137,7 @@ def melita_step(
     payload = domain.vary(modality, parent, rng)
     new_bin, features = (None, None) if payload is None else domain.analyse(modality, payload)
     if new_bin is None:
-        return StepReport(parent_coords, modality, 0, Outcome(OFFSPRING_INVALID))
+        return StepReport(parent_coords, modality, 0, INVALID_OUTCOME)
 
     new_artefact = _analysed(modality, payload, features)
     artefacts = parent.artefacts[:modality] + (new_artefact,) + parent.artefacts[modality + 1 :]
@@ -150,20 +149,15 @@ def melita_step(
     if transverse:
         scored, accepted = transverse_candidates(archive, domain, offspring, modality)
         members += accepted
-    winner = min(members, key=lambda c: (-c.fitness, c is not offspring, c.coords), default=None)
-
-    outcome, source = Outcome(REJECTED), "none"
-    if winner is not None:
-        outcome = archive.insert(Solution(*winner))
-        source = "offspring" if winner is offspring else "transverse"
-        archive.credit_insertion(parent_coords)
-    return StepReport(
-        parent_coords=parent_coords,
-        mutated_modality=modality,
-        evaluations=1 + scored,
-        outcome=outcome,
-        source=source,
-    )
+    if not members:
+        return StepReport(parent_coords, modality, 1 + scored, REJECTED_OUTCOME)
+    winner = members[0]
+    if len(members) > 1:
+        winner = min(members, key=lambda c: (-c.fitness, c is not offspring, c.coords))
+    outcome = archive.insert(Solution(*winner))
+    archive.credit_insertion(parent_coords)
+    source = "offspring" if winner is offspring else "transverse"
+    return StepReport(parent_coords, modality, 1 + scored, outcome, source)
 
 
 def seed_archive(

@@ -96,6 +96,11 @@ class Outcome:
     new_fitness: float | None = None
 
 
+# The outcomes that name no cell, shared: a frozen Outcome is a value.
+REJECTED_OUTCOME = Outcome(REJECTED)
+INVALID_OUTCOME = Outcome(OFFSPRING_INVALID)
+
+
 @dataclass(frozen=True)
 class StepReport:
     """Observability record for one evolutionary step. ``evaluations`` counts

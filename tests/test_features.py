@@ -158,14 +158,38 @@ class SparsePair(VectorPairDomain):
     """vector_pair whose text is unclassified when its first component is
     below -1, so that seeds and offspring meet the death penalty."""
 
-    def describe(self, modality, payload):
+    def analyse(self, modality, payload):
         if modality == 0 and payload[0] < -1.0:
-            return None
-        return super().describe(modality, payload)
+            return None, None
+        return super().analyse(modality, payload)
 
 
 class CountingSparsePair(Counting, SparsePair):
     pass
+
+
+class DefaultHookPair(Forwarding):
+    """Forwards ``describe`` and ``features`` to a vector_pair binding and
+    keeps ``DomainBinding.analyse``, which composes the two."""
+
+    inner_class = VectorPairDomain
+
+    def __init__(self, **params):
+        super().__init__(self.inner_class(**params))
+
+    def features(self, modality, payload):
+        return self.inner.features(modality, payload)
+
+    def combine(self, features):
+        return self.inner.combine(features)
+
+
+class CountingDefaultHookPair(Counting, DefaultHookPair):
+    pass
+
+
+class CountingDefaultHookSparsePair(Counting, DefaultHookPair):
+    inner_class = SparsePair
 
 
 def test_melita_run_computes_features_at_most_once_per_artefact():
@@ -186,11 +210,13 @@ def test_melita_run_computes_features_at_most_once_per_artefact():
 @pytest.mark.parametrize(
     "make, plain, params, default_hook",
     [
-        (CountingPair, VectorPairDomain, {}, True),
-        (CountingSparsePair, SparsePair, {}, True),
+        (CountingPair, VectorPairDomain, {}, False),
+        (CountingSparsePair, SparsePair, {}, False),
         (CountingMedia, ToyMediaDomain, {"width": 8, "height": 8}, False),
+        (CountingDefaultHookPair, VectorPairDomain, {}, True),
+        (CountingDefaultHookSparsePair, SparsePair, {}, True),
     ],
-    ids=["vector_pair", "sparse_pair", "toy_media"],
+    ids=["vector_pair", "sparse_pair", "toy_media", "default_hook_pair", "default_hook_sparse_pair"],
 )
 def test_each_new_payload_is_analysed_once(make, plain, params, default_hook, method):
     """One ``analyse`` call per new payload, seeded and varied alike, and
@@ -225,7 +251,7 @@ def test_each_new_payload_is_analysed_once(make, plain, params, default_hook, me
 
 
 def test_default_analyse_skips_features_for_unclassified_payloads():
-    domain = CountingPair()
+    domain = CountingDefaultHookPair()
     assert domain.analyse(0, np.zeros(8)) == (None, None)
     assert domain.inside == Counter(describe=1)
     payload = np.arange(8.0)

@@ -6,12 +6,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from melita import OFFSPRING_INVALID, RunConfig, VectorPairDomain, characterize, run
 from melita.domains.common import bin4, norm
-from melita.domains.vector_pair import (
-    combine_features,
-    describe_text,
-    describe_visual,
-    vector_features,
-)
+from melita.domains.vector_pair import combine_features, describe_text, vector_features
 
 import oracles
 
@@ -56,10 +51,11 @@ def test_describe_text_range():
 
 
 def test_describe_visual_known_vectors():
-    assert describe_visual(vec(0.5)) == 0  # norm 0.5, roughness ~0.07
-    assert describe_visual(np.full(8, 2.5)) == 12  # norm ~7.07, roughness 0
+    describe_visual = VectorPairDomain().describe
+    assert describe_visual(1, vec(0.5)) == 0  # norm 0.5, roughness ~0.07
+    assert describe_visual(1, np.full(8, 2.5)) == 12  # norm ~7.07, roughness 0
     alternating = np.array([2.0, -2.0] * 4)
-    assert describe_visual(alternating) == 15  # norm ~5.66, roughness 4
+    assert describe_visual(1, alternating) == 15  # norm ~5.66, roughness 4
 
 
 def test_cosine_coherence_endpoints():
@@ -181,17 +177,47 @@ def vector_pairs(draw):
 @example(([1.0, 0.0], [0.0, 0.5]))  # norms and roughnesses on bin thresholds
 @example((np.arange(1.0, 17.0)[::2], np.arange(16.0, 0.0, -1.0)[::-2]))
 def test_primitives_match_numpy_bit_for_bit(pair):
-    """describe_visual's norm and roughness and the coherence take the
+    """The visual bin's norm and roughness and the coherence take the
     bits of np.linalg.norm, np.mean and np.dot, the oracles' plain calls,
     whatever the input's strides or type."""
     t, v = pair
     assume(np.any(np.asarray(t) != 0) and np.any(np.asarray(v) != 0))
     for x in (t, v):
         assert norm(x).hex() == float(np.linalg.norm(x)).hex()
-        assert describe_visual(x) == oracles.describe_visual(x)
+        assert VectorPairDomain().describe(1, x) == oracles.describe_visual(x)
     expected = oracles.cohere(t, v).hex()
     assert VectorPairDomain().cohere((t, v)).hex() == expected
     assert combine_features(vector_features(t), vector_features(v)).hex() == expected
+
+
+@pytest.mark.parametrize("modality", [0, 1])
+def test_analyse_matches_describe_and_features_bit_for_bit(modality):
+    """The one-norm ``analyse`` gives ``describe``'s bin, and for a
+    classified payload ``features``' norm, bit for bit, with the payload
+    itself as the features' array; an unclassified one has no features.
+    The bins are the oracles', and None for a norm that is not finite.
+    Payloads: random vectors at several scales, the angle-less text
+    (0, 0, ...), components of inf, nan and +-1e308, a large finite norm,
+    a strided view, and an int and a float32 payload, which ``norm`` casts."""
+    rng = np.random.default_rng(26)
+    payloads = [rng.standard_normal(8) * scale for scale in (1e-3, 0.3, 1.0, 2.5, 40.0) for _ in range(20)]
+    payloads += [vec(0.0, 0.0, 3.0, 4.0), vec(math.inf, 1.0), vec(1.0, math.nan), vec(-math.inf)]
+    payloads += [vec(1e308, -1e308), vec(-1e308), vec(2.0, 1e308), vec(1e153, -1e153)]
+    payloads += [np.arange(-8.0, 8.0)[::-2], np.arange(-4, 4), rng.standard_normal(8).astype(np.float32)]
+    domain = VectorPairDomain()
+    oracle = oracles.describe_text if modality == 0 else oracles.describe_visual
+    with np.errstate(over="ignore"):  # the squares of 1e308 overflow
+        for payload in payloads:
+            bin_index, features = domain.analyse(modality, payload)
+            expected_values, expected_norm = domain.features(modality, payload)
+            expected_bin = oracle(payload) if math.isfinite(expected_norm) else None
+            assert bin_index == domain.describe(modality, payload) == expected_bin
+            if bin_index is None:
+                assert features is None
+            else:
+                values, length = features
+                assert values is payload and expected_values is payload
+                assert length.hex() == expected_norm.hex()
 
 
 # ------------------------------------------------------------ non-finite norms
