@@ -151,9 +151,7 @@ def melita_step(
         members += accepted
     if not members:
         return StepReport(parent_coords, modality, 1 + scored, REJECTED_OUTCOME)
-    winner = members[0]
-    if len(members) > 1:
-        winner = min(members, key=lambda c: (-c.fitness, c is not offspring, c.coords))
+    winner = min(members, key=lambda c: (-c.fitness, c is not offspring, c.coords))
     outcome = archive.insert(Solution(*winner))
     archive.credit_insertion(parent_coords)
     source = "offspring" if winner is offspring else "transverse"
