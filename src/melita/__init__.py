@@ -14,7 +14,7 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .archive import Archive, Cell
-from .binding import DomainBinding
+from .binding import DomainBinding, SplitBinding
 from .clustering import KMedoidsResult, k_medoids
 from .domains import DOMAINS, ToyMediaDomain, VectorPairDomain, make_domain
 from .metrics import DistanceReport, MetricsSample, archive_metrics, auc, diversity
@@ -44,6 +44,7 @@ __all__ = [
     "Archive",
     "Cell",
     "DomainBinding",
+    "SplitBinding",
     "KMedoidsResult",
     "k_medoids",
     "DOMAINS",

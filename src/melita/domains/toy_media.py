@@ -12,7 +12,7 @@ embeds a payload in one pass: one topic posterior per text, and one
 luminance array, one Sobel pass and one colourfulness per image.
 
 The image kernels (``image_analysis``, ``box_blur``) give the bits of
-the plain array-at-a-time formulas (``luminance``, ``colourfulness``,
+the plain array-at-a-time formulas (luminance, colourfulness,
 ``np.mean``, the nine-term window sum) in fewer passes over contiguous
 data. They rely on four rules:
 - An elementwise operation gives the same bits whatever the memory
@@ -51,7 +51,7 @@ import math
 
 import numpy as np
 
-from ..binding import DomainBinding
+from ..binding import SplitBinding
 from ..checks import require_finite, require_int
 from ..types import Solution
 from .common import bin4, mean, norm
@@ -164,29 +164,6 @@ def text_analysis(tokens: np.ndarray) -> tuple[int | None, tuple[np.ndarray, flo
     return (top, features) if features[0][top] >= CLASSIFY_THRESHOLD else (None, None)
 
 
-def std(a: np.ndarray) -> np.floating:
-    """``np.std`` of a float array, by its own ufunc steps."""
-    x = a - np.add.reduce(a, axis=None, keepdims=True) / a.size
-    return np.sqrt(mean(np.square(x, out=x)))
-
-
-def luminance(pixels: np.ndarray) -> np.ndarray:
-    return 0.299 * pixels[..., 0] + 0.587 * pixels[..., 1] + 0.114 * pixels[..., 2]
-
-
-def colourfulness(pixels: np.ndarray) -> float:
-    """Hasler-Susstrunk colourfulness on 0..255-scaled channels, with
-    population standard deviations."""
-    r = pixels[..., 0] * 255.0
-    g = pixels[..., 1] * 255.0
-    b = pixels[..., 2] * 255.0
-    rg = r - g
-    yb = 0.5 * (r + g) - b
-    sigma = math.hypot(float(std(rg)), float(std(yb)))
-    mu = math.hypot(float(mean(rg)), float(mean(yb)))
-    return sigma + 0.3 * mu
-
-
 def image_analysis(pixels: np.ndarray) -> tuple[int, np.ndarray, tuple[np.ndarray, float]]:
     """An image's bin (edge complexity crossed with colourfulness), its
     IMAGE_VECTOR_LAYOUT statistics, and its coherence features: M @ vector
@@ -199,9 +176,10 @@ def image_analysis(pixels: np.ndarray) -> tuple[int, np.ndarray, tuple[np.ndarra
     the same luminance values, so its edges are a slice of the image's
     mask; a quadrant under 3x3 counts 0.0.
 
-    The statistics are those of ``luminance``, ``colourfulness`` and
-    ``np.mean`` on the pixels read C-ordered, bit for bit, so none depends
-    on the memory layout (see the module docstring for how).
+    The statistics are those of the plain luminance, Hasler-Susstrunk
+    colourfulness and ``np.mean`` formulas on the pixels read C-ordered,
+    bit for bit, so none depends on the memory layout (see the module
+    docstring for how).
     """
     h, w = pixels.shape[:2]
     if h < 3 or w < 3:
@@ -312,7 +290,7 @@ def box_blur(pixels: np.ndarray) -> np.ndarray:
     return np.divide(sums.reshape(h, w + 2, c)[:, :w], 9.0)
 
 
-class ToyMediaDomain(DomainBinding):
+class ToyMediaDomain(SplitBinding):
     name = "toy_media"
     # Every constant an external implementation needs to reproduce the
     # descriptors and coherence bit-exactly.
@@ -370,17 +348,6 @@ class ToyMediaDomain(DomainBinding):
         if modality == 0:
             return self._vary_text(payload, rng)
         return self._vary_image(payload, rng)
-
-    def describe(self, modality: int, payload: np.ndarray) -> int | None:
-        return self.analyse(modality, payload)[0]
-
-    def cohere(self, payloads: tuple[np.ndarray, ...]) -> float:
-        return combine_features(text_features(payloads[0]), image_analysis(payloads[1])[2])
-
-    def features(self, modality: int, payload: np.ndarray) -> tuple[np.ndarray, float]:
-        if modality == 0:
-            return text_features(payload)
-        return image_analysis(payload)[2]
 
     def analyse(self, modality: int, payload: np.ndarray) -> tuple[int | None, tuple | None]:
         if modality == 0:

@@ -4,8 +4,7 @@ Both modalities are 8-component real vectors; coherence is their cosine
 similarity mapped to [0,1]. The text-like axis bins the angle of the
 first two components, the visual-like axis crosses a norm bin with a
 roughness bin. ``analyse`` takes a payload's norm once for its bin and
-its features, and ``describe`` is its bin, so a subclass changes binning
-by overriding ``analyse``. A vector whose norm is not finite (an
+its features, ``(vector, norm)``. A vector whose norm is not finite (an
 overflowed variation, say) is unclassified on both axes. Cheap to
 evaluate and fully transparent, which makes it the workhorse for oracle
 and trend tests.
@@ -21,7 +20,7 @@ import math
 
 import numpy as np
 
-from ..binding import DomainBinding
+from ..binding import SplitBinding
 from ..checks import require_finite
 from ..types import Solution
 from .common import bin4, mean, norm
@@ -47,13 +46,8 @@ def _visual_bin(values: np.ndarray, length: float) -> int:
     return 4 * norm_bin + bin4(roughness, ROUGHNESS_THRESHOLDS)
 
 
-def vector_features(values: np.ndarray) -> tuple[np.ndarray, float]:
-    """A vector's coherence features: the vector and its norm."""
-    return np.asarray(values), norm(values)
-
-
 def combine_features(t: tuple[np.ndarray, float], v: tuple[np.ndarray, float]) -> float:
-    """(1 + cos(t, v)) / 2 from two ``vector_features`` results. Raises
+    """(1 + cos(t, v)) / 2 from two (vector, norm) features. Raises
     when a norm, or the product of the two, is zero or not finite."""
     (t_values, tn), (v_values, vn) = t, v
     scale = tn * vn
@@ -63,7 +57,7 @@ def combine_features(t: tuple[np.ndarray, float], v: tuple[np.ndarray, float]) -
     return (1.0 + max(-1.0, min(1.0, cos))) / 2.0
 
 
-class VectorPairDomain(DomainBinding):
+class VectorPairDomain(SplitBinding):
     name = "vector_pair"
 
     def __init__(self, sigma: float = 0.3):
@@ -87,17 +81,8 @@ class VectorPairDomain(DomainBinding):
             return rng.standard_normal(DIMS)
         return parent.artefacts[modality].payload + rng.normal(0.0, self.sigma, DIMS)
 
-    def describe(self, modality: int, payload: np.ndarray) -> int | None:
-        return self.analyse(modality, payload)[0]
-
-    def cohere(self, payloads: tuple[np.ndarray, ...]) -> float:
-        return combine_features(vector_features(payloads[0]), vector_features(payloads[1]))
-
-    def features(self, modality: int, payload: np.ndarray) -> tuple[np.ndarray, float]:
-        return vector_features(payload)
-
     def analyse(self, modality: int, payload: np.ndarray) -> tuple[int | None, tuple | None]:
-        """The bin and ``vector_features`` from one norm; a norm not finite is unclassified."""
+        """The bin and ``(vector, norm)`` from one norm; a norm not finite is unclassified."""
         length = norm(payload)
         if not math.isfinite(length):
             return None, None

@@ -16,7 +16,7 @@ class Artefact:
     The library wraps every payload a binding returns; only the binding
     knows how to vary, describe, or score it.
 
-    ``features`` holds the binding's ``features(modality, payload)``.
+    ``features`` holds the features ``analyse`` returned.
     ``characterize`` and the step procedures fill it when they build the
     artefact, from the one ``analyse`` call that also bins the payload,
     so each artefact's coherence features are computed once per run,

@@ -25,9 +25,9 @@ def hexed(sample):
 
 
 class Forwarding(DomainBinding):
-    """Forwards only the abstract methods, so ``features`` and
-    ``combine`` fall back to the contract's defaults, as perfbench's
-    traced binding does."""
+    """A payload-form binding that forwards only the abstract methods, so
+    ``analyse`` and ``combine`` fall back to ``DomainBinding``'s defaults,
+    as perfbench's traced binding does."""
 
     def __init__(self, inner):
         self.inner = inner

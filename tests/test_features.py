@@ -1,7 +1,9 @@
-"""The split coherence contract: ``features`` once per artefact, then
-``combine``. The split must reproduce ``cohere`` bit for bit, a binding
-that implements only ``cohere`` must run unchanged, and seeding and the
-step procedures must analyse each new payload exactly once."""
+"""The two binding forms: ``analyse`` once per artefact, then
+``combine``. The split must reproduce the coherence formula bit for bit,
+each form's derived hooks must equal the ones it writes, a binding that
+implements only ``describe`` and ``cohere`` must run unchanged, and
+seeding and the step procedures must analyse each new payload exactly
+once."""
 from __future__ import annotations
 
 import dataclasses
@@ -13,7 +15,9 @@ import pytest
 from melita import (
     Archive,
     Artefact,
+    DomainBinding,
     RunConfig,
+    SplitBinding,
     ToyMediaDomain,
     VectorPairDomain,
     characterize,
@@ -21,7 +25,9 @@ from melita import (
     run,
     seed_archive,
 )
-from melita.domains.toy_media import PROJECTION, image_analysis, topic_posterior
+from melita.domains import toy_media, vector_pair
+from melita.domains.common import norm
+from melita.domains.toy_media import PROJECTION, image_analysis, text_features, topic_posterior
 from melita.harness.serialize import archive_to_dict, canonical_json
 
 import oracles
@@ -42,7 +48,17 @@ def media_reference(tokens, pixels):
 
 
 def split(domain, payloads):
-    return domain.combine(tuple(domain.features(i, p) for i, p in enumerate(payloads)))
+    return domain.combine(tuple(domain.analyse(i, p)[1] for i, p in enumerate(payloads)))
+
+
+def media_split(tokens, pixels):
+    """The formula toy_media's ``combine`` takes, on features that exist
+    for an unclassified text too."""
+    return toy_media.combine_features(text_features(tokens), image_analysis(pixels)[2])
+
+
+def pair_split(t, v):
+    return vector_pair.combine_features((t, norm(t)), (v, norm(v)))
 
 
 def test_toy_media_split_is_bit_identical():
@@ -54,11 +70,19 @@ def test_toy_media_split_is_bit_identical():
     ]
     black = np.zeros((8, 8, 3))
     pairs.append((pairs[0][0], black))
+    classified = 0
     for tokens, pixels in pairs:
         expected = media_reference(tokens, pixels)
-        assert split(domain, (tokens, pixels)) == expected
-        assert domain.cohere((tokens, pixels)) == expected
-    assert split(domain, (pairs[0][0], black)) == 0.5
+        assert media_split(tokens, pixels) == expected
+        if domain.describe(0, tokens) is None:
+            with pytest.raises(ValueError, match="^modality 0: "):
+                domain.cohere((tokens, pixels))
+        else:
+            classified += 1
+            assert split(domain, (tokens, pixels)) == expected
+            assert domain.cohere((tokens, pixels)) == expected
+    assert 0 < classified < len(pairs)
+    assert media_split(pairs[0][0], black) == 0.5
 
 
 def test_vector_pair_split_is_bit_identical():
@@ -67,13 +91,86 @@ def test_vector_pair_split_is_bit_identical():
     for _ in range(300):
         t, v = rng.standard_normal(8), rng.standard_normal(8) * rng.random() * 4
         expected = oracles.cohere(t, v)
+        assert pair_split(t, v) == expected
         assert split(domain, (t, v)) == expected
         assert domain.cohere((t, v)) == expected
     zero = np.zeros(8)
     with pytest.raises(ValueError):
-        split(domain, (zero, rng.standard_normal(8)))
+        pair_split(zero, rng.standard_normal(8))
     with pytest.raises(ValueError):
         domain.cohere((rng.standard_normal(8), zero))
+
+
+@pytest.mark.parametrize(
+    "domain, unclassified",
+    [
+        (VectorPairDomain(), {0: np.zeros(8), 1: np.full(8, np.inf)}),
+        (ToyMediaDomain(width=8, height=8), {0: np.array([0, 4])}),
+    ],
+    ids=["vector_pair", "toy_media"],
+)
+def test_split_form_derives_describe_and_cohere(domain, unclassified):
+    """A split-form binding writes ``analyse`` and ``combine``: its
+    ``describe`` is ``analyse``'s bin and its ``cohere`` is ``combine``
+    of ``analyse``'s features, bit for bit. ``cohere`` raises naming the
+    modality for an unclassified payload (an angle-less or infinite
+    vector, a text whose top topics tie; no image is unclassified) and
+    for a wrong payload count."""
+    assert isinstance(domain, SplitBinding)
+    rng = np.random.default_rng(27)
+    scored = 0
+    for _ in range(100):
+        payloads = domain.generate(rng)
+        analysed = [domain.analyse(m, p) for m, p in enumerate(payloads)]
+        assert [domain.describe(m, p) for m, p in enumerate(payloads)] == [b for b, _ in analysed]
+        if all(b is not None for b, _ in analysed):
+            scored += 1
+            expected = domain.combine(tuple(f for _, f in analysed))
+            assert domain.cohere(payloads).hex() == expected.hex()
+        for count in (1, 3):
+            with pytest.raises(ValueError, match=f"^expected 2 payloads, one per modality, got {count}$"):
+                domain.cohere((payloads * 2)[:count])
+        for modality, payload in unclassified.items():
+            assert domain.describe(modality, payload) is None
+            mixed = list(payloads)
+            mixed[modality] = payload
+            with pytest.raises(ValueError, match=f"^modality {modality}: an unclassified payload"):
+                domain.cohere(tuple(mixed))
+    assert scored > 50
+
+
+def test_each_form_leaves_its_own_hooks_abstract():
+    """A binding must write one of the two forms whole: a split form
+    without ``combine`` or a payload form without ``cohere`` cannot be
+    instantiated."""
+
+    class NoCombine(SplitBinding):
+        axis_sizes = (4, 4)
+
+        def generate(self, rng):
+            return None
+
+        def vary(self, modality, parent, rng):
+            return None
+
+        def analyse(self, modality, payload):
+            return 0, payload
+
+    class NoCohere(DomainBinding):
+        axis_sizes = (4, 4)
+
+        def generate(self, rng):
+            return None
+
+        def vary(self, modality, parent, rng):
+            return None
+
+        def describe(self, modality, payload):
+            return 0
+
+    for cls in (NoCombine, NoCohere):
+        with pytest.raises(TypeError, match="abstract method"):
+            cls()
 
 
 def record_view(record):
@@ -101,8 +198,7 @@ def test_cohere_only_binding_gives_identical_record(make, params):
 
 class Counting:
     """Binding mixin that counts ``analyse`` calls per payload object, and
-    ``describe`` and ``features`` calls made inside ``analyse`` or
-    directly. It records what ``generate`` and ``vary`` returned, which
+    ``describe`` calls made inside ``analyse`` or directly. It records what ``generate`` and ``vary`` returned, which
     keeps every payload alive, so no id is reused."""
 
     def __init__(self, **params):
@@ -137,10 +233,6 @@ class Counting:
         (self.inside if self._depth else self.direct)["describe"] += 1
         return super().describe(modality, payload)
 
-    def features(self, modality, payload):
-        (self.inside if self._depth else self.direct)["features"] += 1
-        return super().features(modality, payload)
-
     def combine(self, features):
         self.combines += 1
         return super().combine(features)
@@ -169,19 +261,14 @@ class CountingSparsePair(Counting, SparsePair):
 
 
 class DefaultHookPair(Forwarding):
-    """Forwards ``describe`` and ``features`` to a vector_pair binding and
-    keeps ``DomainBinding.analyse``, which composes the two."""
+    """A payload-form binding over vector_pair: it keeps
+    ``DomainBinding.analyse``, which calls ``describe`` and returns the
+    payload as its features."""
 
     inner_class = VectorPairDomain
 
     def __init__(self, **params):
         super().__init__(self.inner_class(**params))
-
-    def features(self, modality, payload):
-        return self.inner.features(modality, payload)
-
-    def combine(self, features):
-        return self.inner.combine(features)
 
 
 class CountingDefaultHookPair(Counting, DefaultHookPair):
@@ -221,7 +308,7 @@ def test_melita_run_computes_features_at_most_once_per_artefact():
 def test_each_new_payload_is_analysed_once(make, plain, params, default_hook, method):
     """One ``analyse`` call per new payload, seeded and varied alike, and
     none for a seed's payloads after its first unclassified one; no
-    library path calls ``describe`` or ``features`` itself."""
+    library path calls ``describe`` itself."""
     domain = make(**params)
     config = RunConfig(seed=11, method=method, init_count=60, steps=300, snapshot_every=100)
     record = run(domain, config, np.random.default_rng(config.seed))
@@ -241,7 +328,7 @@ def test_each_new_payload_is_analysed_once(make, plain, params, default_hook, me
         assert classified < expected.total()  # some payloads met the death penalty
     assert domain.direct == Counter()
     if default_hook:
-        assert domain.inside == Counter(describe=expected.total(), features=classified)
+        assert domain.inside == Counter(describe=expected.total())
     else:
         assert domain.inside == Counter()
     archives = [record.archive] + [snapshot for _, snapshot in record.snapshots]
@@ -255,18 +342,18 @@ def test_default_analyse_skips_features_for_unclassified_payloads():
     assert domain.analyse(0, np.zeros(8)) == (None, None)
     assert domain.inside == Counter(describe=1)
     payload = np.arange(8.0)
-    bin_index, (values, norm) = domain.analyse(0, payload)
+    bin_index, features = domain.analyse(0, payload)
     assert bin_index == VectorPairDomain().describe(0, payload)
-    assert values is payload and norm == float(np.linalg.norm(payload))
-    assert domain.inside == Counter(describe=2, features=1)
+    assert features is payload
+    assert domain.inside == Counter(describe=2)
     assert domain.direct == Counter()
 
 
 def assert_features_filled(domain, archive):
     for artefact in (a for s in archive.solutions() for a in s.artefacts):
-        values, norm = domain.features(artefact.modality, artefact.payload)
-        assert np.array_equal(artefact.features[0], values)
-        assert artefact.features[1] == norm
+        values, length = artefact.features
+        assert np.array_equal(values, artefact.payload)
+        assert length.hex() == norm(artefact.payload).hex()
 
 
 def test_every_seeded_and_stepped_artefact_has_its_features_filled():

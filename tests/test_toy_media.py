@@ -20,9 +20,8 @@ from melita.domains.toy_media import (
     TOPICS,
     VOCAB,
     box_blur,
-    colourfulness,
+    combine_features,
     image_analysis,
-    luminance,
     preferred_token_counts,
     splitmix64_stream,
     text_analysis,
@@ -31,10 +30,13 @@ from melita.domains.toy_media import (
 )
 
 import oracles
+from oracles import colourfulness, luminance
 
 
 def media_coherence(tokens, pixels):
-    return ToyMediaDomain().cohere((tokens, pixels))
+    """The formula the binding's ``combine`` takes, on features that
+    exist for an unclassified text too."""
+    return combine_features(text_features(tokens), image_analysis(pixels)[2])
 
 
 def parent_solution(domain, seed):

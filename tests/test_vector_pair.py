@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from melita import OFFSPRING_INVALID, RunConfig, VectorPairDomain, characterize, run
 from melita.domains.common import bin4, norm
-from melita.domains.vector_pair import combine_features, describe_text, vector_features
+from melita.domains.vector_pair import combine_features, describe_text
 
 import oracles
 
@@ -176,6 +176,7 @@ def vector_pairs(draw):
 @given(vector_pairs())
 @example(([1.0, 0.0], [0.0, 0.5]))  # norms and roughnesses on bin thresholds
 @example((np.arange(1.0, 17.0)[::2], np.arange(16.0, 0.0, -1.0)[::-2]))
+@example(([0.0, 0.0, 1.0], [1.0, 2.0, 3.0]))  # an angle-less text
 def test_primitives_match_numpy_bit_for_bit(pair):
     """The visual bin's norm and roughness and the coherence take the
     bits of np.linalg.norm, np.mean and np.dot, the oracles' plain calls,
@@ -186,8 +187,16 @@ def test_primitives_match_numpy_bit_for_bit(pair):
         assert norm(x).hex() == float(np.linalg.norm(x)).hex()
         assert VectorPairDomain().describe(1, x) == oracles.describe_visual(x)
     expected = oracles.cohere(t, v).hex()
-    assert VectorPairDomain().cohere((t, v)).hex() == expected
-    assert combine_features(vector_features(t), vector_features(v)).hex() == expected
+    assert combine_features((np.asarray(t), norm(t)), (np.asarray(v), norm(v))).hex() == expected
+    domain = VectorPairDomain()
+    (t_bin, t_features), (_, v_features) = domain.analyse(0, t), domain.analyse(1, v)
+    if t_bin is None:
+        assert oracles.describe_text(np.asarray(t)) is None
+        with pytest.raises(ValueError, match="^modality 0: "):
+            domain.cohere((t, v))
+    else:
+        assert domain.combine((t_features, v_features)).hex() == expected
+        assert domain.cohere((t, v)).hex() == expected
 
 
 @pytest.mark.parametrize("modality", [0, 1])
@@ -209,14 +218,14 @@ def test_analyse_matches_describe_and_features_bit_for_bit(modality):
     with np.errstate(over="ignore"):  # the squares of 1e308 overflow
         for payload in payloads:
             bin_index, features = domain.analyse(modality, payload)
-            expected_values, expected_norm = domain.features(modality, payload)
+            expected_norm = norm(payload)
             expected_bin = oracle(payload) if math.isfinite(expected_norm) else None
             assert bin_index == domain.describe(modality, payload) == expected_bin
             if bin_index is None:
                 assert features is None
             else:
                 values, length = features
-                assert values is payload and expected_values is payload
+                assert values is payload
                 assert length.hex() == expected_norm.hex()
 
 
@@ -236,9 +245,12 @@ def test_vector_of_non_finite_norm_is_unclassified(values):
         for modality in (0, 1):
             assert domain.describe(modality, values) is None
             assert domain.analyse(modality, values) == (None, None)
-            assert not math.isfinite(domain.features(modality, values)[1])
-        for payloads in ((values, other), (other, values)):
+            assert not math.isfinite(norm(values))
+        for modality, payloads in enumerate(((values, other), (other, values))):
+            features = [(np.asarray(p), norm(p)) for p in payloads]
             with pytest.raises(ValueError, match="^coherence is undefined for vectors of norm"):
+                combine_features(*features)
+            with pytest.raises(ValueError, match=f"^modality {modality}: an unclassified payload"):
                 domain.cohere(payloads)
 
 
