@@ -79,7 +79,7 @@ def run_experiment(
                         record = run(domain, rc, rng, archive)
 
                     stem = f"{method}/{label.name}_run{index}"
-                    blocks = {} if record.snapshots else None  # cells shared by this run's files
+                    blocks = {} if record.snapshots else None  # cells and artefacts its files share
                     save_metrics(out / f"{stem}_metrics.csv", record.samples)
                     save_archive(out / f"{stem}_archive.json", record.archive, digest, blocks)
                     entry = {

@@ -88,19 +88,22 @@ def config_hash(config_dict: dict) -> str:
     return hashlib.sha256(canonical_json(config_dict).encode()).hexdigest()
 
 
-@np.errstate(invalid="ignore")  # casting a float32 signalling NaN to float64 warns
 def encode_payload(payload: np.ndarray) -> object:
     arr = np.asarray(payload)
     if arr.ndim == 3 and arr.shape[2] == 3:
+        with np.errstate(invalid="ignore"):  # casting a float32 signalling NaN to float64 warns
+            pixels = arr.astype("<f8").tobytes()
         return {
             "width": int(arr.shape[1]),
             "height": int(arr.shape[0]),
-            "pixels": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii"),
+            "pixels": base64.b64encode(pixels).decode("ascii"),
         }
-    if arr.ndim == 1 and np.issubdtype(arr.dtype, np.integer):
-        return arr.tolist()
-    if arr.ndim == 1 and np.issubdtype(arr.dtype, np.floating):
-        return arr.astype(np.float64).tolist()
+    kind = arr.dtype.kind
+    if arr.ndim == 1 and (kind in "iu" or kind == "f" and arr.dtype.itemsize <= 8):
+        return arr.tolist()  # each element as the int or float it equals
+    if arr.ndim == 1 and kind == "f":  # longdouble, whose tolist() keeps numpy scalars
+        with np.errstate(invalid="ignore"):
+            return arr.astype(np.float64).tolist()
     raise ValueError(f"no payload encoding for array with shape {arr.shape} and dtype {arr.dtype}")
 
 
@@ -187,25 +190,67 @@ def archive_from_dict(data: dict, *, modalities: Container[int] | None = None) -
     return archive
 
 
+# The fixed text of an artefact and of a cell block, as _render lays out
+# _cell_dict's keys, in sorted order, at a cell's depth in the cells list.
+_ARTEFACT = '{\n          "modality": %s,\n          "payload": %s\n        }'
+_CELL = (
+    '{\n      "artefacts": %s,\n      "birth_step": %s,'
+    '\n      "coords": %s,\n      "fitness": %s\n    }'
+)
+
+
+def _artefact_text(artefact: Artefact, texts: dict) -> str:
+    """``artefact``'s ``{modality, payload}`` text, rendered once per ``texts``."""
+    if (entry := texts.get(id(artefact))) is None:
+        payload = _render(encode_payload(artefact.payload), "\n          ")
+        entry = texts[id(artefact)] = (artefact, _ARTEFACT % (_flat(artefact.modality), payload))
+    return entry[1]
+
+
+def _cell_block(coords: tuple[int, ...], cell: Cell, texts: dict) -> str:
+    """The text ``_render`` gives ``_cell_dict(coords, cell)`` in the cells list."""
+    artefacts = ",\n        ".join([_artefact_text(a, texts) for a in cell.solution.artefacts])
+    return _CELL % (
+        "[\n        " + artefacts + "\n      ]" if artefacts else "[]",
+        _flat(cell.birth_step),
+        _render(list(coords), "\n      "),
+        _flat(cell.solution.fitness),
+    )
+
+
+def _archive_pieces(archive: Archive, config_digest: str, blocks: dict | None) -> Iterator[str]:
+    """``canonical_json(archive_to_dict(archive, config_digest))``, one cell block at a time."""
+    empty = canonical_json(archive_to_dict(Archive(archive.axis_sizes), config_digest))
+    head, _, tail = empty.partition("[]")  # the cells list; axis_sizes is never empty
+    yield head + "["
+    for i, coords in enumerate(archive.ordered()):
+        cell = archive.cells[coords]
+        if blocks is None:
+            block = _cell_block(coords, cell, {})
+        else:
+            if (key := (id(cell.solution), cell.birth_step, coords)) not in blocks:
+                blocks[key] = (cell.solution, _cell_block(coords, cell, blocks))
+            block = blocks[key][1]
+        yield ("," if i else "") + "\n    " + block
+    yield ("\n  ]" if archive.cells else "]") + tail
+
+
 def save_archive(
     path: str | Path, archive: Archive, config_digest: str = "", blocks: dict | None = None
 ) -> None:
-    """Write ``canonical_json(archive_to_dict(archive, config_digest))``
-    one cell block at a time. ``blocks``, if given, memoizes rendered cells
-    across a run's files by (elite id, birth step, coords); it holds each
-    elite, so no id is reused while it lives, and elites are immutable."""
-    memo = {} if blocks is None else blocks
-    empty = canonical_json(archive_to_dict(Archive(archive.axis_sizes), config_digest))
-    head, _, tail = empty.partition("[]")  # the cells list; axis_sizes is never empty
+    """Write ``canonical_json(archive_to_dict(archive, config_digest))``.
+    ``blocks``, if given, is a run's memo: it keeps each cell block by
+    (elite id, birth step, coords) and each artefact's text by artefact
+    id across the run's files, and the file goes out in one write. It
+    holds each elite and artefact, so no id is reused while its text
+    lives, and both are immutable. Without it, one cell block is held
+    and written at a time."""
+    pieces = _archive_pieces(archive, config_digest, blocks)
     with _replacing(path) as f:
-        f.write(head + "[")
-        for i, coords in enumerate(archive.ordered()):
-            cell = archive.cells[coords]
-            if (key := (id(cell.solution), cell.birth_step, coords)) not in memo:
-                memo[key] = (cell.solution, _render(_cell_dict(coords, cell), "\n    "))
-            _, block = memo[key] if blocks is not None else memo.pop(key)  # one block held
-            f.write(("," if i else "") + "\n    " + block)
-        f.write(("\n  ]" if archive.cells else "]") + tail)
+        if blocks is None:
+            f.writelines(pieces)
+        else:
+            f.write("".join(pieces))
 
 
 def load_archive(path: str | Path, *, modalities: Container[int] | None = None) -> Archive:
@@ -217,11 +262,7 @@ def load_archive(path: str | Path, *, modalities: Container[int] | None = None) 
 
 def save_metrics(path: str | Path, samples: tuple[MetricsSample, ...]) -> None:
     with _replacing(path) as f:
-        f.write(METRICS_HEADER + "\n")
-        f.writelines(
-            f"{s.step},{s.coverage:.9g},{s.mean_fitness:.9g},{s.max_fitness:.9g},{s.qd_score:.9g}\n"
-            for s in samples
-        )
+        f.write(METRICS_HEADER + "\n" + "".join(["%d,%.9g,%.9g,%.9g,%.9g\n" % s for s in samples]))
 
 
 def metric_columns(path: str | Path) -> tuple[list, ...]:

@@ -3,10 +3,11 @@ vector-pair search step for step-procedure tests, UCB parent selection
 over plain counters for the selection tests, and a pair-by-pair
 distance matrix, PAM k-medoids and the medoids report for the analysis
 tests, per-item diversity and point-by-point PAM assignment for the
-array-pass analysis tests, the per-element payload encoding and the
-line-by-line metrics reader for the serialization tests, and the
-two-pass toy_media bin and features for the one-pass analysis tests,
-and the stepwise toy_media image kernels for the flat-slice kernel tests.
+array-pass analysis tests, the per-element payload encoding, the
+per-field metrics writer and the line-by-line metrics reader for the
+serialization tests, and the two-pass toy_media bin and features for
+the one-pass analysis tests, and the stepwise toy_media image kernels
+for the flat-slice kernel tests.
 
 Nothing here imports the library's archive or step code. Archive state
 is a plain dict mapping coords -> (fitness, text_payload, visual_payload)
@@ -313,6 +314,12 @@ def encode_payload(payload):
 
 
 METRICS_HEADER = "step,coverage,mean_fitness,max_fitness,qd_score"
+
+
+def metrics_text(samples) -> str:
+    """A metrics CSV's text, each field formatted on its own."""
+    rows = [f"{s[0]},{s[1]:.9g},{s[2]:.9g},{s[3]:.9g},{s[4]:.9g}\n" for s in samples]
+    return METRICS_HEADER + "\n" + "".join(rows)
 
 
 def load_metrics(path):

@@ -1,8 +1,9 @@
-"""The canonical JSON renderer against the stdlib, the vectorised payload
-encoding against its per-element oracle, exact payload and archive round
-trips (older list-form image archives included), the loader's field
-checks, one rendering per elite within a run's files, and files that
-appear only complete."""
+"""The canonical JSON renderer and the archive cell template against the
+stdlib, the vectorised payload encoding against its per-element oracle,
+exact payload and archive round trips (older list-form image archives
+included), the loader's field checks, metrics rows against per-field
+formatting, one rendering per elite and per artefact within a run's
+files, and files that appear only complete."""
 import base64
 import json
 import math
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from melita import Archive, Artefact, RunConfig, Solution, ToyMediaDomain, VectorPairDomain, run
 from melita.archive import Cell
-from melita.harness import ExperimentConfig, experiment, run_experiment
+from melita.harness import ExperimentConfig, experiment, run_experiment, serialize
 from melita.harness.serialize import (
     archive_from_dict,
     archive_to_dict,
@@ -126,6 +127,10 @@ def test_empty_archive_matches_stdlib(tmp_path):
     assert canonical_json(data) == stdlib(data)
     save_archive(tmp_path / "empty.json", archive)
     assert (tmp_path / "empty.json").read_text() == stdlib(data)
+    # A cell written directly may hold a solution of no artefacts.
+    archive.cells[(0, 0)] = Cell(Solution((), 0.5, ()), birth_step=0)
+    save_archive(tmp_path / "bare.json", archive)
+    assert (tmp_path / "bare.json").read_text() == stdlib(archive_to_dict(archive))
 
 
 def _payloads():
@@ -211,6 +216,65 @@ def test_image_payload_round_trips_exactly(image):
     assert decoded.tobytes() == expected.tobytes()
     # The same bits as the per-element oracle writes.
     assert text == stdlib(oracles.encode_payload(image))
+
+
+VECTOR_SPECIALS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308]
+
+
+@st.composite
+def payloads(draw):
+    """A token list at any int64, int32 or uint8 value, its extremes
+    included; a float64, float32 or float16 vector of any float or the
+    special values, cast as astype casts; or an image of ``images()``."""
+    kind = draw(st.sampled_from(["tokens", "vector", "image"]))
+    if kind == "tokens":
+        info = np.iinfo(draw(st.sampled_from([np.int64, np.int32, np.uint8])))
+        values = st.integers(info.min, info.max) | st.sampled_from([info.min, info.max])
+        return np.array(draw(st.lists(values, max_size=6)), dtype=info.dtype)
+    if kind == "vector":
+        values = draw(st.lists(st.floats() | st.sampled_from(VECTOR_SPECIALS), max_size=6))
+        with np.errstate(over="ignore"):  # 1e308 is inf in float32 and float16
+            return np.array(values).astype(draw(st.sampled_from([np.float64, np.float32, np.float16])))
+    return draw(images())
+
+
+@st.composite
+def archive_series(draw):
+    """Up to four archives of one to four modalities, as a run's files
+    hold them: each may start from the cells of the one before, and every
+    cell's artefacts come from a small pool, so cells share artefacts."""
+    modalities = draw(st.integers(1, 4))
+    axis_sizes = tuple(draw(st.lists(st.integers(1, 3), min_size=modalities, max_size=modalities)))
+    pool = [
+        [Artefact(m, draw(payloads())) for _ in range(draw(st.integers(1, 3)))]
+        for m in range(modalities)
+    ]
+    coords = st.tuples(*[st.integers(0, size - 1) for size in axis_sizes])
+    archives = []
+    for _ in range(draw(st.integers(1, 4))):
+        cells = dict(archives[-1].cells) if archives and draw(st.booleans()) else {}
+        for c in draw(st.lists(coords, max_size=5)):
+            artefacts = tuple(draw(st.sampled_from(pool[m])) for m in range(modalities))
+            fitness = draw(st.sampled_from([0.0, 5e-324, 0.5, 1.0]))
+            cells[c] = Cell(Solution(artefacts, fitness, c), draw(st.integers(0, 2**53)))
+        archives.append(Archive(axis_sizes, cells))
+    return archives
+
+
+@settings(max_examples=200, deadline=None)
+@given(archive_series(), st.sampled_from(["", "digest"]))
+def test_cell_template_matches_stdlib_through_one_memo(tmp_path_factory, archives, digest):
+    directory = tmp_path_factory.mktemp("template")
+    for archive in archives:
+        for cell in archive.cells.values():
+            for payload in (a.payload for a in cell.solution.artefacts):
+                assert repr(encode_payload(payload)) == repr(oracles.encode_payload(payload))
+    blocks = {}
+    for i, archive in enumerate(archives):
+        expected = stdlib(archive_to_dict(archive, digest))
+        for memo in (blocks, None):  # the run's memo, and a file streamed cell by cell
+            save_archive(directory / f"archive{i}.json", archive, digest, memo)
+            assert (directory / f"archive{i}.json").read_text() == expected
 
 
 def list_form(archive):
@@ -385,6 +449,20 @@ def test_metrics_readers_match_the_line_by_line_oracle(tmp_path_factory, text):
     assert len(metric_columns(path)) == 5
 
 
+METRIC_VALUES = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.0**-1030, 2.2250738585072014e-308, 1e308]
+)
+SAMPLES = st.tuples(st.integers(), *[METRIC_VALUES] * 4).map(lambda fields: MetricsSample(*fields))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(SAMPLES, max_size=20))
+def test_metrics_rows_match_the_per_field_format(tmp_path_factory, samples):
+    path = tmp_path_factory.mktemp("metrics") / "metrics.csv"
+    save_metrics(path, tuple(samples))
+    assert path.read_bytes() == oracles.metrics_text(samples).encode()
+
+
 def archive_with_bad_payload():
     """A valid cell at (0, 0), then one whose 2-D payload has no encoding."""
     archive = Archive((2, 2))
@@ -398,7 +476,7 @@ FAILING_WRITES = {
     "write_json": (lambda path: write_json(path, {"ok": [1, 2], "bad": {1, 2}}), TypeError),
     "save_metrics": (
         lambda path: save_metrics(path, (MetricsSample(1, 0.5, 0.5, 0.5, 1.0), None)),
-        AttributeError,
+        TypeError,
     ),
 }
 
@@ -444,6 +522,23 @@ def test_memo_key_tells_birth_step_coords_and_dead_elites_apart(tmp_path):
         assert (tmp_path / "fresh.json").read_text() == canonical_json(archive_to_dict(archive))
 
 
+def test_dropped_artefact_never_lends_its_text_to_a_new_one(tmp_path):
+    blocks = {}
+    for k in range(50):
+        artefact = Artefact(0, np.full(2, float(k)))
+        archive = Archive((2,))
+        archive.cells[(0,)] = Cell(Solution((artefact,), 0.5, (0,)), birth_step=k)
+        del artefact
+        save_archive(tmp_path / "fresh.json", archive, "", blocks)
+        assert (tmp_path / "fresh.json").read_text() == canonical_json(archive_to_dict(archive))
+        # Drop the elite blocks and the archive: only the artefact texts
+        # keep their artefacts alive, so a new artefact never takes an id
+        # whose text is cached.
+        for key in [key for key in blocks if isinstance(key, tuple)]:
+            del blocks[key]
+        del archive
+
+
 def test_run_renders_each_elite_once_and_files_match_fresh_renders(tmp_path, monkeypatch):
     config = ExperimentConfig.from_dict(
         {
@@ -459,42 +554,57 @@ def test_run_renders_each_elite_once_and_files_match_fresh_renders(tmp_path, mon
         }
     )
     calls = []
-    real = experiment.save_archive
+    encoded = []
+    real, real_encode = experiment.save_archive, serialize.encode_payload
 
     def spy(path, archive, digest, blocks):
-        calls.append((path, archive, digest, blocks, len(blocks)))
+        size_before, encoded_before = len(blocks), len(encoded)
         real(path, archive, digest, blocks)
+        calls.append((path, archive, digest, blocks, size_before, len(encoded) - encoded_before))
+
+    def encode_spy(payload):
+        encoded.append(payload)
+        return real_encode(payload)
 
     monkeypatch.setattr(experiment, "save_archive", spy)
+    monkeypatch.setattr(serialize, "encode_payload", encode_spy)
     manifest = run_experiment(config, tmp_path)
 
     runs = {}
-    for path, archive, digest, blocks, size_before in calls:
+    for path, archive, digest, blocks, size_before, encodings in calls:
         assert path.read_text() == canonical_json(archive_to_dict(archive, digest))
         stem = f"{path.parent.name}/{path.name.split('_snapshot')[0].removesuffix('_archive.json')}"
-        runs.setdefault(stem, []).append((archive, blocks, size_before))
+        runs.setdefault(stem, []).append((archive, blocks, size_before, encodings))
     assert len(runs) == len(manifest["runs"]) == 4
     memos = []
     for files in runs.values():
         assert len(files) == 5  # the final archive and four snapshots
         memo = files[0][1]
         assert files[0][2] == 0, "a run's memo starts empty"
-        assert all(blocks is memo for _, blocks, _ in files)
+        assert all(blocks is memo for _, blocks, _, _ in files)
         assert all(memo is not other for other in memos), "a memo outlived its run"
         memos.append(memo)
-        # One entry per (elite, birth step, coords) written, and fewer
-        # entries than cells written: snapshots reuse earlier blocks.
+        # The memo keeps elite blocks under (elite id, birth step, coords)
+        # tuples and artefact texts under artefact ids: one entry per
+        # elite written, and fewer than cells written, since snapshots
+        # reuse earlier blocks.
+        elites = {key for key in memo if isinstance(key, tuple)}
         written = {
             (id(a.cells[c].solution), a.cells[c].birth_step, c)
-            for a, _, _ in files
+            for a, *_ in files
             for c in a.cells
         }
-        assert set(memo) == written
-        assert len(memo) < sum(len(a) for a, _, _ in files)
+        assert elites == written
+        assert len(elites) < sum(len(a) for a, *_ in files)
+        # One encoding per distinct artefact the run writes.
+        artefacts = {
+            id(x) for a, *_ in files for cell in a.cells.values() for x in cell.solution.artefacts
+        }
+        assert sum(encodings for *_, encodings in files) == len(artefacts) == len(memo) - len(elites)
 
         # Some cell changed occupant between snapshots, and its file
         # holds the new occupant.
-        snapshots = [a for a, _, _ in files[1:]] + [files[0][0]]
+        snapshots = [a for a, *_ in files[1:]] + [files[0][0]]
         replaced = [
             (later, c)
             for earlier, later in zip(snapshots, snapshots[1:])
@@ -502,7 +612,7 @@ def test_run_renders_each_elite_once_and_files_match_fresh_renders(tmp_path, mon
             if later.cells[c].solution is not earlier.cells[c].solution
         ]
         assert replaced
-    for path, archive, _, _, _ in calls:
+    for path, archive, *_ in calls:
         cells = {tuple(cell["coords"]): cell for cell in json.loads(path.read_text())["cells"]}
         for coords, cell in archive.cells.items():
             assert cells[coords]["fitness"] == cell.solution.fitness
