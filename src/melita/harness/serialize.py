@@ -2,6 +2,8 @@
 
 All JSON is canonical, the bytes of ``json.dumps(obj, sort_keys=True,
 indent=2)`` and a newline; repr floats make load -> re-serialize exact.
+``canonical_json`` is that call. ``save_archive`` writes the same bytes
+from fixed cell text, rendering each elite once per run.
 
 Payload encodings are structural: integer arrays (token text) serialize
 as plain int lists, float vectors as float lists, and RGB images as
@@ -28,38 +30,9 @@ from ..types import Artefact, Solution
 
 METRICS_HEADER = "step,coverage,mean_fitness,max_fitness,qd_score"
 
-# CPython's C encoders; json.dumps uses them only when indent is None. The
-# one C encoder is built here with JSONEncoder(sort_keys=True)'s settings,
-# less the circular-reference check, instead of once per encode call.
-_key = json.encoder.encode_basestring_ascii
-_encode = json.encoder.c_make_encoder(
-    None, json.JSONEncoder().default, _key, None, ": ", ", ", True, False, True
-)
-
-
-def _flat(obj: object) -> str:
-    return "".join(_encode(obj, 0))
-
-
-def _render(obj: object, indent: str) -> str:
-    """``obj`` as ``json.dumps(obj, sort_keys=True, indent=2)`` renders it
-    at the depth whose lines start with ``indent`` (a newline and spaces).
-    A list of plain ints and floats takes one C-encoder call."""
-    inner = indent + "  "
-    if isinstance(obj, dict):
-        body = ("," + inner).join([f"{_key(k)}: {_render(v, inner)}" for k, v in sorted(obj.items())])
-        return "{" + inner + body + indent + "}" if obj else "{}"
-    if not isinstance(obj, (list, tuple)):
-        return _flat(obj)
-    if set(map(type, obj)) <= {int, float}:
-        body = _flat(obj)[1:-1].replace(", ", "," + inner)
-    else:
-        body = ("," + inner).join([_render(v, inner) for v in obj])
-    return "[" + inner + body + indent + "]" if obj else "[]"
-
 
 def canonical_json(obj: object) -> str:
-    return _render(obj, "\n") + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 @contextlib.contextmanager
@@ -145,35 +118,37 @@ def archive_to_dict(archive: Archive, config_digest: str = "") -> dict:
     }
 
 
-def _field(data: object, name: str, convert: Callable[[Any], Any]) -> Any:
-    """``convert(data[name])``; a missing or malformed field raises ValueError naming it."""
+def _field(data: object, name: str, convert: Callable[[Any], Any], where: str = "") -> Any:
+    """``convert(data[name])``; a missing or malformed field raises ValueError
+    naming it, followed by ``where`` it is, such as " of cell 3"."""
     if not isinstance(data, dict):
-        raise ValueError(f"expected an object with field {name!r}, got {type(data).__name__}")
+        raise ValueError(f"expected an object with field {name!r}{where}, got {type(data).__name__}")
     if name not in data:
-        raise ValueError(f"missing field {name!r}")
+        raise ValueError(f"missing field {name!r}{where}")
     try:
         return convert(data[name])
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"field {name!r}: {exc}") from None
+        raise ValueError(f"field {name!r}{where}: {exc}") from None
 
 
-def _artefact(data: object, modalities: Container[int] | None) -> Artefact:
-    modality = _field(data, "modality", lambda v: require_int("modality", v, 0))
+def _artefact(data: object, modalities: Container[int] | None, where: str) -> Artefact:
+    modality = _field(data, "modality", lambda v: require_int("modality", v, 0), where)
     decode = decode_payload if modalities is None or modality in modalities else lambda v: None
-    return Artefact(modality, _field(data, "payload", decode))
+    return Artefact(modality, _field(data, "payload", decode, where))
 
 
 def archive_from_dict(data: dict, *, modalities: Container[int] | None = None) -> Archive:
     """The archive ``data`` describes, only ``modalities``' payloads decoded (all when None;
-    others load as None). A missing or malformed field raises ValueError naming it, and the
-    cell's index for bad or repeated coords, bad fitness, or artefacts out of modality order."""
+    others load as None). A missing or malformed field raises ValueError naming it and, in
+    a cell, the cell's index, as do repeated coords and artefacts out of modality order."""
     archive = Archive(_field(data, "axis_sizes", lambda v: [require_int("axis size", s, 1) for s in v]))
     for index, entry in enumerate(_field(data, "cells", list)):
-        artefacts = tuple([_artefact(a, modalities) for a in _field(entry, "artefacts", list)])
-        coords = _field(entry, "coords", tuple)
+        where = f" of cell {index}"
+        artefacts = tuple([_artefact(a, modalities, where) for a in _field(entry, "artefacts", list, where)])
+        coords = _field(entry, "coords", tuple, where)
         if not set(map(type, coords)) <= {int}:  # a bool is not an int here
             raise ValueError(f"field 'coords' of cell {index}: expected integers, got {entry['coords']!r}")
-        if type(fitness := _field(entry, "fitness", lambda v: v)) not in (float, int):
+        if type(fitness := _field(entry, "fitness", lambda v: v, where)) not in (float, int):
             raise ValueError(f"field 'fitness' of cell {index}: expected a number, got {fitness!r}")
         try:
             solution = Solution(artefacts, float(fitness), coords)
@@ -185,13 +160,18 @@ def archive_from_dict(data: dict, *, modalities: Container[int] | None = None) -
         if coords in archive.cells:
             earlier = list(archive.cells).index(coords)
             raise ValueError(f"field 'coords' of cell {index}: {list(coords)} repeats cell {earlier}")
-        birth_step = _field(entry, "birth_step", lambda v: require_int("birth_step", v, 0))
+        birth_step = _field(entry, "birth_step", lambda v: require_int("birth_step", v, 0), where)
         archive.cells[coords] = Cell(solution, birth_step)
     return archive
 
 
-# The fixed text of an artefact and of a cell block, as _render lays out
-# _cell_dict's keys, in sorted order, at a cell's depth in the cells list.
+# The text canonical_json gives an image payload, an artefact and a cell
+# block of archive_to_dict's cells list: _cell_dict's keys in sorted order,
+# at their depth. A cell's coords, birth step and modalities go in through
+# int.__repr__ and its fitness through float.__repr__, the functions json
+# applies to ints and floats, so any other type (an int fitness, an
+# np.int64 coord) raises TypeError.
+_IMAGE = '{\n            "height": %d,\n            "pixels": "%s",\n            "width": %d\n          }'
 _ARTEFACT = '{\n          "modality": %s,\n          "payload": %s\n        }'
 _CELL = (
     '{\n      "artefacts": %s,\n      "birth_step": %s,'
@@ -199,22 +179,34 @@ _CELL = (
 )
 
 
+def _list_text(items: list[str], indent: str) -> str:
+    """A JSON list of ``items``' texts, one a line, closing at ``indent`` (a newline and spaces)."""
+    inner = indent + "  "
+    return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+
+
+def _payload_text(payload: np.ndarray) -> str:
+    data = encode_payload(payload)
+    if isinstance(data, dict):
+        return _IMAGE % (data["height"], data["pixels"], data["width"])
+    return _list_text(json.dumps(data)[1:-1].split(", ") if data else [], "\n          ")
+
+
 def _artefact_text(artefact: Artefact, texts: dict) -> str:
     """``artefact``'s ``{modality, payload}`` text, rendered once per ``texts``."""
     if (entry := texts.get(id(artefact))) is None:
-        payload = _render(encode_payload(artefact.payload), "\n          ")
-        entry = texts[id(artefact)] = (artefact, _ARTEFACT % (_flat(artefact.modality), payload))
+        payload = _payload_text(artefact.payload)
+        entry = texts[id(artefact)] = (artefact, _ARTEFACT % (int.__repr__(artefact.modality), payload))
     return entry[1]
 
 
 def _cell_block(coords: tuple[int, ...], cell: Cell, texts: dict) -> str:
-    """The text ``_render`` gives ``_cell_dict(coords, cell)`` in the cells list."""
-    artefacts = ",\n        ".join([_artefact_text(a, texts) for a in cell.solution.artefacts])
+    """The text ``canonical_json`` gives ``_cell_dict(coords, cell)`` in the cells list."""
     return _CELL % (
-        "[\n        " + artefacts + "\n      ]" if artefacts else "[]",
-        _flat(cell.birth_step),
-        _render(list(coords), "\n      "),
-        _flat(cell.solution.fitness),
+        _list_text([_artefact_text(a, texts) for a in cell.solution.artefacts], "\n      "),
+        int.__repr__(cell.birth_step),
+        _list_text(list(map(int.__repr__, coords)), "\n      "),
+        float.__repr__(cell.solution.fitness),
     )
 
 

@@ -762,12 +762,12 @@ def test_analysis_decodes_only_the_modalities_it_reads(tmp_path):
     write(lambda artefacts: artefacts[1]["payload"].update(pixels="AAAA!AAA"))
     assert text_diversity() == expected[0]
     for call in reads_images:
-        with pytest.raises(ValueError, match=re.escape(f"{path}: field 'payload': field 'pixels': ")):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: field 'payload' of cell 2: field 'pixels': ")):
             call()
 
     write(lambda artefacts: artefacts[0].update(payload=[True]))
     assert image_medoids() == expected[1]
-    with pytest.raises(ValueError, match=re.escape(f"{path}: field 'payload': payload holds a boolean")):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: field 'payload' of cell 2: payload holds a boolean")):
         text_diversity()
 
     write(lambda artefacts: artefacts[1].pop("payload"))
@@ -871,15 +871,15 @@ def archive_without_fitness():
 
 @pytest.mark.parametrize("command", ["diversity", "medoids"])
 @pytest.mark.parametrize(
-    "make, field",
-    [(dict, "axis_sizes"), (lambda: {"axis_sizes": [4, 4]}, "cells"),
-     (archive_without_fitness, "fitness")],
+    "make, missing",
+    [(dict, "'axis_sizes'"), (lambda: {"axis_sizes": [4, 4]}, "'cells'"),
+     (archive_without_fitness, "'fitness' of cell 0")],
     ids=["empty", "no_cells", "cell_without_fitness"],
 )
-def test_malformed_archive_names_file_and_field(tmp_path, capsys, command, make, field):
+def test_malformed_archive_names_file_and_field(tmp_path, capsys, command, make, missing):
     path = tmp_path / "archive.json"
     path.write_text(json.dumps(make()))
-    with pytest.raises(ValueError, match=re.escape(f"{path}: missing field '{field}'")):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: missing field {missing}")):
         load_archive(path)
     argv = {
         "diversity": ["diversity", "--archive", str(path), "--modality", "0",
@@ -887,7 +887,7 @@ def test_malformed_archive_names_file_and_field(tmp_path, capsys, command, make,
         "medoids": ["medoids", "--archive", str(path), "-k", "1"],
     }[command]
     assert cli_main(argv) == 2
-    assert capsys.readouterr().err == f"error: {path}: missing field '{field}'\n"
+    assert capsys.readouterr().err == f"error: {path}: missing field {missing}\n"
 
 
 def cells(*cells):
@@ -908,7 +908,7 @@ def cells(*cells):
     [
         ([], "expected an object with field 'axis_sizes', got list"),
         ({"axis_sizes": 4, "cells": []}, "field 'axis_sizes': 'int' object is not iterable"),
-        ({"axis_sizes": [4, 4], "cells": [[]]}, "expected an object with field 'artefacts', got list"),
+        ({"axis_sizes": [4, 4], "cells": [[]]}, "expected an object with field 'artefacts' of cell 0, got list"),
         (cells(([0, 0], 0.5), ([1, 1], 0.5), ([2, 1], 0.7), ([1, 1], 0.9)),
          "field 'coords' of cell 3: [1, 1] repeats cell 1"),
         (cells(([0, 0], 0.5), ([1.7, 1], 0.5)), "field 'coords' of cell 1: expected integers, got [1.7, 1]"),

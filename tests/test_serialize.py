@@ -1,4 +1,4 @@
-"""The canonical JSON renderer and the archive cell template against the
+"""What canonical JSON rejects, the archive cell template against the
 stdlib, the vectorised payload encoding against its per-element oracle,
 exact payload and archive round trips (older list-form image archives
 included), the loader's field checks, metrics rows against per-field
@@ -37,59 +37,14 @@ def stdlib(obj):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-TRICKY_TEXT = st.text(
-    st.sampled_from([",", " ", '"', "\\", ":", "a", "\n", "\x00", "é", "中", "\U0001f600"])
-)
-TEXT = TRICKY_TEXT | st.text()
-NUMBERS = (
-    st.integers()
-    | st.integers(-(2**200), 2**200)
-    | st.floats()
-    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, 2.0**-1074])
-)
-SCALARS = st.none() | st.booleans() | NUMBERS | TEXT
-JSON_VALUES = st.recursive(
-    SCALARS,
-    lambda children: (
-        st.lists(children, max_size=5)
-        | st.lists(children, max_size=5).map(tuple)
-        | st.dictionaries(TEXT, children, max_size=5)
-        | st.lists(NUMBERS, max_size=8)
-        | st.lists(NUMBERS | st.booleans(), max_size=8).map(tuple)
-    ),
-    max_leaves=40,
-)
-
-
-@settings(max_examples=500, deadline=None)
-@given(JSON_VALUES)
-def test_renderer_matches_stdlib(value):
-    assert canonical_json(value) == stdlib(value)
-
-
-@pytest.mark.parametrize(
-    "value",
-    [
-        [],
-        {},
-        (),
-        [[]],
-        {"": {}},
-        [1, 2.5, -0.0, math.nan, math.inf, -math.inf, 5e-324, 10**30],
-        [True, 1, 1.0],
-        ["a, b", 1],
-        {"a, b": [1, 2], 'q"uo\\te': "é, 中", "z": [[1, 2], (3.5,)]},
-    ],
-)
-def test_renderer_edge_values(value):
-    assert canonical_json(value) == stdlib(value)
-
-
-def test_renderer_rejects_what_it_cannot_render():
-    with pytest.raises(TypeError):
-        canonical_json({1: "non-str key"})
+def test_canonical_json_rejects_what_json_cannot_render():
+    # A set or a numpy integer raises; a non-string scalar key becomes a
+    # string, as json.dumps makes it.
     with pytest.raises(TypeError):
         canonical_json([{1, 2}])
+    with pytest.raises(TypeError):
+        canonical_json({"a": np.int64(1)})
+    assert canonical_json({1: "key"}) == '{\n  "1": "key"\n}\n'
 
 
 def vp_record(method, seed):
@@ -255,7 +210,7 @@ def archive_series(draw):
         cells = dict(archives[-1].cells) if archives and draw(st.booleans()) else {}
         for c in draw(st.lists(coords, max_size=5)):
             artefacts = tuple(draw(st.sampled_from(pool[m])) for m in range(modalities))
-            fitness = draw(st.sampled_from([0.0, 5e-324, 0.5, 1.0]))
+            fitness = draw(st.sampled_from([0.0, 5e-324, 0.5, 1.0, np.float64(0.5), np.float64(5e-324)]))
             cells[c] = Cell(Solution(artefacts, fitness, c), draw(st.integers(0, 2**53)))
         archives.append(Archive(axis_sizes, cells))
     return archives
@@ -342,6 +297,8 @@ def _pixels_of(count):
 
 
 TOKENS_AT, IMAGE_AT = ("cells", 0, "artefacts", 0), ("cells", 0, "artefacts", 1, "payload")
+PAYLOAD, PIXELS = "field 'payload' of cell 0: ", "field 'payload' of cell 0: field 'pixels': "
+MISSING = object()  # the field is deleted
 
 
 @pytest.mark.parametrize(
@@ -350,29 +307,34 @@ TOKENS_AT, IMAGE_AT = ("cells", 0, "artefacts", 0), ("cells", 0, "artefacts", 1,
         (("axis_sizes",), [4.5, True], "field 'axis_sizes': axis size must be an integer >= 1, got 4.5"),
         (("axis_sizes",), [4, True], "field 'axis_sizes': axis size must be an integer >= 1, got True"),
         (("axis_sizes",), [4, 0], "field 'axis_sizes': axis size must be an integer >= 1, got 0"),
-        (TOKENS_AT + ("modality",), 1.9, "field 'modality': modality must be an integer >= 0, got 1.9"),
-        (TOKENS_AT + ("modality",), True, "field 'modality': modality must be an integer >= 0, got True"),
-        (TOKENS_AT + ("modality",), -1, "field 'modality': modality must be an integer >= 0, got -1"),
-        (("cells", 0, "birth_step"), "3", "field 'birth_step': birth_step must be an integer >= 0, got '3'"),
-        (("cells", 0, "birth_step"), 3.0, "field 'birth_step': birth_step must be an integer >= 0, got 3.0"),
-        (("cells", 0, "birth_step"), -1, "field 'birth_step': birth_step must be an integer >= 0, got -1"),
-        (IMAGE_AT + ("width",), 2.0, "field 'width': width must be an integer >= 1, got 2.0"),
-        (IMAGE_AT + ("height",), True, "field 'height': height must be an integer >= 1, got True"),
-        (IMAGE_AT + ("width",), 0, "field 'width': width must be an integer >= 1, got 0"),
-        (IMAGE_AT + ("pixels",), _pixels_of(8 * 17), "field 'pixels': cannot reshape array of size 17"),
-        (IMAGE_AT + ("pixels",), _pixels_of(8 * 19), "field 'pixels': cannot reshape array of size 19"),
-        (IMAGE_AT + ("pixels",), _pixels_of(8 * 18 + 3), "field 'pixels': buffer size must be a multiple"),
-        (IMAGE_AT + ("pixels",), "AAAA!AAA", "field 'pixels': "),
-        (IMAGE_AT + ("pixels",), [0.5] * 17, "field 'pixels': cannot reshape array of size 17"),
-        (IMAGE_AT + ("pixels",), [[0.5] * 3] * 6, "field 'pixels': "),
-        (IMAGE_AT + ("pixels",), None, "field 'pixels': "),
-        (TOKENS_AT + ("payload",), [True, False], "field 'payload': payload holds a boolean: [True, False]"),
-        (TOKENS_AT + ("payload",), [1.5, False], "field 'payload': payload holds a boolean: [1.5, False]"),
-        (TOKENS_AT + ("payload",), [3, None], "field 'payload': payload holds a non-number: [3, None]"),
-        (TOKENS_AT + ("payload",), ["1.5", 2], "field 'payload': payload holds a non-number: ['1.5', 2]"),
-        (TOKENS_AT + ("payload",), [[3, 1], [4, 1]], "field 'payload': payload holds a non-number: [[3, 1], [4, 1]]"),
-        (IMAGE_AT + ("pixels",), [True] + [0.5] * 17, "field 'pixels': payload holds a boolean: [True, 0.5"),
-        (TOKENS_AT + ("payload",), [2**70], "field 'payload': Python int too large to convert to C long"),
+        (TOKENS_AT + ("modality",), 1.9, "field 'modality' of cell 0: modality must be an integer >= 0, got 1.9"),
+        (TOKENS_AT + ("modality",), True, "field 'modality' of cell 0: modality must be an integer >= 0, got True"),
+        (TOKENS_AT + ("modality",), -1, "field 'modality' of cell 0: modality must be an integer >= 0, got -1"),
+        (("cells", 0, "birth_step"), "3", "field 'birth_step' of cell 0: birth_step must be an integer >= 0, got '3'"),
+        (("cells", 0, "birth_step"), 3.0, "field 'birth_step' of cell 0: birth_step must be an integer >= 0, got 3.0"),
+        (("cells", 0, "birth_step"), -1, "field 'birth_step' of cell 0: birth_step must be an integer >= 0, got -1"),
+        (IMAGE_AT + ("width",), 2.0, PAYLOAD + "field 'width': width must be an integer >= 1, got 2.0"),
+        (IMAGE_AT + ("height",), True, PAYLOAD + "field 'height': height must be an integer >= 1, got True"),
+        (IMAGE_AT + ("width",), 0, PAYLOAD + "field 'width': width must be an integer >= 1, got 0"),
+        (IMAGE_AT + ("pixels",), _pixels_of(8 * 17), PIXELS + "cannot reshape array of size 17"),
+        (IMAGE_AT + ("pixels",), _pixels_of(8 * 19), PIXELS + "cannot reshape array of size 19"),
+        (IMAGE_AT + ("pixels",), _pixels_of(8 * 18 + 3), PIXELS + "buffer size must be a multiple"),
+        (IMAGE_AT + ("pixels",), "AAAA!AAA", PIXELS),
+        (IMAGE_AT + ("pixels",), [0.5] * 17, PIXELS + "cannot reshape array of size 17"),
+        (IMAGE_AT + ("pixels",), [[0.5] * 3] * 6, PIXELS),
+        (IMAGE_AT + ("pixels",), None, PIXELS),
+        (TOKENS_AT + ("payload",), [True, False], PAYLOAD + "payload holds a boolean: [True, False]"),
+        (TOKENS_AT + ("payload",), [1.5, False], PAYLOAD + "payload holds a boolean: [1.5, False]"),
+        (TOKENS_AT + ("payload",), [3, None], PAYLOAD + "payload holds a non-number: [3, None]"),
+        (TOKENS_AT + ("payload",), ["1.5", 2], PAYLOAD + "payload holds a non-number: ['1.5', 2]"),
+        (TOKENS_AT + ("payload",), [[3, 1], [4, 1]], PAYLOAD + "payload holds a non-number: [[3, 1], [4, 1]]"),
+        (IMAGE_AT + ("pixels",), [True] + [0.5] * 17, PIXELS + "payload holds a boolean: [True, 0.5"),
+        (TOKENS_AT + ("payload",), [2**70], PAYLOAD + "Python int too large to convert to C long"),
+        (("cells", 0, "coords"), MISSING, "missing field 'coords' of cell 0"),
+        (("cells", 0, "artefacts"), MISSING, "missing field 'artefacts' of cell 0"),
+        (IMAGE_AT[:-1] + ("modality",), MISSING, "missing field 'modality' of cell 0"),
+        (("cells", 1, "birth_step"), MISSING, "missing field 'birth_step' of cell 1"),
+        (("cells", 1), 5, "expected an object with field 'artefacts' of cell 1, got int"),
     ],
     ids=[
         "float_axis", "bool_axis", "zero_axis", "float_modality", "bool_modality",
@@ -380,18 +342,26 @@ TOKENS_AT, IMAGE_AT = ("cells", 0, "artefacts", 0), ("cells", 0, "artefacts", 1,
         "float_width", "bool_height", "zero_width", "short_pixel_bytes", "long_pixel_bytes",
         "ragged_pixel_bytes", "bad_base64", "short_pixel_list", "nested_pixel_list",
         "null_pixels", "bool_tokens", "bool_in_vector", "null_in_tokens", "string_in_tokens",
-        "nested_tokens", "bool_pixel", "huge_token",
+        "nested_tokens", "bool_pixel", "huge_token", "no_coords", "no_artefacts", "no_modality",
+        "no_birth_step_in_cell_1", "int_cell_1",
     ],
 )
 def test_loader_rejects_mistyped_fields_and_wrong_pixel_counts(path, value, message):
     data = one_media_cell()
-    archive_from_dict(json.loads(json.dumps(data)))  # well formed as built
+    data["cells"].append({**data["cells"][0], "coords": [3, 3]})  # a second cell, well formed
+    data = json.loads(json.dumps(data))
+    archive_from_dict(data)  # well formed as built
     target = data
     for key in path[:-1]:
         target = target[key]
-    target[path[-1]] = value
-    with pytest.raises(ValueError, match=re.escape(message)):
-        archive_from_dict(json.loads(json.dumps(data)))
+    if value is MISSING:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    with pytest.raises(ValueError, match=re.escape(message)) as excinfo:
+        archive_from_dict(data)
+    if path[0] == "cells":  # a fault in a cell names the cell
+        assert f"of cell {path[1]}" in str(excinfo.value)
 
 
 INT_FIELDS = st.integers(-5, 10**6).map(str) | st.sampled_from(["1_0", "+7", " 2 ", "0"])
@@ -495,6 +465,23 @@ def test_failed_write_leaves_no_partial_file(tmp_path, writer, existing):
     else:
         assert list(tmp_path.iterdir()) == [target]
         assert target.read_bytes() == existing
+
+
+@pytest.mark.parametrize("memo", [None, {}], ids=["streamed", "memo"])
+@pytest.mark.parametrize(
+    "fitness, coords", [(1, (1, 1)), (0.5, (np.int64(1), 1))], ids=["int_fitness", "numpy_coords"]
+)
+def test_cell_scalar_of_another_type_fails_and_leaves_no_file(tmp_path, memo, fitness, coords):
+    # The template writes fitness with float.__repr__ and coords with
+    # int.__repr__. Steps and the loader only build float fitness and int
+    # coords; any other type raises after the first cell went out.
+    artefacts = (Artefact(0, np.ones(2)), Artefact(1, np.zeros(2)))
+    archive = Archive((2, 2))
+    archive.cells[(0, 0)] = Cell(Solution(artefacts, 0.5, (0, 0)), birth_step=0)
+    archive.cells[coords] = Cell(Solution(artefacts, fitness, coords), birth_step=1)
+    with pytest.raises(TypeError):
+        save_archive(tmp_path / "archive.json", archive, "", memo)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_payload_message_names_shape(tmp_path):
