@@ -152,7 +152,7 @@ class ExperimentConfig:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # undecodable bytes or invalid JSON
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     return ExperimentConfig.from_dict(data)

@@ -142,7 +142,7 @@ def _run_quantities(path: Path) -> dict[str, float]:
                 if not math.isfinite(value):
                     raise ValueError(f"{path}: line {number}: {name} must be finite, got {value}") from None
         raise ValueError(f"{path}: {exc}") from None
-    return {f"final_{m}": v[-1] for m, v in series.items()} | aucs
+    return {f"final_{m}": v[-1] for m, v in series.items()} | aucs | {"steps": len(columns[0])}
 
 
 def _collect(directory: Path) -> dict[str, list[dict[str, float]]]:
@@ -201,6 +201,10 @@ def compare(a_dir: str | Path, b_dir: str | Path) -> CompareReport:
             )
         if len(qa) != len(qb):
             warnings.append(f"label {label!r}: unequal run counts ({len(qa)} vs {len(qb)})")
+        a_steps, b_steps = (sorted({q["steps"] for q in runs}) for runs in (qa, qb))
+        if len({*a_steps, *b_steps}) > 1:
+            a_text, b_text = ("/".join(map(str, steps)) for steps in (a_steps, b_steps))
+            warnings.append(f"label {label!r}: unequal run lengths ({a_text} vs {b_text} steps)")
         for metric in COMPARE_METRICS:
             va = [q[metric] for q in qa]
             vb = [q[metric] for q in qb]

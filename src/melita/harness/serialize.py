@@ -18,6 +18,7 @@ import contextlib
 import hashlib
 import json
 import os
+import warnings
 from pathlib import Path
 from typing import IO, Any, Callable, Container, Iterator
 
@@ -40,7 +41,7 @@ def _replacing(path: str | Path) -> Iterator[IO[str]]:
     """A temporary file beside ``path``: renamed onto it, or deleted on error."""
     tmp = Path(path).with_name(f".{Path(path).name}.tmp")
     try:
-        with open(tmp, "w") as f:
+        with open(tmp, "w", encoding="utf-8") as f:
             yield f
         os.replace(tmp, path)
     except BaseException:
@@ -247,7 +248,7 @@ def save_archive(
 
 def load_archive(path: str | Path, *, modalities: Container[int] | None = None) -> Archive:
     try:
-        return archive_from_dict(json.loads(Path(path).read_text()), modalities=modalities)
+        return archive_from_dict(json.loads(Path(path).read_text(encoding="utf-8")), modalities=modalities)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -257,29 +258,39 @@ def save_metrics(path: str | Path, samples: tuple[MetricsSample, ...]) -> None:
         f.write(METRICS_HEADER + "\n" + "".join(["%d,%.9g,%.9g,%.9g,%.9g\n" % s for s in samples]))
 
 
+_METRICS_ROW = np.dtype([("step", np.int64), ("values", np.float64, 4)])
+
+
 def metric_columns(path: str | Path) -> tuple[list, ...]:
-    """A metrics file's five columns, steps as ints and the rest as floats, each converted
-    in one pass; only on failure are the rows read one by one, to name the first bad line."""
+    """A metrics file's five columns, steps as ints and the rest as floats.
+    One numpy pass reads an ASCII file; where it raises, warns or skips a
+    blank line, the rows are read one by one with ``int`` and ``float``,
+    which names the first bad line or returns what only Python parses
+    (``1_000``, steps beyond int64). numpy reads some non-ASCII characters
+    as digits (U+01FE as 462) and strips \\x1f as whitespace, so a file
+    with either goes to the per-row pass."""
     try:
-        lines = Path(path).read_text().splitlines()
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    lines = text.splitlines()
     if not lines or lines[0] != METRICS_HEADER:
         raise ValueError(f"{path}: missing metrics header {METRICS_HEADER!r}")
     rows = lines[1:]
-    try:
-        if not set(map(str.count, rows, [","] * len(rows))) <= {4}:
-            raise ValueError("a row does not hold five fields")
-        fields = ",".join(rows).split(",") if rows else []
-        return (list(map(int, fields[0::5])), *(list(map(float, fields[i::5])) for i in range(1, 5)))
-    except ValueError:
-        for number, line in enumerate(rows, start=2):
-            try:
-                step, coverage, mean_f, max_f, qd = line.split(",")
-                int(step), float(coverage), float(mean_f), float(max_f), float(qd)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {number}: {exc}") from None
-        raise
+    if text.isascii() and "\x1f" not in text:
+        with contextlib.suppress(ValueError, Warning), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(rows, _METRICS_ROW, comments=None, delimiter=",", ndmin=1)
+            if len(table) == len(rows):
+                return (table["step"].tolist(), *table["values"].T.tolist())
+    parsed = []
+    for number, line in enumerate(rows, start=2):
+        try:
+            step, coverage, mean_f, max_f, qd = line.split(",")
+            parsed.append((int(step), float(coverage), float(mean_f), float(max_f), float(qd)))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {number}: {exc}") from None
+    return tuple(map(list, zip(*parsed))) if parsed else ([], [], [], [], [])
 
 
 def load_metrics(path: str | Path) -> list[MetricsSample]:

@@ -325,7 +325,7 @@ def metrics_text(samples) -> str:
 def load_metrics(path):
     """A metrics CSV's rows as (step, coverage, mean, max, qd) tuples, read
     line by line; the first malformed line raises, naming file and line."""
-    lines = Path(path).read_text().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != METRICS_HEADER:
         raise ValueError(f"{path}: missing metrics header {METRICS_HEADER!r}")
     rows = []

@@ -3,6 +3,8 @@ import json
 import math
 import pkgutil
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -28,6 +30,7 @@ from melita.harness import (
     ExperimentConfig,
     analyze_diversity,
     compare,
+    compare_summary,
     compare_table,
     load_config,
     medoid_exemplars,
@@ -413,6 +416,20 @@ def test_compare_warns_on_unequal_counts(tmp_path):
     report = compare(tmp_path / "a", tmp_path / "b")
     assert any("unequal" in w for w in report.warnings)
     assert len(report.rows) == 8
+
+
+def test_compare_warns_on_unequal_run_lengths(tmp_path):
+    write_runs(tmp_path / "a", [0.5, 0.6])
+    write_runs(tmp_path / "b", [0.5, 0.6])
+    longer = fake_series(0.6) + [MetricsSample(4, 0.3, 0.6, 0.65, 6.0)]
+    save_metrics(tmp_path / "b" / "trend_run1_metrics.csv", longer)
+    report = compare(tmp_path / "a", tmp_path / "b")
+    assert report.warnings == ("label 'trend': unequal run lengths (3 vs 3/4 steps)",)
+    assert "warning: label 'trend': unequal run lengths (3 vs 3/4 steps)\n" in compare_summary(report)
+    save_metrics(tmp_path / "b" / "trend_run0_metrics.csv", longer)
+    report = compare(tmp_path / "a", tmp_path / "b")
+    assert report.warnings == ("label 'trend': unequal run lengths (3 vs 4 steps)",)
+    assert "unequal" not in compare_table(report)  # warnings go to the summary only
 
 
 def test_compare_label_mismatch(tmp_path):
@@ -993,6 +1010,27 @@ def test_undecodable_metrics_and_config_name_their_file(tmp_path, capsys):
     assert err.startswith(f"error: {config}: invalid JSON: 'utf-8' codec can't decode byte 0xff")
     assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    """Under the C locale with UTF-8 mode off, the locale's encoding is
+    ASCII; a UTF-8 config still loads and its runs still compare."""
+    config = tmp_path / "config.json"
+    config.write_bytes(json.dumps({**MINIMAL, "output_dir": "out_é"}, ensure_ascii=False).encode())
+    src = str(Path(melita.__file__).parents[1])
+    env = {"PYTHONPATH": src, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+    commands = [
+        ["run", "--config", str(config), "--out", str(tmp_path / "out"), "--quiet"],
+        ["compare", "--a", str(tmp_path / "out" / "melita"), "--b", str(tmp_path / "out" / "mapelites"),
+         "--out", str(tmp_path / "table.csv")],
+    ]
+    for command in commands:
+        result = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "melita.harness.cli", *command],
+            env=env, capture_output=True, text=True,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+    assert (tmp_path / "table.csv").read_text().startswith("# AUC")
 
 
 @pytest.mark.parametrize("command", ["compare", "diversity", "medoids"])

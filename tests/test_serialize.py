@@ -8,10 +8,11 @@ import base64
 import json
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from melita import Archive, Artefact, RunConfig, Solution, ToyMediaDomain, VectorPairDomain, run
@@ -364,12 +365,24 @@ def test_loader_rejects_mistyped_fields_and_wrong_pixel_counts(path, value, mess
         assert f"of cell {path[1]}" in str(excinfo.value)
 
 
-INT_FIELDS = st.integers(-5, 10**6).map(str) | st.sampled_from(["1_0", "+7", " 2 ", "0"])
+# Besides well-formed fields, the inputs where numpy's parser and Python's
+# int and float part: underscores, steps beyond int64 in both directions,
+# non-ASCII digits and characters numpy reads as digits (U+01FE), a step
+# written as a float, tab padding, \x1f (whitespace to numpy only), and
+# float spellings only some parsers take.
+INT_FIELDS = (
+    st.integers(-5, 10**6).map(str)
+    | st.integers(2**63 - 2, 2**70).map(str)
+    | st.integers(-(2**70), -(2**63) + 2).map(str)
+    | st.sampled_from(["1_0", "+7", " 2 ", "\t2\t", "0", "١", "1٠", "Ǿ", "2.0", "\x1f7"])
+)
 VALUE_FIELDS = (
     st.floats().map(repr)
     | st.floats(0, 1).map("{:.9g}".format)
     | INT_FIELDS
-    | st.sampled_from(["nan", "inf", "-inf", " 0.5", "1e-3", "-0.0"])
+    | st.sampled_from(
+        ["nan", "inf", "-inf", " 0.5", "\t0.5\t", "1e-3", "-0.0", "+0.5", "-nan", "Infinity", "1e999", "0_5.5"]
+    )
 )
 
 
@@ -379,7 +392,9 @@ def rows_of(fields, size):
 
 GOOD_ROWS = st.tuples(INT_FIELDS, *[VALUE_FIELDS] * 4).map(",".join) | rows_of(INT_FIELDS, 5)
 BAD_ROWS = (
-    st.sampled_from(["", "2,0.5,x,0.5,0.5", "0.5,0.5,0.5,0.5,0.5", "nan,0,0,0,0", "1,0.5,0.5,0.5,"])
+    st.sampled_from(
+        ["", "   ", "\t", "2,0.5,x,0.5,0.5", "0.5,0.5,0.5,0.5,0.5", "nan,0,0,0,0", "1,0.5,0.5,0.5,"]
+    )
     | rows_of(VALUE_FIELDS, 4) | rows_of(VALUE_FIELDS, 6) | rows_of(INT_FIELDS, 4) | rows_of(INT_FIELDS, 6)
 )
 
@@ -387,21 +402,36 @@ BAD_ROWS = (
 @st.composite
 def metrics_texts(draw):
     """A metrics CSV: mostly the header and well-formed rows, sometimes
-    malformed rows or a wrong header, with LF or CRLF line endings."""
+    malformed rows or a wrong header, with LF or CRLF line endings and at
+    times a trailing NUL."""
     rows = draw(st.lists(GOOD_ROWS, max_size=12))
     for bad in draw(st.lists(BAD_ROWS, max_size=2)):
         rows.insert(draw(st.integers(0, len(rows))), bad)
     header = draw(st.sampled_from([oracles.METRICS_HEADER] * 4 + ["", "step,coverage"]))
     ending = draw(st.sampled_from(["\n", "\r\n"]))
-    return ending.join([header, *rows]) + draw(st.sampled_from([ending, ""]))
+    return ending.join([header, *rows]) + draw(st.sampled_from([ending, "", "\x00"]))
 
 
 def _exact(rows):
-    return [(step, *map(float.hex, values)) for step, *values in rows]
+    """Each row's types and raw bits, so a NaN's sign counts."""
+    return [
+        (type(step), step, *map(type, values), *(struct.pack("<d", v) for v in values))
+        for step, *values in rows
+    ]
+
+
+def _metrics_text(*rows):
+    return "\n".join([oracles.METRICS_HEADER, *rows]) + "\n"
 
 
 @settings(max_examples=400, deadline=None)
 @given(text=metrics_texts())
+@example(text=_metrics_text())
+@example(text=_metrics_text("1,0.5,-nan,Infinity,1e999"))
+@example(text=_metrics_text("1_0,0,0,0,0", f"{2**63},0,0,0,0"))
+@example(text=_metrics_text("1,0,0,0,0", "", "2,0,0,0,0"))  # numpy skips a blank line
+@example(text=_metrics_text("1,0,0,0,0", "Ǿ,0,0,0,0"))  # numpy reads U+01FE as the digit 462
+@example(text=_metrics_text("1,0,0,0,0", "2\x1f,0,0,0,0"))
 def test_metrics_readers_match_the_line_by_line_oracle(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("metrics") / "metrics.csv"
     path.write_bytes(text.encode())
