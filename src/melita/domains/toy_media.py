@@ -41,7 +41,8 @@ rng consumption, in order, per call:
   size=n, p=TOPIC_ROWS[k]) as searchsorted(cdf, random(n), side="right"),
   cdf being the row's cumsum over its last element.
 - vary text: one uniform (full when < 0.2); full draws as generate; partial
-  draws split = integers(len//3, 2*len//3 + 1), then tokens(len-split, top topic).
+  draws split = integers(len//3, 2*len//3 + 1), then tokens(len-split, bin),
+  bin being the parent's text bin, which is its top topic.
 - vary image: normal(0, sigma, (h, w, 3)); the blur draws nothing. The
   noise draw happens even when sigma is 0 so the stream shape is stable.
 """
@@ -126,17 +127,15 @@ _LOG_TOPIC_ROWS = np.log(TOPIC_ROWS)
 _TOPIC_CDFS = TOPIC_ROWS.cumsum(axis=1) / TOPIC_ROWS.cumsum(axis=1)[:, -1:]
 
 
-def preferred_token_counts(tokens: np.ndarray) -> np.ndarray:
-    counts = np.bincount(tokens, minlength=VOCAB)
-    return counts.reshape(TOPICS, 4).sum(axis=1)
+def _posterior(counts: np.ndarray) -> np.ndarray:
+    loglik = _LOG_TOPIC_ROWS @ counts.astype(np.float64)
+    shifted = np.exp(loglik - loglik.max())
+    return shifted / shifted.sum()
 
 
 def topic_posterior(tokens: np.ndarray) -> np.ndarray:
     """Posterior over topics under a uniform prior; sums to 1."""
-    counts = np.bincount(tokens, minlength=VOCAB).astype(np.float64)
-    loglik = _LOG_TOPIC_ROWS @ counts
-    shifted = np.exp(loglik - loglik.max())
-    return shifted / shifted.sum()
+    return _posterior(np.bincount(tokens, minlength=VOCAB))
 
 
 def token_posterior(payload: np.ndarray) -> np.ndarray:
@@ -149,19 +148,22 @@ def token_posterior(payload: np.ndarray) -> np.ndarray:
 
 
 def text_analysis(tokens: np.ndarray) -> tuple[int | None, tuple[np.ndarray, float] | None]:
-    """A text's bin and, when it has one, its ``text_features``.
+    """A text's bin and, when it has one, its coherence features: its
+    topic posterior and that posterior's norm.
 
     The bin is the top topic if it is unique with posterior >= 0.40. The
     posterior ordering depends only on how many preferred tokens of each
     topic appear, so ties are detected on those integer counts and are
-    exact.
+    exact. One token count gives both the preferred counts and the
+    posterior.
     """
-    pref = preferred_token_counts(tokens)
+    counts = np.bincount(tokens, minlength=VOCAB)
+    pref = counts.reshape(TOPICS, 4).sum(axis=1)
     top = int(np.argmax(pref))
     if int((pref == pref[top]).sum()) > 1:
         return None, None
-    features = text_features(tokens)
-    return (top, features) if features[0][top] >= CLASSIFY_THRESHOLD else (None, None)
+    posterior = _posterior(counts)
+    return (top, (posterior, norm(posterior))) if posterior[top] >= CLASSIFY_THRESHOLD else (None, None)
 
 
 def image_analysis(pixels: np.ndarray) -> tuple[int, np.ndarray, tuple[np.ndarray, float]]:
@@ -249,16 +251,10 @@ def _fraction(mask: np.ndarray) -> float:
     return float(np.count_nonzero(mask)) / mask.size
 
 
-def text_features(tokens: np.ndarray) -> tuple[np.ndarray, float]:
-    """A text's coherence features: its topic posterior and its norm."""
-    e_txt = topic_posterior(tokens)
-    return e_txt, norm(e_txt)
-
-
-def combine_features(text: tuple[np.ndarray, float], image: tuple[np.ndarray, float]) -> float:
-    """(1 + cos(M @ e_img, e_txt)) / 2, or a neutral 0.5 if a norm is zero."""
-    e_txt, tn = text
-    mapped, mn = image
+def combine_features(features: tuple[tuple[np.ndarray, float], ...]) -> float:
+    """(1 + cos(M @ e_img, e_txt)) / 2 from the text and image features,
+    or a neutral 0.5 if a norm is zero."""
+    (e_txt, tn), (mapped, mn) = features
     if tn == 0.0 or mn == 0.0:
         return 0.5
     cos = float(mapped.dot(e_txt)) / (tn * mn)
@@ -328,15 +324,16 @@ class ToyMediaDomain(SplitBinding):
         tokens = self._sample_text(topic, length, rng)
         return tokens, rng.random((self.height, self.width, 3))
 
-    def _vary_text(self, parent_tokens: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def _vary_text(self, parent: Solution, rng: np.random.Generator) -> np.ndarray:
         if rng.random() < FULL_MUTATION_PROB:
             topic = int(rng.integers(TOPICS))
             length = int(rng.integers(MIN_TOKENS, MAX_TOKENS + 1))
             return self._sample_text(topic, length, rng)
+        parent_tokens = parent.artefacts[0].payload
         n = len(parent_tokens)
         split = int(rng.integers(n // 3, 2 * n // 3 + 1))
-        top = int(np.argmax(preferred_token_counts(parent_tokens)))
-        suffix = self._sample_text(top, n - split, rng)
+        # The parent's text bin is its unique top topic (see text_analysis).
+        suffix = self._sample_text(parent.coords[0], n - split, rng)
         return np.concatenate([parent_tokens[:split], suffix])
 
     def _vary_image(self, parent_pixels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -344,10 +341,9 @@ class ToyMediaDomain(SplitBinding):
         return box_blur(np.clip(noisy, 0.0, 1.0, out=noisy))
 
     def vary(self, modality: int, parent: Solution, rng: np.random.Generator) -> np.ndarray:
-        payload = parent.artefacts[modality].payload
         if modality == 0:
-            return self._vary_text(payload, rng)
-        return self._vary_image(payload, rng)
+            return self._vary_text(parent, rng)
+        return self._vary_image(parent.artefacts[1].payload, rng)
 
     def analyse(self, modality: int, payload: np.ndarray) -> tuple[int | None, tuple | None]:
         if modality == 0:
@@ -355,5 +351,4 @@ class ToyMediaDomain(SplitBinding):
         bin_index, _, features = image_analysis(payload)
         return bin_index, features
 
-    def combine(self, features: tuple[tuple[np.ndarray, float], ...]) -> float:
-        return combine_features(features[0], features[1])
+    combine = staticmethod(combine_features)

@@ -46,10 +46,10 @@ def _visual_bin(values: np.ndarray, length: float) -> int:
     return 4 * norm_bin + bin4(roughness, ROUGHNESS_THRESHOLDS)
 
 
-def combine_features(t: tuple[np.ndarray, float], v: tuple[np.ndarray, float]) -> float:
-    """(1 + cos(t, v)) / 2 from two (vector, norm) features. Raises
-    when a norm, or the product of the two, is zero or not finite."""
-    (t_values, tn), (v_values, vn) = t, v
+def combine_features(features: tuple[tuple[np.ndarray, float], ...]) -> float:
+    """(1 + cos(t, v)) / 2 from the text and visual (vector, norm) features.
+    Raises when a norm, or the product of the two, is zero or not finite."""
+    (t_values, tn), (v_values, vn) = features
     scale = tn * vn
     if not 0.0 < scale < math.inf:
         raise ValueError(f"coherence is undefined for vectors of norm {tn} and {vn}")
@@ -89,5 +89,4 @@ class VectorPairDomain(SplitBinding):
         bin_index = describe_text(payload) if modality == 0 else _visual_bin(payload, length)
         return bin_index, None if bin_index is None else (np.asarray(payload), length)
 
-    def combine(self, features: tuple[tuple[np.ndarray, float], ...]) -> float:
-        return combine_features(features[0], features[1])
+    combine = staticmethod(combine_features)

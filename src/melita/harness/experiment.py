@@ -74,7 +74,7 @@ def run_experiment(
                         starts[rc.seed, rc.init_count] = copy.deepcopy(start)
                     archive, rng = start
                     # A variation may overflow; the binding bins what it yields
-                    # (vector_pair leaves a vector of non-finite norm unclassified).
+                    # (a binding may leave a payload of non-finite norm unclassified).
                     with np.errstate(over="ignore"):
                         record = run(domain, rc, rng, archive)
 

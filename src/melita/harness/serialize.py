@@ -213,7 +213,7 @@ def _cell_block(coords: tuple[int, ...], cell: Cell, texts: dict) -> str:
 
 def _archive_pieces(archive: Archive, config_digest: str, blocks: dict | None) -> Iterator[str]:
     """``canonical_json(archive_to_dict(archive, config_digest))``, one cell block at a time."""
-    empty = canonical_json(archive_to_dict(Archive(archive.axis_sizes), config_digest))
+    empty = canonical_json({"axis_sizes": list(archive.axis_sizes), "cells": [], "config_hash": config_digest})
     head, _, tail = empty.partition("[]")  # the cells list; axis_sizes is never empty
     yield head + "["
     for i, coords in enumerate(archive.ordered()):

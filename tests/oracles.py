@@ -5,9 +5,10 @@ distance matrix, PAM k-medoids and the medoids report for the analysis
 tests, per-item diversity and point-by-point PAM assignment for the
 array-pass analysis tests, the per-element payload encoding, the
 per-field metrics writer and the line-by-line metrics reader for the
-serialization tests, and the two-pass toy_media bin and features for
-the one-pass analysis tests, and the stepwise toy_media image kernels
-for the flat-slice kernel tests.
+serialization tests, the two-pass toy_media bin and features and the
+preferred-token counts and text features for the one-pass analysis
+tests, and the stepwise toy_media image kernels for the flat-slice
+kernel tests.
 
 Nothing here imports the library's archive or step code. Archive state
 is a plain dict mapping coords -> (fitness, text_payload, visual_payload)
@@ -34,6 +35,9 @@ from melita.domains.toy_media import (
     EDGE_THRESHOLD,
     PROJECTION,
     TOPIC_ROWS,
+    TOPICS,
+    VOCAB,
+    topic_posterior,
 )
 
 AXES = (16, 16)
@@ -388,6 +392,17 @@ def media_image_analysis(pixels: np.ndarray):
     vector.append(float(np.max(y) - np.min(y)))
     mapped = PROJECTION @ np.array(vector, dtype=np.float64)
     return bin_index, (mapped, float(np.linalg.norm(mapped)))
+
+
+def preferred_token_counts(tokens: np.ndarray) -> np.ndarray:
+    counts = np.bincount(tokens, minlength=VOCAB)
+    return counts.reshape(TOPICS, 4).sum(axis=1)
+
+
+def text_features(tokens: np.ndarray) -> tuple[np.ndarray, float]:
+    """A text's coherence features: its topic posterior and its norm."""
+    e_txt = topic_posterior(tokens)
+    return e_txt, norm(e_txt)
 
 
 def media_text_analysis(tokens: np.ndarray, threshold: float):

@@ -27,7 +27,7 @@ from melita import (
 )
 from melita.domains import toy_media, vector_pair
 from melita.domains.common import norm
-from melita.domains.toy_media import PROJECTION, image_analysis, text_features, topic_posterior
+from melita.domains.toy_media import PROJECTION, image_analysis, topic_posterior
 from melita.harness.serialize import archive_to_dict, canonical_json
 
 import oracles
@@ -54,11 +54,11 @@ def split(domain, payloads):
 def media_split(tokens, pixels):
     """The formula toy_media's ``combine`` takes, on features that exist
     for an unclassified text too."""
-    return toy_media.combine_features(text_features(tokens), image_analysis(pixels)[2])
+    return toy_media.combine_features((oracles.text_features(tokens), image_analysis(pixels)[2]))
 
 
 def pair_split(t, v):
-    return vector_pair.combine_features((t, norm(t)), (v, norm(v)))
+    return vector_pair.combine_features(((t, norm(t)), (v, norm(v))))
 
 
 def test_toy_media_split_is_bit_identical():
@@ -99,6 +99,12 @@ def test_vector_pair_split_is_bit_identical():
         pair_split(zero, rng.standard_normal(8))
     with pytest.raises(ValueError):
         domain.cohere((rng.standard_normal(8), zero))
+
+
+def test_each_builtin_combine_is_its_modules_combine_features():
+    """One Python call per coherence evaluation: no wrapper around the formula."""
+    assert ToyMediaDomain().combine is toy_media.combine_features
+    assert VectorPairDomain().combine is vector_pair.combine_features
 
 
 @pytest.mark.parametrize(

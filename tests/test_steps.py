@@ -344,6 +344,29 @@ def test_melita_rejects_when_every_candidate_loses():
     assert archive.inserted[(0, 1)] == 0
 
 
+def test_melita_rejects_a_transverse_candidate_that_ties_its_elite():
+    # Acceptance is strict: a candidate only as fit as its elite is
+    # scored but not accepted, so nothing is inserted or credited.
+    table = {
+        (0.0, 1.0): 0.50,  # parent at (0, 1)
+        (2.0, 1.0): 0.60,  # R1 at (2, 1)
+        (0.0, 1.5): 0.30,  # E' at (0, 1): loses to the parent
+        (2.0, 1.5): 0.60,  # R1' at (2, 1): ties R1
+    }
+    domain = ScriptedDomain(fitness_table=table)
+    archive = Archive(domain.axis_sizes)
+    archive.insert(scripted_solution(domain, 0, 1.0))
+    archive.insert(scripted_solution(domain, 2, 1.0))
+
+    domain.push(1, 1.5)
+    seed = find_seed(2, 0, 1)
+    report = melita_step(archive, domain, np.random.default_rng(seed))
+    assert report.outcome.kind == REJECTED
+    assert report.source == "none"
+    assert report.evaluations == 2
+    assert archive.inserted.sum() == 0
+
+
 def test_melita_tie_order_prefers_offspring_then_coords():
     # Three list members share one fitness; the offspring is tried
     # first, then candidates by ascending coords. The offspring loses at

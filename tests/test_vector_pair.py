@@ -187,7 +187,7 @@ def test_primitives_match_numpy_bit_for_bit(pair):
         assert norm(x).hex() == float(np.linalg.norm(x)).hex()
         assert VectorPairDomain().describe(1, x) == oracles.describe_visual(x)
     expected = oracles.cohere(t, v).hex()
-    assert combine_features((np.asarray(t), norm(t)), (np.asarray(v), norm(v))).hex() == expected
+    assert combine_features(((np.asarray(t), norm(t)), (np.asarray(v), norm(v)))).hex() == expected
     domain = VectorPairDomain()
     (t_bin, t_features), (_, v_features) = domain.analyse(0, t), domain.analyse(1, v)
     if t_bin is None:
@@ -249,7 +249,7 @@ def test_vector_of_non_finite_norm_is_unclassified(values):
         for modality, payloads in enumerate(((values, other), (other, values))):
             features = [(np.asarray(p), norm(p)) for p in payloads]
             with pytest.raises(ValueError, match="^coherence is undefined for vectors of norm"):
-                combine_features(*features)
+                combine_features(tuple(features))
             with pytest.raises(ValueError, match=f"^modality {modality}: an unclassified payload"):
                 domain.cohere(payloads)
 
