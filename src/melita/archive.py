@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .types import INSERTED_EMPTY, REJECTED_OUTCOME, REPLACED, Candidate, Coords, Outcome, Solution
+from .types import INSERTED_EMPTY, REJECTED_OUTCOME, REPLACED, Coords, Outcome, Solution, require_fitness
 
 
 class Cell(NamedTuple):
@@ -102,28 +102,43 @@ class Archive:
         ):
             raise ValueError(f"coords {coords} out of range for axes {self.axis_sizes}")
 
-    def accepts(self, candidate: Candidate | Solution) -> bool:
-        """True when the candidate's cell is empty or the candidate is
-        strictly fitter than the occupant: the rule ``insert`` applies."""
-        cell = self.cells.get(candidate.coords)
-        return cell is None or candidate.fitness > cell.solution.fitness
+    def check(self, solution: Solution) -> None:
+        """The one gate for what ``insert`` and the loader store: modalities
+        0..N-1 in order, one coord per modality, a ``float`` fitness in
+        [0, 1] and ``int`` coords (a bool is not one) within the axes.
+        Else ValueError, for the first rule broken in that order."""
+        modalities = tuple(a.modality for a in solution.artefacts)
+        if modalities != tuple(range(len(modalities))):
+            raise ValueError(f"artefacts must cover modalities 0..N-1 in order, got {modalities}")
+        if len(solution.coords) != len(modalities):
+            raise ValueError("coords must have one entry per modality")
+        if not isinstance(solution.fitness, float):
+            raise ValueError(f"fitness must be a float, got {solution.fitness!r}")
+        require_fitness(solution.fitness)
+        if not set(map(type, solution.coords)) <= {int}:
+            raise ValueError(f"coords must be ints, got {solution.coords!r}")
+        self.check_coords(solution.coords)
 
-    def insert(self, candidate: Solution) -> Outcome:
-        """Place a candidate at its own coordinates if ``accepts`` it."""
-        self.check_coords(candidate.coords)
-        if not self.accepts(candidate):
+    def accepts(self, solution: Solution) -> bool:
+        """True when the solution's cell is empty or the solution is
+        strictly fitter than the occupant: the rule ``insert`` applies."""
+        cell = self.cells.get(solution.coords)
+        return cell is None or solution.fitness > cell.solution.fitness
+
+    def insert(self, solution: Solution) -> Outcome:
+        """Place a solution that passes ``check`` at its own coordinates if ``accepts`` it."""
+        self.check(solution)
+        if not self.accepts(solution):
             return REJECTED_OUTCOME
-        cell = self.cells.get(candidate.coords)
-        self.cells[candidate.coords] = Cell(candidate, birth_step=self.total_selections)
+        coords = solution.coords
+        cell = self.cells.get(coords)
+        self.cells[coords] = Cell(solution, birth_step=self.total_selections)
         if cell is None:
-            return Outcome(INSERTED_EMPTY, coords=candidate.coords)
-        self.evicted_selections += int(self.selected[candidate.coords])
-        self.selected[candidate.coords] = self.inserted[candidate.coords] = 0.0
+            return Outcome(INSERTED_EMPTY, coords=coords)
+        self.evicted_selections += int(self.selected[coords])
+        self.selected[coords] = self.inserted[coords] = 0.0
         return Outcome(
-            REPLACED,
-            coords=candidate.coords,
-            old_fitness=cell.solution.fitness,
-            new_fitness=candidate.fitness,
+            REPLACED, coords=coords, old_fitness=cell.solution.fitness, new_fitness=solution.fitness
         )
 
     def record_selection(self, coords: Coords) -> None:

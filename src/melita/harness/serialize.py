@@ -152,8 +152,7 @@ def archive_from_dict(data: dict, *, modalities: Container[int] | None = None) -
         if type(fitness := _field(entry, "fitness", lambda v: v, where)) not in (float, int):
             raise ValueError(f"field 'fitness' of cell {index}: expected a number, got {fitness!r}")
         try:
-            solution = Solution(artefacts, float(fitness), coords)
-            archive.check_coords(coords)
+            archive.check(solution := Solution(artefacts, float(fitness), coords))
         except OverflowError as exc:  # an integer fitness beyond float range
             raise ValueError(f"field 'fitness' of cell {index}: {exc}") from None
         except ValueError as exc:
@@ -171,13 +170,10 @@ def archive_from_dict(data: dict, *, modalities: Container[int] | None = None) -
 # at their depth. A cell's coords, birth step and modalities go in through
 # int.__repr__ and its fitness through float.__repr__, the functions json
 # applies to ints and floats, so any other type (an int fitness, an
-# np.int64 coord) raises TypeError.
+# np.int64 coord; Archive.check keeps them out of insert) raises TypeError.
 _IMAGE = '{\n            "height": %d,\n            "pixels": "%s",\n            "width": %d\n          }'
 _ARTEFACT = '{\n          "modality": %s,\n          "payload": %s\n        }'
-_CELL = (
-    '{\n      "artefacts": %s,\n      "birth_step": %s,'
-    '\n      "coords": %s,\n      "fitness": %s\n    }'
-)
+_CELL_TAIL = ',\n      "birth_step": %s,\n      "coords": %s,\n      "fitness": %s\n    }'
 
 
 def _list_text(items: list[str], indent: str) -> str:
@@ -201,30 +197,36 @@ def _artefact_text(artefact: Artefact, texts: dict) -> str:
     return entry[1]
 
 
-def _cell_block(coords: tuple[int, ...], cell: Cell, texts: dict) -> str:
-    """The text ``canonical_json`` gives ``_cell_dict(coords, cell)`` in the cells list."""
-    return _CELL % (
-        _list_text([_artefact_text(a, texts) for a in cell.solution.artefacts], "\n      "),
+def _cell_pieces(coords: tuple[int, ...], cell: Cell, texts: dict) -> list[str]:
+    """The text ``canonical_json`` gives ``_cell_dict(coords, cell)`` in the cells
+    list, in pieces: each artefact's text is the string ``texts`` holds, so a
+    run's memo keeps it once however many cell blocks take it in."""
+    pieces = ['{\n      "artefacts": [']
+    for artefact in cell.solution.artefacts:
+        pieces += [",\n        " if len(pieces) > 1 else "\n        ", _artefact_text(artefact, texts)]
+    pieces.append(("\n      ]" if len(pieces) > 1 else "]") + _CELL_TAIL % (
         int.__repr__(cell.birth_step),
         _list_text(list(map(int.__repr__, coords)), "\n      "),
         float.__repr__(cell.solution.fitness),
-    )
+    ))
+    return pieces
 
 
 def _archive_pieces(archive: Archive, config_digest: str, blocks: dict | None) -> Iterator[str]:
-    """``canonical_json(archive_to_dict(archive, config_digest))``, one cell block at a time."""
+    """``canonical_json(archive_to_dict(archive, config_digest))`` in pieces, one cell block at a time."""
     empty = canonical_json({"axis_sizes": list(archive.axis_sizes), "cells": [], "config_hash": config_digest})
     head, _, tail = empty.partition("[]")  # the cells list; axis_sizes is never empty
     yield head + "["
     for i, coords in enumerate(archive.ordered()):
         cell = archive.cells[coords]
         if blocks is None:
-            block = _cell_block(coords, cell, {})
+            pieces = _cell_pieces(coords, cell, {})
         else:
             if (key := (id(cell.solution), cell.birth_step, coords)) not in blocks:
-                blocks[key] = (cell.solution, _cell_block(coords, cell, blocks))
-            block = blocks[key][1]
-        yield ("," if i else "") + "\n    " + block
+                blocks[key] = (cell.solution, _cell_pieces(coords, cell, blocks))
+            pieces = blocks[key][1]
+        yield ",\n    " if i else "\n    "
+        yield from pieces
     yield ("\n  ]" if archive.cells else "]") + tail
 
 
@@ -233,11 +235,11 @@ def save_archive(
 ) -> None:
     """Write ``canonical_json(archive_to_dict(archive, config_digest))``.
     ``blocks``, if given, is a run's memo: it keeps each cell block by
-    (elite id, birth step, coords) and each artefact's text by artefact
-    id across the run's files, and the file goes out in one write. It
-    holds each elite and artefact, so no id is reused while its text
-    lives, and both are immutable. Without it, one cell block is held
-    and written at a time."""
+    (elite id, birth step, coords), as pieces that share its artefacts'
+    texts, and each artefact's text by artefact id across the run's
+    files, and the file goes out in one write. It holds each elite and
+    artefact, so no id is reused while its text lives, and both are
+    immutable. Without it, one cell block is held and written at a time."""
     pieces = _archive_pieces(archive, config_digest, blocks)
     with _replacing(path) as f:
         if blocks is None:

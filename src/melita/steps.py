@@ -20,7 +20,6 @@ from .types import (
     INVALID_OUTCOME,
     REJECTED_OUTCOME,
     Artefact,
-    Candidate,
     Coords,
     Solution,
     StepReport,
@@ -77,9 +76,9 @@ def vanilla_step(
 def transverse_candidates(
     archive: Archive,
     domain: DomainBinding,
-    offspring: Candidate,
+    offspring: Solution,
     modality: int,
-) -> tuple[int, list[Candidate]]:
+) -> tuple[int, list[Solution]]:
     """Score the offspring's mutated artefact with every elite sharing its
     bin: ``(scored, accepted)``.
 
@@ -107,7 +106,7 @@ def transverse_candidates(
         scored += 1
         if fitness > elite.fitness:
             artefacts = elite.artefacts[:modality] + (new_artefact,) + elite.artefacts[modality + 1 :]
-            accepted.append(Candidate(artefacts, fitness, coords))
+            accepted.append(Solution(artefacts, fitness, coords))
     return scored, accepted
 
 
@@ -127,9 +126,9 @@ def melita_step(
     artefacts, bins and features, and scoring it is one evaluation. Of
     it and all transverse candidates, the members the archive accepts
     compete, and the one with the least key
-    (-fitness, 0 for the direct offspring else 1, coords) is inserted:
-    at most one cell changes. With ``transverse=False`` the direct
-    offspring is the only member: the plain cycle.
+    (-fitness, 0 for the direct offspring else 1, coords) goes to
+    ``Archive.insert`` as built: at most one cell changes. With
+    ``transverse=False`` the direct offspring is the only member.
     """
     parent_coords = select(archive, rng)
     parent = archive.cells[parent_coords].solution
@@ -142,7 +141,7 @@ def melita_step(
     new_artefact = _analysed(modality, payload, features)
     artefacts = parent.artefacts[:modality] + (new_artefact,) + parent.artefacts[modality + 1 :]
     coords = parent.coords[:modality] + (int(new_bin),) + parent.coords[modality + 1 :]
-    offspring = Candidate(artefacts, _score(domain, [a.features for a in artefacts]), coords)
+    offspring = Solution(artefacts, _score(domain, [a.features for a in artefacts]), coords)
 
     members = [offspring] if archive.accepts(offspring) else []
     scored = 0
@@ -152,7 +151,7 @@ def melita_step(
     if not members:
         return StepReport(parent_coords, modality, 1 + scored, REJECTED_OUTCOME)
     winner = min(members, key=lambda c: (-c.fitness, c is not offspring, c.coords))
-    outcome = archive.insert(Solution(*winner))
+    outcome = archive.insert(winner)
     archive.credit_insertion(parent_coords)
     source = "offspring" if winner is offspring else "transverse"
     return StepReport(parent_coords, modality, 1 + scored, outcome, source)

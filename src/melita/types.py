@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple
+from typing import Any
 
 import numpy as np
 
@@ -34,28 +34,9 @@ class Artefact:
 
 @dataclass(frozen=True)
 class Solution:
-    """An ordered collection of artefacts, one per modality.
-
-    Fitness and per-axis bin coordinates are cached at construction and
-    never recomputed, so a Solution is immutable by design.
-    """
-
-    artefacts: tuple[Artefact, ...]
-    fitness: float
-    coords: Coords
-
-    def __post_init__(self) -> None:
-        modalities = tuple(a.modality for a in self.artefacts)
-        if modalities != tuple(range(len(self.artefacts))):
-            raise ValueError(f"artefacts must cover modalities 0..N-1 in order, got {modalities}")
-        if len(self.coords) != len(self.artefacts):
-            raise ValueError("coords must have one entry per modality")
-        require_fitness(self.fitness)
-
-
-class Candidate(NamedTuple):
-    """A Solution's fields without its validation: a step scores every
-    candidate as one and builds ``Solution(*candidate)`` for the winner."""
+    """An ordered collection of artefacts, one per modality, with its
+    fitness and per-axis bin coordinates, never recomputed. It does not
+    check itself: ``Archive.check`` checks each one an archive stores."""
 
     artefacts: tuple[Artefact, ...]
     fitness: float

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from melita import (
     Artefact,
     Solution,
 )
+from melita.harness.serialize import archive_to_dict, canonical_json, save_archive
 from conftest import scalar_solution
 
 
@@ -113,11 +116,46 @@ def test_cell_count():
     assert Archive((3, 5, 2)).cell_count == 30
 
 
-def test_solution_validation():
-    good = (Artefact(0, np.array([1.0])), Artefact(1, np.array([1.0])))
-    with pytest.raises(ValueError):
-        Solution(good, 1.5, (0, 0))
-    with pytest.raises(ValueError):
-        Solution(good, 0.5, (0,))
-    with pytest.raises(ValueError):
-        Solution((good[1], good[0]), 0.5, (0, 0))
+def archive_state(archive):
+    archive.ordered()  # which marks the occupancy mask
+    return (
+        dict(archive.cells),
+        archive.selected.tobytes(),
+        archive.inserted.tobytes(),
+        archive.occupancy.tobytes(),
+        archive.total_selections,
+        archive.evicted_selections,
+        archive.ordered(),
+    )
+
+
+def test_insert_rejects_malformed_solutions(tmp_path):
+    # Archive.check is the one gate for what an archive stores: each
+    # malformed solution raises at insert, not at construction, and leaves
+    # the archive as it was, even where it would replace a weaker elite.
+    archive = Archive((4, 4))
+    archive.insert(scalar_solution((1, 1), 0.5))
+    archive.record_selection((1, 1))
+    archive.credit_insertion((1, 1))
+    archive.insert(scalar_solution((2, 3), np.float64(0.25)))
+    a0, a1 = scalar_solution((1, 1), 0.5).artefacts
+    table = [
+        ((a1, a0), 0.9, (1, 1), "modalities 0..N-1 in order"),
+        ((a0, a1), 0.9, (1,), "one entry per modality"),
+        ((a0, a1), 0.9, (4, 0), r"out of range for axes \(4, 4\)"),
+        ((a0, a1), 1.5, (1, 1), r"fitness must lie in \[0, 1\]"),
+        ((a0, a1), -0.1, (1, 1), r"fitness must lie in \[0, 1\]"),
+        ((a0, a1), math.nan, (0, 0), r"fitness must lie in \[0, 1\]"),
+        ((a0, a1), 0.9, (np.int64(1), 1), "coords must be ints"),
+        ((a0, a1), 0.9, (True, 1), "coords must be ints"),
+        ((a0, a1), 1, (1, 1), "fitness must be a float"),
+        ((a0, a1), True, (0, 0), "fitness must be a float"),
+    ]
+    for artefacts, fitness, coords, message in table:
+        before = archive_state(archive)
+        with pytest.raises(ValueError, match=message):
+            archive.insert(Solution(artefacts, fitness, coords))
+        assert archive_state(archive) == before
+    assert archive.occupied() == [(1, 1), (2, 3)]
+    save_archive(tmp_path / "archive.json", archive)
+    assert (tmp_path / "archive.json").read_text() == canonical_json(archive_to_dict(archive))

@@ -7,11 +7,12 @@ import pytest
 
 from melita import (
     METHODS,
+    OFFSPRING_INVALID,
+    REJECTED,
     SELECTIONS,
     Archive,
     NoElitesError,
     RunConfig,
-    Solution,
     VectorPairDomain,
     archive_metrics,
     melita_step,
@@ -194,30 +195,45 @@ def test_samples_equal_recomputed_metrics_bit_for_bit(monkeypatch, method, selec
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_step_loop_builds_one_solution_per_insertion(monkeypatch, method):
-    built, recomputes = [], []
-    post_init = Solution.__post_init__
-    seed_archive, recompute = run_module.seed_archive, run_module.archive_metrics
+def test_step_loop_checks_one_solution_per_insertion(monkeypatch, method):
+    # Archive.check runs once per stored solution: once in a step that
+    # inserts, never in a rejected or invalid one.
+    checks, per_step, recomputes = [], [], []
+    check, recompute = Archive.check, run_module.archive_metrics
 
-    def counting_post_init(self):
-        built.append(1)
-        post_init(self)
+    def counting_check(self, solution):
+        checks.append(1)
+        check(self, solution)
 
-    def seeding(*args, **kwargs):
-        count = seed_archive(*args, **kwargs)
-        built.clear()
-        return count
+    def counting(step):
+        def wrapped(*args, **kwargs):
+            before = len(checks)
+            report = step(*args, **kwargs)
+            per_step.append((report.source, len(checks) - before))
+            return report
+
+        return wrapped
 
     def counting_recompute(*args, **kwargs):
         recomputes.append(1)
         return recompute(*args, **kwargs)
 
-    monkeypatch.setattr(Solution, "__post_init__", counting_post_init)
-    monkeypatch.setattr(run_module, "seed_archive", seeding)
+    monkeypatch.setattr(Archive, "check", counting_check)
+    for name in ("melita_step", "vanilla_step"):
+        monkeypatch.setattr(run_module, name, counting(getattr(run_module, name)))
     monkeypatch.setattr(run_module, "archive_metrics", counting_recompute)
-    config = RunConfig(seed=101000, method=method, steps=2000)
-    record = run(VectorPairDomain(), config, np.random.default_rng(101000))
-    inserted = sum(r.source != "none" for r in record.reports)
-    assert 0 < inserted < 2000
-    assert len(built) == inserted
-    assert len(recomputes) <= 1
+    kinds = set()
+    # At sigma 1e200 variation overflows, so some offspring are invalid.
+    for domain, steps in ((VectorPairDomain(), 2000), (VectorPairDomain(sigma=1e200), 300)):
+        per_step.clear()
+        recomputes.clear()
+        config = RunConfig(seed=101000, method=method, steps=steps)
+        with np.errstate(over="ignore"):
+            record = run(domain, config, np.random.default_rng(101000))
+        assert [source for source, _ in per_step] == [r.source for r in record.reports]
+        inserted = sum(r.source != "none" for r in record.reports)
+        assert 0 < inserted < steps
+        assert all(count == (source != "none") for source, count in per_step)
+        assert len(recomputes) <= 1
+        kinds |= {r.outcome.kind for r in record.reports if r.source == "none"}
+    assert kinds == {REJECTED, OFFSPRING_INVALID}

@@ -618,6 +618,13 @@ def test_run_renders_each_elite_once_and_files_match_fresh_renders(tmp_path, mon
             id(x) for a, *_ in files for cell in a.cells.values() for x in cell.solution.artefacts
         }
         assert sum(encodings for *_, encodings in files) == len(artefacts) == len(memo) - len(elites)
+        # An elite's block holds its artefacts' texts as the strings the
+        # memo keeps under their ids, so the memo stores each text once.
+        for a, *_ in files:
+            for c, cell in a.cells.items():
+                pieces = memo[id(cell.solution), cell.birth_step, c][1]
+                shared = [p for p in pieces if any(p is memo[id(x)][1] for x in cell.solution.artefacts)]
+                assert len(shared) == len(cell.solution.artefacts)
 
         # Some cell changed occupant between snapshots, and its file
         # holds the new occupant.

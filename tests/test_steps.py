@@ -6,12 +6,16 @@ from melita import (
     OFFSPRING_INVALID,
     REJECTED,
     REPLACED,
+    DOMAINS,
     Archive,
     DomainBinding,
     Outcome,
+    RunConfig,
     VectorPairDomain,
     characterize,
+    make_domain,
     melita_step,
+    run,
     seed_archive,
     transverse_candidates,
     vanilla_step,
@@ -532,6 +536,16 @@ def test_step_source_names_the_winner():
     for report in reports:
         assert report.source in ("offspring", "transverse", "none")
         assert (report.source == "none") == (report.outcome.kind in (REJECTED, OFFSPRING_INVALID))
+
+
+@pytest.mark.parametrize("name", sorted(DOMAINS))
+def test_every_transverse_insertion_replaces_an_elite(name):
+    # A transverse candidate keeps its elite's other artefacts and so its
+    # elite's cell: it can only replace that elite, never fill an empty cell.
+    config = RunConfig(seed=101000, method="melita", steps=500)
+    record = run(make_domain(name), config, np.random.default_rng(config.seed))
+    kinds = [r.outcome.kind for r in record.reports if r.source == "transverse"]
+    assert kinds and set(kinds) == {REPLACED}
 
 
 def test_step_source_is_never_transverse_without_transverse_candidates():
