@@ -24,6 +24,9 @@ from .types import INSERTED_EMPTY, REPLACED, Outcome
 # 2**-1074, the smallest subnormal, divides every float in [0, 1].
 _UNITS_PER_ONE = 2**1074
 
+# Bytes of differences euclidean_matrix takes at once: a block stays in cache.
+_BLOCK_BYTES = 1 << 18
+
 
 class MetricsSample(NamedTuple):
     """One point of a run's metric series; it equals the plain tuple of its values."""
@@ -108,12 +111,20 @@ def checked_distances(matrix: np.ndarray) -> np.ndarray:
 
 def euclidean_matrix(vectors: Sequence[np.ndarray]) -> np.ndarray:
     """Symmetric float64 matrix of the distances between equal-length 1-D
-    vectors, with the bits of ``np.linalg.norm(a - b)``: ``np.vecdot`` takes its dot product."""
+    vectors. Row i is taken over blocks of the later rows, as many as fit
+    ``_BLOCK_BYTES`` (at least one), in one reused buffer, so memory beyond
+    the stacked input and the result is one block. Each entry has the bits
+    of ``np.linalg.norm(a - b)``: ``np.vecdot`` reduces each difference row
+    with the norm's dot product, where matmul and einsum sum in other orders."""
     x = np.array(vectors, dtype=np.float64)
-    matrix = np.zeros((len(x), len(x)))
-    for i in range(len(x) - 1):
-        diff = x[i] - x[i + 1 :]
-        matrix[i, i + 1 :] = matrix[i + 1 :, i] = np.sqrt(np.vecdot(diff, diff))
+    n = len(x)
+    matrix = np.zeros((n, n))
+    step = max(1, _BLOCK_BYTES // max(1, x[:1].nbytes))
+    block = np.empty((min(step, n), *x.shape[1:]))
+    for i in range(n - 1):
+        for j in range(i + 1, n, step):
+            diff = np.subtract(x[i], x[j : j + step], out=block[: n - j])
+            matrix[i, j : j + step] = matrix[j : j + step, i] = np.sqrt(np.vecdot(diff, diff))
     return matrix
 
 
@@ -140,7 +151,7 @@ def diversity(matrix: np.ndarray) -> DistanceReport:
         return DistanceReport((0.0,), (0.0,), 0.0, 0.0, True)
 
     # A zero diagonal leaves a row's fsum as is; argmin keeps min's pick of 0.0 or -0.0.
-    per_mean = tuple(math.fsum(row) / (n - 1) for row in dist.tolist())
+    per_mean = tuple(math.fsum(row.tolist()) / (n - 1) for row in dist)
     off_diagonal = np.where(np.eye(n, dtype=bool), np.inf, dist)
     per_nearest = tuple(off_diagonal[np.arange(n), off_diagonal.argmin(axis=1)].tolist())
     return DistanceReport(

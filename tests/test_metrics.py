@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from melita import Archive, Artefact, Solution, archive_metrics, auc, diversity, k_medoids
+from melita import metrics
 from melita.domains.toy_media import VOCAB, topic_posterior
 from melita.harness import analyze_diversity, medoid_exemplars
 from melita.harness.serialize import save_archive
@@ -179,6 +181,7 @@ def norm_distance(a, b):
 def assert_matrix_matches_norms(payloads, embed):
     matrix = euclidean_matrix([embed(p) for p in payloads])
     assert matrix.dtype == np.float64 and matrix.shape == (len(payloads),) * 2
+    assert np.array_equal(matrix, matrix.T)
     for i, a in enumerate(payloads):
         assert matrix[i, i] == 0.0
         for j in range(i + 1, len(payloads)):
@@ -186,12 +189,51 @@ def assert_matrix_matches_norms(payloads, embed):
             assert (float(matrix[i, j]).hex(), float(matrix[j, i]).hex()) == (expected, expected)
 
 
+def block_rows(shape):
+    """How many later rows euclidean_matrix takes at once for float64 payloads of ``shape``."""
+    return max(1, metrics._BLOCK_BYTES // (8 * math.prod(shape)))
+
+
+# Payload shapes for 24 rows, each with the block case it must reach.
+BLOCK_CASES = {
+    (8,): lambda rows: rows >= 23,
+    (32, 32, 3): lambda rows: 1 < rows < 23,
+    (16, 16, 3): lambda rows: rows >= 23,  # the whole remainder of every row in one block
+    (64, 32, 3): lambda rows: rows > 1 and 23 % rows,  # the block size does not divide n - 1
+    (128, 128, 3): lambda rows: rows == 1,
+}
+
+
+def test_bit_test_shapes_reach_their_block_cases():
+    assert all(case(block_rows(shape)) for shape, case in BLOCK_CASES.items())
+
+
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
-@pytest.mark.parametrize("shape", [(8,), (32, 32, 3)])
+@pytest.mark.parametrize("shape", list(BLOCK_CASES))
 def test_euclidean_matrix_has_the_bits_of_per_pair_norms(shape, scale):
     rng = np.random.default_rng(40)
     payloads = list(rng.random((24, *shape)) * scale)
     assert_matrix_matches_norms(payloads, lambda p: np.asarray(p, dtype=np.float64).ravel())
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("shape", [(0,), (8,), (128, 128, 3)])
+def test_euclidean_matrix_of_few_or_zero_length_payloads(shape, n):
+    payloads = list(np.random.default_rng(42).random((n, *shape)))
+    assert_matrix_matches_norms(payloads, lambda p: np.asarray(p, dtype=np.float64).ravel())
+
+
+def test_euclidean_matrix_holds_the_input_the_result_and_one_block():
+    vectors = list(np.random.default_rng(44).random((40, 2**16)))
+    tracemalloc.start()
+    try:
+        matrix = euclidean_matrix(vectors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stacked = 40 * 2**16 * 8
+    block = block_rows((2**16,)) * 2**16 * 8
+    assert peak <= stacked + matrix.nbytes + block + 4 * 2**20
 
 
 def test_euclidean_matrix_has_the_bits_of_topic_posterior_norms():
