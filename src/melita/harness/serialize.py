@@ -10,6 +10,14 @@ as plain int lists, float vectors as float lists, and RGB images as
 {width, height, pixels}, pixels the base64 of row-major, channel-last
 little-endian float64 bytes (number lists still load). The decoder keys
 on that structure, so analysis reads any domain's archive.
+
+``archive_from_dict`` first builds the archive in one straight-line pass
+that takes only the types ``json.loads`` gives (dicts, lists, int axis
+sizes, modalities and birth steps, a float fitness) and still passes each
+solution through ``Archive.check``. Anything else it meets raises there;
+the partial archive is dropped and the field-by-field pass runs instead,
+which alone accepts other valid input (an int fitness, numpy integers)
+and names the first bad field of malformed input.
 """
 from __future__ import annotations
 
@@ -138,10 +146,10 @@ def _artefact(data: object, modalities: Container[int] | None, where: str) -> Ar
     return Artefact(modality, _field(data, "payload", decode, where))
 
 
-def archive_from_dict(data: dict, *, modalities: Container[int] | None = None) -> Archive:
-    """The archive ``data`` describes, only ``modalities``' payloads decoded (all when None;
-    others load as None). A missing or malformed field raises ValueError naming it and, in
-    a cell, the cell's index, as do repeated coords and artefacts out of modality order."""
+def _archive_by_field(data: dict, modalities: Container[int] | None) -> Archive:
+    """``archive_from_dict``, one field at a time: a missing or malformed field raises
+    ValueError naming it and, in a cell, the cell's index, as do repeated coords and
+    artefacts out of modality order."""
     archive = Archive(_field(data, "axis_sizes", lambda v: [require_int("axis size", s, 1) for s in v]))
     for index, entry in enumerate(_field(data, "cells", list)):
         where = f" of cell {index}"
@@ -163,6 +171,52 @@ def archive_from_dict(data: dict, *, modalities: Container[int] | None = None) -
         birth_step = _field(entry, "birth_step", lambda v: require_int("birth_step", v, 0), where)
         archive.cells[coords] = Cell(solution, birth_step)
     return archive
+
+
+def _straight_archive(data: dict, modalities: Container[int] | None) -> Archive:
+    """``archive_from_dict`` in one pass for fields of the types ``json.loads`` gives:
+    a dict per object, int axis sizes, modalities and birth steps, and a float
+    fitness. Anything else raises KeyError, TypeError, ValueError or OverflowError."""
+    if type(data) is not dict:
+        raise TypeError(data)
+    sizes = list(data["axis_sizes"])
+    if not all(type(s) is int for s in sizes):
+        raise TypeError(sizes)
+    archive = Archive(sizes)
+    cells, check = archive.cells, archive.check
+    for entry in data["cells"]:
+        if type(entry) is not dict:
+            raise TypeError(entry)
+        artefacts = []
+        for a in entry["artefacts"]:
+            if type(a) is not dict or type(modality := a["modality"]) is not int:
+                raise TypeError(a)
+            payload = a["payload"]
+            if modalities is not None and modality not in modalities:
+                payload = None
+            elif type(payload) is list:
+                payload = np.asarray(payload, _number_dtype(payload))
+            else:
+                payload = decode_payload(payload)
+            artefacts.append(Artefact(modality, payload))
+        fitness, birth_step = entry["fitness"], entry["birth_step"]
+        if type(fitness) is not float or type(birth_step) is not int or birth_step < 0:
+            raise TypeError(entry)
+        check(solution := Solution(tuple(artefacts), fitness, coords := tuple(entry["coords"])))
+        if coords in cells:
+            raise ValueError(coords)
+        cells[coords] = Cell(solution, birth_step)
+    return archive
+
+
+def archive_from_dict(data: dict, *, modalities: Container[int] | None = None) -> Archive:
+    """The archive ``data`` describes, only ``modalities``' payloads decoded (all when None;
+    others load as None). A missing or malformed field raises ValueError naming it and, in
+    a cell, the cell's index, as do repeated coords and artefacts out of modality order."""
+    try:
+        return _straight_archive(data, modalities)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return _archive_by_field(data, modalities)
 
 
 # The text canonical_json gives an image payload, an artefact and a cell

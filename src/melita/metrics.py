@@ -111,20 +111,39 @@ def checked_distances(matrix: np.ndarray) -> np.ndarray:
 
 def euclidean_matrix(vectors: Sequence[np.ndarray]) -> np.ndarray:
     """Symmetric float64 matrix of the distances between equal-length 1-D
-    vectors. Row i is taken over blocks of the later rows, as many as fit
-    ``_BLOCK_BYTES`` (at least one), in one reused buffer, so memory beyond
-    the stacked input and the result is one block. Each entry has the bits
-    of ``np.linalg.norm(a - b)``: ``np.vecdot`` reduces each difference row
-    with the norm's dot product, where matmul and einsum sum in other orders."""
+    vectors, taken in blocks of differences of about ``_BLOCK_BYTES``
+    written into one reused buffer, so memory beyond the stacked input and
+    the result is one block. When a row's differences to all later rows
+    fit, a block holds as many rows as fit against every row after its
+    first; otherwise it holds one row against as many later rows as fit
+    (at least one). Each entry has the bits of ``np.linalg.norm(a - b)``:
+    ``np.vecdot`` reduces each difference row with the norm's dot product,
+    where matmul and einsum sum in other orders, and each difference row
+    starts on a 64-byte boundary, as some BLAS kernels' dot products (such
+    as OpenBLAS's Prescott kernel) depend on a row's 16-byte alignment."""
     x = np.array(vectors, dtype=np.float64)
     n = len(x)
     matrix = np.zeros((n, n))
-    step = max(1, _BLOCK_BYTES // max(1, x[:1].nbytes))
-    block = np.empty((min(step, n), *x.shape[1:]))
-    for i in range(n - 1):
-        for j in range(i + 1, n, step):
-            diff = np.subtract(x[i], x[j : j + step], out=block[: n - j])
-            matrix[i, j : j + step] = matrix[j : j + step, i] = np.sqrt(np.vecdot(diff, diff))
+    if n < 2:
+        return matrix
+    length = x.shape[1]
+    stride = -(-length // 8) * 8 or 8  # float64s per buffer row: 64-byte rows keep its alignment
+    cols = min(n - 1, max(1, _BLOCK_BYTES // (8 * stride)))
+    rows = max(1, _BLOCK_BYTES // (8 * stride * (n - 1)))
+    buffer = np.empty(rows * cols * stride + 7)
+    start = -buffer.ctypes.data % 64 // 8
+    block = buffer[start : start + rows * cols * stride].reshape(rows, cols, stride)[..., :length]
+    for i in range(0, n - 1, rows):
+        r = min(rows, n - 1 - i)
+        for j in range(i + 1, n, cols):
+            diff = np.subtract(x[i : i + r, None], x[j : j + cols], out=block[:r, : n - j])
+            dist = np.sqrt(np.vecdot(diff, diff))
+            if r == 1:
+                matrix[i, j : j + cols] = matrix[j : j + cols, i] = dist[0]
+            else:  # rows i.. against every row after i: keep the entries above the diagonal
+                upper = np.arange(j, n) > np.arange(i, i + r)[:, None]
+                np.copyto(matrix[i : i + r, j:], dist, where=upper)
+                np.copyto(matrix[j:, i : i + r], dist.T, where=upper.T)
     return matrix
 
 

@@ -4,19 +4,21 @@ over plain counters for the selection tests, and a pair-by-pair
 distance matrix, PAM k-medoids and the medoids report for the analysis
 tests, per-item diversity and point-by-point PAM assignment for the
 array-pass analysis tests, the per-element payload encoding, the
-per-field metrics writer and the line-by-line metrics reader for the
-serialization tests, the two-pass toy_media bin and features and the
-preferred-token counts and text features for the one-pass analysis
-tests, and the stepwise toy_media image kernels for the flat-slice
-kernel tests.
+per-field metrics writer, the line-by-line metrics reader and the
+field-by-field archive loader for the serialization tests, the two-pass
+toy_media bin and features and the preferred-token counts and text
+features for the one-pass analysis tests, and the stepwise toy_media
+image kernels for the flat-slice kernel tests.
 
-Nothing here imports the library's archive or step code. Archive state
-is a plain dict mapping coords -> (fitness, text_payload, visual_payload)
-and every rule (selection order, mutation draws, binning, coherence, the
-candidate walk) is written out directly from first principles. rng
-consumption mirrors the library's documented contract: one integers draw
-per uniform selection over sorted occupied cells, one integers draw for
-the modality, one uniform for the mutation branch, then one vector draw.
+Nothing here imports the library's step code. Only the archive loader
+builds the library's Archive, and calls its ``check`` as the library's
+loader does; elsewhere archive state is a plain dict mapping coords ->
+(fitness, text_payload, visual_payload) and every rule (selection order,
+mutation draws, binning, coherence, the candidate walk) is written out
+directly from first principles. rng consumption mirrors the library's
+documented contract: one integers draw per uniform selection over sorted
+occupied cells, one integers draw for the modality, one uniform for the
+mutation branch, then one vector draw.
 """
 from __future__ import annotations
 
@@ -24,9 +26,12 @@ import base64
 import math
 import struct
 from pathlib import Path
+from typing import Any, Callable, Container
 
 import numpy as np
 
+from melita.archive import Archive, Cell
+from melita.checks import require_int
 from melita.domains.common import bin4, mean, norm
 from melita.domains.toy_media import (
     COLOURFULNESS_BIN_THRESHOLDS,
@@ -39,6 +44,8 @@ from melita.domains.toy_media import (
     VOCAB,
     topic_posterior,
 )
+from melita.harness.serialize import decode_payload
+from melita.types import Artefact, Solution
 
 AXES = (16, 16)
 DIMS = 8
@@ -340,6 +347,52 @@ def load_metrics(path):
         except ValueError as exc:
             raise ValueError(f"{path}: line {number}: {exc}") from None
     return rows
+
+
+def _field(data: object, name: str, convert: Callable[[Any], Any], where: str = "") -> Any:
+    """``convert(data[name])``; a missing or malformed field raises ValueError
+    naming it, followed by ``where`` it is, such as " of cell 3"."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected an object with field {name!r}{where}, got {type(data).__name__}")
+    if name not in data:
+        raise ValueError(f"missing field {name!r}{where}")
+    try:
+        return convert(data[name])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"field {name!r}{where}: {exc}") from None
+
+
+def _artefact(data: object, modalities: Container[int] | None, where: str) -> Artefact:
+    modality = _field(data, "modality", lambda v: require_int("modality", v, 0), where)
+    decode = decode_payload if modalities is None or modality in modalities else lambda v: None
+    return Artefact(modality, _field(data, "payload", decode, where))
+
+
+def archive_from_dict(data: dict, *, modalities: Container[int] | None = None) -> Archive:
+    """The archive ``data`` describes, only ``modalities``' payloads decoded (all when None;
+    others load as None). A missing or malformed field raises ValueError naming it and, in
+    a cell, the cell's index, as do repeated coords and artefacts out of modality order."""
+    archive = Archive(_field(data, "axis_sizes", lambda v: [require_int("axis size", s, 1) for s in v]))
+    for index, entry in enumerate(_field(data, "cells", list)):
+        where = f" of cell {index}"
+        artefacts = tuple([_artefact(a, modalities, where) for a in _field(entry, "artefacts", list, where)])
+        coords = _field(entry, "coords", tuple, where)
+        if not set(map(type, coords)) <= {int}:  # a bool is not an int here
+            raise ValueError(f"field 'coords' of cell {index}: expected integers, got {entry['coords']!r}")
+        if type(fitness := _field(entry, "fitness", lambda v: v, where)) not in (float, int):
+            raise ValueError(f"field 'fitness' of cell {index}: expected a number, got {fitness!r}")
+        try:
+            archive.check(solution := Solution(artefacts, float(fitness), coords))
+        except OverflowError as exc:  # an integer fitness beyond float range
+            raise ValueError(f"field 'fitness' of cell {index}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"cell {index}: {exc}") from None
+        if coords in archive.cells:
+            earlier = list(archive.cells).index(coords)
+            raise ValueError(f"field 'coords' of cell {index}: {list(coords)} repeats cell {earlier}")
+        birth_step = _field(entry, "birth_step", lambda v: require_int("birth_step", v, 0), where)
+        archive.cells[coords] = Cell(solution, birth_step)
+    return archive
 
 
 def _luminance(pixels: np.ndarray) -> np.ndarray:

@@ -194,18 +194,54 @@ def block_rows(shape):
     return max(1, metrics._BLOCK_BYTES // (8 * math.prod(shape)))
 
 
-# Payload shapes for 24 rows, each with the block case it must reach.
+def one_row(blocks):
+    return {rows for rows, _ in blocks} == {1}
+
+
+def multi_row(blocks):
+    """True when ``blocks`` take rows at once, each block against all its later
+    rows, in a number of rows that does not divide n - 1 = 23."""
+    rows, first = blocks[0][0], [sum(r for r, _ in blocks[:k]) for k in range(len(blocks))]
+    return 1 < rows < 23 and 23 % rows and all(c == 23 - i for i, (_, c) in zip(first, blocks))
+
+
+# Payload shapes for 24 rows, each with the (rows, later rows) blocks it must reach.
 BLOCK_CASES = {
-    (8,): lambda rows: rows >= 23,
-    (32, 32, 3): lambda rows: 1 < rows < 23,
-    (16, 16, 3): lambda rows: rows >= 23,  # the whole remainder of every row in one block
-    (64, 32, 3): lambda rows: rows > 1 and 23 % rows,  # the block size does not divide n - 1
-    (128, 128, 3): lambda rows: rows == 1,
+    (8,): lambda blocks: blocks == [(23, 23)],  # every row against all its later rows at once
+    (32, 32, 3): lambda blocks: one_row(blocks) and 1 < blocks[0][1] < 23,
+    (16, 16, 3): lambda blocks: blocks == [(1, c) for c in range(23, 0, -1)],  # a row's later rows at once
+    (64, 32, 3): lambda blocks: one_row(blocks) and 23 % blocks[0][1],  # the block does not divide n - 1
+    (128, 128, 3): lambda blocks: set(blocks) == {(1, 1)},
+    (99,): multi_row,  # at an odd length, whose rows the buffer pads to 104 float64s
+    (200,): multi_row,  # at an even length, a multiple of 8
 }
 
 
-def test_bit_test_shapes_reach_their_block_cases():
-    assert all(case(block_rows(shape)) for shape, case in BLOCK_CASES.items())
+class SubtractSpy:
+    """numpy, but ``subtract`` keeps each ``out`` block it fills."""
+
+    def __init__(self):
+        self.blocks = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def subtract(self, a, b, out):
+        self.blocks.append(out)
+        return np.subtract(a, b, out=out)
+
+
+def test_bit_test_shapes_reach_their_block_cases(monkeypatch):
+    # Every difference row starts on a 64-byte boundary: some BLAS kernels'
+    # dot products depend on a row's 16-byte alignment, which a fresh a - b
+    # has, and rows of odd length have it only through the buffer's padding.
+    for shape, case in BLOCK_CASES.items():
+        monkeypatch.setattr(metrics, "np", spy := SubtractSpy())
+        euclidean_matrix(list(np.ones((24, math.prod(shape)))))
+        blocks = [out.shape[:2] for out in spy.blocks]
+        assert case(blocks), (shape, blocks)
+        for out in spy.blocks:
+            assert out.ctypes.data % 64 == out.strides[0] % 64 == out.strides[1] % 64 == 0, shape
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])

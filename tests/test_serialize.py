@@ -5,10 +5,14 @@ included), the loader's field checks, metrics rows against per-field
 formatting, one rendering per elite and per artefact within a run's
 files, and files that appear only complete."""
 import base64
+import contextlib
+import copy
+import functools
 import json
 import math
 import re
 import struct
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -363,6 +367,151 @@ def test_loader_rejects_mistyped_fields_and_wrong_pixel_counts(path, value, mess
         archive_from_dict(data)
     if path[0] == "cells":  # a fault in a cell names the cell
         assert f"of cell {path[1]}" in str(excinfo.value)
+
+
+@functools.cache
+def loader_source(name):
+    """An archive dict as ``json.loads`` gives it: the final archive or the
+    first snapshot of a vector_pair or toy_media melita run."""
+    domain, kind = name.split("_")
+    record = (vp_record if domain == "vp" else media_record)("melita", 3)
+    archive = record.archive if kind == "final" else record.snapshots[0][1]
+    return json.loads(canonical_json(archive_to_dict(archive, "digest")))
+
+
+def archive_signature(archive):
+    """Axes, then per cell in order: coords, birth step, fitness bits and each
+    artefact's modality and payload dtype, shape and bytes (None when skipped),
+    every scalar with its type."""
+    def typed(value):
+        return type(value), value.hex() if type(value) is float else value
+
+    return tuple(map(typed, archive.axis_sizes)), [
+        (
+            tuple(map(typed, coords)),
+            tuple(map(typed, cell.solution.coords)),
+            typed(cell.birth_step),
+            typed(cell.solution.fitness),
+            [
+                (typed(a.modality), None if a.payload is None else (a.payload.dtype.str, a.payload.shape, a.payload.tobytes()))
+                for a in cell.solution.artefacts
+            ],
+        )
+        for coords, cell in archive.cells.items()
+    ]
+
+
+def slots(node, name=""):
+    """Every (container, key, name) of ``node``'s tree, parents first: a dict's
+    keys named as themselves, a list's indices as the list's name and "[]"."""
+    if isinstance(node, dict):
+        items = [(key, value, key) for key, value in node.items()]
+    elif isinstance(node, list):
+        items = [(index, value, name + "[]") for index, value in enumerate(node)]
+    else:
+        return []
+    found = []
+    for key, value, child in items:
+        found += [(node, key, child), *slots(value, child)]
+    return found
+
+
+FIELD_OF = {"int_fitness": "fitness", "np_coords": "coords", "duplicate": "cells", "truncate": "artefacts"}
+
+
+def mutated(data, kind, name, pick, value):
+    """``data`` with one mutation at the ``pick``-th field called ``name``, or
+    of ``data`` itself for a subclass of no name; unchanged when no field
+    takes the mutation. ``value`` is what a retype writes, a subclass's
+    default factory, or where a duplicated cell goes."""
+    name = FIELD_OF.get(kind, name)
+    if kind == "subclass" and not name:
+        return defaultdict(value, data)
+    places = [(container, key) for container, key, field in slots(data) if field == name]
+    if not places:
+        return data
+    container, key = places[pick % len(places)]
+    old = container[key]
+    if kind == "drop":
+        del container[key]
+    elif kind == "retype":
+        container[key] = copy.deepcopy(value)
+    elif kind == "subclass" and isinstance(old, dict):
+        container[key] = defaultdict(value, old)
+    elif kind == "int_fitness" and type(old) is float and math.isfinite(old):
+        container[key] = int(old)
+    elif kind == "np_coords" and type(old) is list:
+        container[key] = [np.int64(c) if type(c) is int else c for c in old]
+    elif kind == "duplicate" and type(old) is list and old:
+        old.insert(value % (len(old) + 1), copy.deepcopy(old[pick % len(old)]))
+    elif kind == "truncate" and type(old) is list and old:
+        old.pop()
+    elif kind == "pixel_list" and type(old) is str:
+        with contextlib.suppress(ValueError):
+            container[key] = np.frombuffer(base64.b64decode(old), "<f8").tolist()
+    return data
+
+
+FIELDS = (
+    "axis_sizes", "axis_sizes[]", "cells", "cells[]", "artefacts", "artefacts[]", "coords", "coords[]",
+    "fitness", "birth_step", "modality", "payload", "payload[]", "pixels", "width", "height",
+)
+RETYPED = (None, True, False, 2**70, -1, 16.0, "3", [[1]], math.nan, np.int64(1), np.float64(0.5))
+PICKS = st.integers(0, 2**16)
+MUTATIONS = st.one_of(
+    st.tuples(st.just("drop"), st.sampled_from(FIELDS), PICKS, st.none()),
+    st.tuples(st.just("retype"), st.sampled_from(FIELDS), PICKS, st.sampled_from(RETYPED)),
+    st.tuples(
+        st.just("subclass"), st.sampled_from(["", "cells[]", "artefacts[]", "payload"]), PICKS,
+        st.sampled_from([list, int, float]),
+    ),
+    st.tuples(st.sampled_from([*FIELD_OF, "pixel_list"]), st.just(""), PICKS, PICKS),
+)
+
+
+# The examples give each check of the loader's straight-line pass an input
+# on which, without that check, the pass would return an archive where the
+# oracle raises, or another archive.
+@settings(max_examples=500, deadline=None)
+@given(
+    st.sampled_from(["vp_final", "vp_snapshot", "media_final", "media_snapshot"]),
+    st.integers(0, 8),
+    st.none() | st.integers(0, 4),
+    st.sampled_from([None, (0,), (1,)]),
+    st.lists(MUTATIONS, max_size=3),
+)
+@example("vp_final", 0, 2, None, [("subclass", "", 0, list), ("drop", "cells", 0, None)])
+@example("vp_final", 0, 2, None, [("subclass", "cells[]", 0, int), ("drop", "birth_step", 0, None)])
+@example("vp_final", 0, 2, None, [("subclass", "artefacts[]", 0, int), ("drop", "modality", 0, None)])
+@example("vp_final", 0, 2, None, [("retype", "axis_sizes[]", 0, 16.0)])
+@example("vp_final", 0, 2, None, [("retype", "modality", 0, False)])
+@example("media_snapshot", 0, 2, None, [("retype", "modality", 1, np.int64(1))])
+@example("media_snapshot", 0, 2, (0,), [("drop", "payload", 1, None)])
+@example("vp_final", 0, 2, None, [("retype", "fitness", 0, np.float64(0.5))])
+@example("vp_final", 0, 2, None, [("retype", "fitness", 0, math.nan)])
+@example("vp_final", 0, 2, None, [("int_fitness", "", 0, 0)])
+@example("vp_final", 0, 2, None, [("retype", "birth_step", 0, True)])
+@example("vp_final", 0, 2, None, [("retype", "birth_step", 0, -1)])
+@example("vp_final", 0, 2, None, [("np_coords", "", 0, 0)])
+@example("vp_final", 0, 2, None, [("duplicate", "", 0, 1)])
+@example("vp_final", 0, 2, None, [("truncate", "", 0, 0)])
+@example("media_final", 0, 2, None, [("retype", "payload[]", 0, True)])
+@example("media_final", 0, 2, (1,), [("pixel_list", "", 0, 0)])
+def test_loader_matches_the_field_by_field_oracle(source, start, count, modalities, mutations):
+    # A window of the source's cells (all of them when count is None), then
+    # each mutation; the loader must give the oracle's archive or its error.
+    data = copy.deepcopy(loader_source(source))
+    data["cells"] = data["cells"][start : None if count is None else start + count]
+    for mutation in mutations:
+        data = mutated(data, *mutation)
+    try:
+        want = oracles.archive_from_dict(copy.deepcopy(data), modalities=modalities)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            archive_from_dict(data, modalities=modalities)
+        assert str(got.value) == str(exc)
+    else:
+        assert archive_signature(archive_from_dict(data, modalities=modalities)) == archive_signature(want)
 
 
 # Besides well-formed fields, the inputs where numpy's parser and Python's
