@@ -175,17 +175,18 @@ def _archive_by_field(data: dict, modalities: Container[int] | None) -> Archive:
 
 def _straight_archive(data: dict, modalities: Container[int] | None) -> Archive:
     """``archive_from_dict`` in one pass for fields of the types ``json.loads`` gives:
-    a dict per object, int axis sizes, modalities and birth steps, and a float
-    fitness. Anything else raises KeyError, TypeError, ValueError or OverflowError."""
-    if type(data) is not dict:
+    a dict per object, int axis sizes, modalities and birth steps, a float fitness,
+    and lists for axis sizes, cells, artefacts and coords, so that none is an
+    iterator the field-by-field pass would find read. Anything else raises
+    KeyError, TypeError, ValueError or OverflowError."""
+    if type(data) is not dict or type(sizes := data["axis_sizes"]) is not list:
         raise TypeError(data)
-    sizes = list(data["axis_sizes"])
-    if not all(type(s) is int for s in sizes):
-        raise TypeError(sizes)
+    if not all(type(s) is int for s in sizes) or type(data["cells"]) is not list:
+        raise TypeError(data)
     archive = Archive(sizes)
     cells, check = archive.cells, archive.check
     for entry in data["cells"]:
-        if type(entry) is not dict:
+        if type(entry) is not dict or type(entry["artefacts"]) is not list:
             raise TypeError(entry)
         artefacts = []
         for a in entry["artefacts"]:
@@ -199,10 +200,12 @@ def _straight_archive(data: dict, modalities: Container[int] | None) -> Archive:
             else:
                 payload = decode_payload(payload)
             artefacts.append(Artefact(modality, payload))
-        fitness, birth_step = entry["fitness"], entry["birth_step"]
-        if type(fitness) is not float or type(birth_step) is not int or birth_step < 0:
+        fitness, birth_step, coords = entry["fitness"], entry["birth_step"], entry["coords"]
+        if type(fitness) is not float or type(coords) is not list:
             raise TypeError(entry)
-        check(solution := Solution(tuple(artefacts), fitness, coords := tuple(entry["coords"])))
+        if type(birth_step) is not int or birth_step < 0:
+            raise TypeError(entry)
+        check(solution := Solution(tuple(artefacts), fitness, coords := tuple(coords)))
         if coords in cells:
             raise ValueError(coords)
         cells[coords] = Cell(solution, birth_step)

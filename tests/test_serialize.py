@@ -1,9 +1,10 @@
 """What canonical JSON rejects, the archive cell template against the
 stdlib, the vectorised payload encoding against its per-element oracle,
 exact payload and archive round trips (older list-form image archives
-included), the loader's field checks, metrics rows against per-field
-formatting, one rendering per elite and per artefact within a run's
-files, and files that appear only complete."""
+included), the loader's field checks, the loader against the
+field-by-field oracle on valid and mutated archives, metrics rows
+against per-field formatting, one rendering per elite and per artefact
+within a run's files, and files that appear only complete."""
 import base64
 import contextlib
 import copy
@@ -393,7 +394,7 @@ def archive_signature(archive):
             typed(cell.birth_step),
             typed(cell.solution.fitness),
             [
-                (typed(a.modality), None if a.payload is None else (a.payload.dtype.str, a.payload.shape, a.payload.tobytes()))
+                (typed(a.modality), a.payload is None or (a.payload.dtype.str, a.payload.shape, a.payload.tobytes()))
                 for a in cell.solution.artefacts
             ],
         )
@@ -423,7 +424,8 @@ def mutated(data, kind, name, pick, value):
     """``data`` with one mutation at the ``pick``-th field called ``name``, or
     of ``data`` itself for a subclass of no name; unchanged when no field
     takes the mutation. ``value`` is what a retype writes, a subclass's
-    default factory, or where a duplicated cell goes."""
+    default factory, or where a duplicated cell goes. An iterator stands
+    for a list that can be read once."""
     name = FIELD_OF.get(kind, name)
     if kind == "subclass" and not name:
         return defaultdict(value, data)
@@ -446,6 +448,8 @@ def mutated(data, kind, name, pick, value):
         old.insert(value % (len(old) + 1), copy.deepcopy(old[pick % len(old)]))
     elif kind == "truncate" and type(old) is list and old:
         old.pop()
+    elif kind == "iterator" and type(old) is list:
+        container[key] = iter(old)
     elif kind == "pixel_list" and type(old) is str:
         with contextlib.suppress(ValueError):
             container[key] = np.frombuffer(base64.b64decode(old), "<f8").tolist()
@@ -465,6 +469,7 @@ MUTATIONS = st.one_of(
         st.just("subclass"), st.sampled_from(["", "cells[]", "artefacts[]", "payload"]), PICKS,
         st.sampled_from([list, int, float]),
     ),
+    st.tuples(st.just("iterator"), st.sampled_from(["axis_sizes", "cells", "artefacts", "coords"]), PICKS, PICKS),
     st.tuples(st.sampled_from([*FIELD_OF, "pixel_list"]), st.just(""), PICKS, PICKS),
 )
 
@@ -497,6 +502,10 @@ MUTATIONS = st.one_of(
 @example("vp_final", 0, 2, None, [("truncate", "", 0, 0)])
 @example("media_final", 0, 2, None, [("retype", "payload[]", 0, True)])
 @example("media_final", 0, 2, (1,), [("pixel_list", "", 0, 0)])
+@example("vp_final", 0, 2, None, [("int_fitness", "", 1, 0), ("iterator", "axis_sizes", 0, None)])
+@example("vp_final", 0, 2, None, [("int_fitness", "", 1, 0), ("iterator", "cells", 0, None)])
+@example("vp_final", 0, 2, None, [("int_fitness", "", 1, 0), ("iterator", "artefacts", 0, None)])
+@example("vp_final", 0, 2, None, [("int_fitness", "", 1, 0), ("iterator", "coords", 0, None)])
 def test_loader_matches_the_field_by_field_oracle(source, start, count, modalities, mutations):
     # A window of the source's cells (all of them when count is None), then
     # each mutation; the loader must give the oracle's archive or its error.
