@@ -129,7 +129,7 @@ def euclidean_matrix(vectors: Sequence[np.ndarray]) -> np.ndarray:
     length = x.shape[1]
     stride = -(-length // 8) * 8 or 8  # float64s per buffer row: 64-byte rows keep its alignment
     cols = min(n - 1, max(1, _BLOCK_BYTES // (8 * stride)))
-    rows = max(1, _BLOCK_BYTES // (8 * stride * (n - 1)))
+    rows = min(n - 1, max(1, _BLOCK_BYTES // (8 * stride * (n - 1))))
     buffer = np.empty(rows * cols * stride + 7)
     start = -buffer.ctypes.data % 64 // 8
     block = buffer[start : start + rows * cols * stride].reshape(rows, cols, stride)[..., :length]
@@ -138,12 +138,11 @@ def euclidean_matrix(vectors: Sequence[np.ndarray]) -> np.ndarray:
         for j in range(i + 1, n, cols):
             diff = np.subtract(x[i : i + r, None], x[j : j + cols], out=block[:r, : n - j])
             dist = np.sqrt(np.vecdot(diff, diff))
-            if r == 1:
-                matrix[i, j : j + cols] = matrix[j : j + cols, i] = dist[0]
-            else:  # rows i.. against every row after i: keep the entries above the diagonal
-                upper = np.arange(j, n) > np.arange(i, i + r)[:, None]
-                np.copyto(matrix[i : i + r, j:], dist, where=upper)
-                np.copyto(matrix[j:, i : i + r], dist.T, where=upper.T)
+            # A multi-row block also holds pairs on the diagonal (0.0) and below it,
+            # whose entries are bit-equal to their mirrors above it: negating a
+            # difference is exact, so both orders square and sum the same values.
+            matrix[i : i + r, j : j + cols] = dist
+            matrix[j : j + cols, i : i + r] = dist.T
     return matrix
 
 
