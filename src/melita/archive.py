@@ -2,12 +2,15 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .types import INSERTED_EMPTY, REJECTED_OUTCOME, REPLACED, Coords, Outcome, Solution, require_fitness
+
+_INT = frozenset({int})  # a bool is not an int here
 
 
 class Cell(NamedTuple):
@@ -97,27 +100,27 @@ class Archive:
         return [self.cells[c].solution for c in self.ordered()]
 
     def check_coords(self, coords: Coords) -> None:
-        if len(coords) != len(self.axis_sizes) or any(
-            not 0 <= c < s for c, s in zip(coords, self.axis_sizes)
-        ):
-            raise ValueError(f"coords {coords} out of range for axes {self.axis_sizes}")
+        sizes = self.axis_sizes
+        if len(coords) != len(sizes) or min(coords) < 0 or not all(map(operator.lt, coords, sizes)):
+            raise ValueError(f"coords {coords} out of range for axes {sizes}")
 
     def check(self, solution: Solution) -> None:
         """The one gate for what ``insert`` and the loader store: modalities
         0..N-1 in order, one coord per modality, a ``float`` fitness in
         [0, 1] and ``int`` coords (a bool is not one) within the axes.
         Else ValueError, for the first rule broken in that order."""
-        modalities = tuple(a.modality for a in solution.artefacts)
-        if modalities != tuple(range(len(modalities))):
+        artefacts, coords, fitness = solution.artefacts, solution.coords, solution.fitness
+        if [a.modality for a in artefacts] != [*range(len(artefacts))]:
+            modalities = tuple(a.modality for a in artefacts)
             raise ValueError(f"artefacts must cover modalities 0..N-1 in order, got {modalities}")
-        if len(solution.coords) != len(modalities):
+        if len(coords) != len(artefacts):
             raise ValueError("coords must have one entry per modality")
-        if not isinstance(solution.fitness, float):
-            raise ValueError(f"fitness must be a float, got {solution.fitness!r}")
-        require_fitness(solution.fitness)
-        if not set(map(type, solution.coords)) <= {int}:
-            raise ValueError(f"coords must be ints, got {solution.coords!r}")
-        self.check_coords(solution.coords)
+        if not isinstance(fitness, float):
+            raise ValueError(f"fitness must be a float, got {fitness!r}")
+        require_fitness(fitness)
+        if not set(map(type, coords)) <= _INT:
+            raise ValueError(f"coords must be ints, got {coords!r}")
+        self.check_coords(coords)
 
     def accepts(self, solution: Solution) -> bool:
         """True when the solution's cell is empty or the solution is

@@ -10,14 +10,6 @@ as plain int lists, float vectors as float lists, and RGB images as
 {width, height, pixels}, pixels the base64 of row-major, channel-last
 little-endian float64 bytes (number lists still load). The decoder keys
 on that structure, so analysis reads any domain's archive.
-
-``archive_from_dict`` first builds the archive in one straight-line pass
-that takes only the types ``json.loads`` gives (dicts, lists, int axis
-sizes, modalities and birth steps, a float fitness) and still passes each
-solution through ``Archive.check``. Anything else it meets raises there;
-the partial archive is dropped and the field-by-field pass runs instead,
-which alone accepts other valid input (an int fitness, numpy integers)
-and names the first bad field of malformed input.
 """
 from __future__ import annotations
 
@@ -28,7 +20,7 @@ import json
 import os
 import warnings
 from pathlib import Path
-from typing import IO, Any, Callable, Container, Iterator
+from typing import IO, Any, Callable, Container, Iterable, Iterator
 
 import numpy as np
 
@@ -89,21 +81,24 @@ def encode_payload(payload: np.ndarray) -> object:
     raise ValueError(f"no payload encoding for array with shape {arr.shape} and dtype {arr.dtype}")
 
 
+_INT, _NUMBER = frozenset({int}), frozenset({int, float})  # a bool is neither
+
+
 def _number_dtype(data: list) -> type:
     """int64 for a list of plain ints, float64 for ints and floats; other items raise ValueError."""
-    if not (types := set(map(type, data))) <= {int, float}:
+    if not (types := set(map(type, data))) <= _NUMBER:
         raise ValueError(f"payload holds a {'boolean' if bool in types else 'non-number'}: {data!r}")
-    return np.int64 if types <= {int} else np.float64
+    return np.int64 if types <= _INT else np.float64
 
 
 def decode_payload(data: object) -> np.ndarray:
+    if isinstance(data, list):
+        return np.asarray(data, _number_dtype(data))
     if isinstance(data, dict):
         shape = tuple(_field(data, n, lambda v: require_int(n, v, 1)) for n in ("height", "width"))
         return _field(data, "pixels", lambda v: (
             np.frombuffer(base64.b64decode(v, validate=True), "<f8") if isinstance(v, str)
             else np.asarray(v, _number_dtype(v)).astype(np.float64)).reshape(shape + (3,)))
-    if isinstance(data, list):
-        return np.asarray(data, _number_dtype(data))
     raise ValueError(f"no payload decoding for {type(data).__name__}")
 
 
@@ -127,99 +122,78 @@ def archive_to_dict(archive: Archive, config_digest: str = "") -> dict:
     }
 
 
-def _field(data: object, name: str, convert: Callable[[Any], Any], where: str = "") -> Any:
+def _field(data: object, name: str, convert: Callable[[Any], Any], cell: int | None = None) -> Any:
     """``convert(data[name])``; a missing or malformed field raises ValueError
-    naming it, followed by ``where`` it is, such as " of cell 3"."""
-    if not isinstance(data, dict):
-        raise ValueError(f"expected an object with field {name!r}{where}, got {type(data).__name__}")
-    if name not in data:
-        raise ValueError(f"missing field {name!r}{where}")
-    try:
-        return convert(data[name])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"field {name!r}{where}: {exc}") from None
-
-
-def _artefact(data: object, modalities: Container[int] | None, where: str) -> Artefact:
-    modality = _field(data, "modality", lambda v: require_int("modality", v, 0), where)
-    decode = decode_payload if modalities is None or modality in modalities else lambda v: None
-    return Artefact(modality, _field(data, "payload", decode, where))
-
-
-def _archive_by_field(data: dict, modalities: Container[int] | None) -> Archive:
-    """``archive_from_dict``, one field at a time: a missing or malformed field raises
-    ValueError naming it and, in a cell, the cell's index, as do repeated coords and
-    artefacts out of modality order."""
-    archive = Archive(_field(data, "axis_sizes", lambda v: [require_int("axis size", s, 1) for s in v]))
-    for index, entry in enumerate(_field(data, "cells", list)):
-        where = f" of cell {index}"
-        artefacts = tuple([_artefact(a, modalities, where) for a in _field(entry, "artefacts", list, where)])
-        coords = _field(entry, "coords", tuple, where)
-        if not set(map(type, coords)) <= {int}:  # a bool is not an int here
-            raise ValueError(f"field 'coords' of cell {index}: expected integers, got {entry['coords']!r}")
-        if type(fitness := _field(entry, "fitness", lambda v: v, where)) not in (float, int):
-            raise ValueError(f"field 'fitness' of cell {index}: expected a number, got {fitness!r}")
+    naming it and, when ``cell`` is given, that cell's index."""
+    if isinstance(data, dict) and name in data:
         try:
-            archive.check(solution := Solution(artefacts, float(fitness), coords))
-        except OverflowError as exc:  # an integer fitness beyond float range
-            raise ValueError(f"field 'fitness' of cell {index}: {exc}") from None
-        except ValueError as exc:
-            raise ValueError(f"cell {index}: {exc}") from None
-        if coords in archive.cells:
-            earlier = list(archive.cells).index(coords)
-            raise ValueError(f"field 'coords' of cell {index}: {list(coords)} repeats cell {earlier}")
-        birth_step = _field(entry, "birth_step", lambda v: require_int("birth_step", v, 0), where)
-        archive.cells[coords] = Cell(solution, birth_step)
-    return archive
+            return convert(data[name])
+        except (TypeError, ValueError, OverflowError) as exc:
+            problem, detail = "field", f": {exc}"
+    elif isinstance(data, dict):
+        problem, detail = "missing field", ""
+    else:
+        problem, detail = "expected an object with field", f", got {type(data).__name__}"
+    raise ValueError(f"{problem} {name!r}{'' if cell is None else f' of cell {cell}'}{detail}")
 
 
-def _straight_archive(data: dict, modalities: Container[int] | None) -> Archive:
-    """``archive_from_dict`` in one pass for fields of the types ``json.loads`` gives:
-    a dict per object, int axis sizes, modalities and birth steps, a float fitness,
-    and lists for axis sizes, cells, artefacts and coords, so that none is an
-    iterator the field-by-field pass would find read. Anything else raises
-    KeyError, TypeError, ValueError or OverflowError."""
-    if type(data) is not dict or type(sizes := data["axis_sizes"]) is not list:
-        raise TypeError(data)
-    if not all(type(s) is int for s in sizes) or type(data["cells"]) is not list:
-        raise TypeError(data)
-    archive = Archive(sizes)
-    cells, check = archive.cells, archive.check
-    for entry in data["cells"]:
-        if type(entry) is not dict or type(entry["artefacts"]) is not list:
-            raise TypeError(entry)
-        artefacts = []
-        for a in entry["artefacts"]:
-            if type(a) is not dict or type(modality := a["modality"]) is not int:
-                raise TypeError(a)
-            payload = a["payload"]
-            if modalities is not None and modality not in modalities:
-                payload = None
-            elif type(payload) is list:
-                payload = np.asarray(payload, _number_dtype(payload))
-            else:
-                payload = decode_payload(payload)
-            artefacts.append(Artefact(modality, payload))
-        fitness, birth_step, coords = entry["fitness"], entry["birth_step"], entry["coords"]
-        if type(fitness) is not float or type(coords) is not list:
-            raise TypeError(entry)
-        if type(birth_step) is not int or birth_step < 0:
-            raise TypeError(entry)
-        check(solution := Solution(tuple(artefacts), fitness, coords := tuple(coords)))
-        if coords in cells:
-            raise ValueError(coords)
-        cells[coords] = Cell(solution, birth_step)
-    return archive
+def _empty_archive(value: Iterable) -> Archive:
+    """An archive over the axis sizes ``value`` lists; grids too large to
+    allocate raise ValueError."""
+    sizes = [require_int("axis size", s, 1) for s in value]
+    try:
+        return Archive(sizes)
+    except MemoryError:
+        raise ValueError(f"cannot allocate grids of shape {tuple(sizes)}") from None
+
+
+def _modality(value: object) -> int:
+    return value if type(value) is int and value >= 0 else require_int("modality", value, 0)
+
+
+def _skipped(value: object) -> None:
+    return None
+
+
+def _coords(value: Iterable) -> tuple:
+    if not set(map(type, coords := tuple(value))) <= _INT:
+        raise TypeError(f"expected integers, got {value!r}")
+    return coords
+
+
+def _fitness(value: object) -> float:
+    if type(value) not in (float, int):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)  # OverflowError for an int beyond float range
+
+
+def _birth_step(value: object) -> int:
+    return value if type(value) is int and value >= 0 else require_int("birth_step", value, 0)
 
 
 def archive_from_dict(data: dict, *, modalities: Container[int] | None = None) -> Archive:
     """The archive ``data`` describes, only ``modalities``' payloads decoded (all when None;
     others load as None). A missing or malformed field raises ValueError naming it and, in
     a cell, the cell's index, as do repeated coords and artefacts out of modality order."""
-    try:
-        return _straight_archive(data, modalities)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        return _archive_by_field(data, modalities)
+    archive = _field(data, "axis_sizes", _empty_archive)
+    cells, check = archive.cells, archive.check
+    for index, entry in enumerate(_field(data, "cells", list)):
+        artefacts = []
+        for item in _field(entry, "artefacts", list, index):
+            modality = _field(item, "modality", _modality, index)
+            decode = decode_payload if modalities is None or modality in modalities else _skipped
+            artefacts.append(Artefact(modality, _field(item, "payload", decode, index)))
+        coords = _field(entry, "coords", _coords, index)
+        solution = Solution(tuple(artefacts), _field(entry, "fitness", _fitness, index), coords)
+        try:
+            check(solution)
+        except ValueError as exc:
+            raise ValueError(f"cell {index}: {exc}") from None
+        if coords in cells:
+            earlier = list(cells).index(coords)
+            raise ValueError(f"field 'coords' of cell {index}: {list(coords)} repeats cell {earlier}")
+        cells[coords] = Cell(solution, _field(entry, "birth_step", _birth_step, index))
+    return archive
 
 
 # The text canonical_json gives an image payload, an artefact and a cell

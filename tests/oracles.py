@@ -368,11 +368,21 @@ def _artefact(data: object, modalities: Container[int] | None, where: str) -> Ar
     return Artefact(modality, _field(data, "payload", decode, where))
 
 
+def _empty_archive(value) -> Archive:
+    """An archive over the axis sizes ``value`` lists; grids too large to
+    allocate raise ValueError."""
+    sizes = [require_int("axis size", s, 1) for s in value]
+    try:
+        return Archive(sizes)
+    except MemoryError:
+        raise ValueError(f"cannot allocate grids of shape {tuple(sizes)}") from None
+
+
 def archive_from_dict(data: dict, *, modalities: Container[int] | None = None) -> Archive:
     """The archive ``data`` describes, only ``modalities``' payloads decoded (all when None;
     others load as None). A missing or malformed field raises ValueError naming it and, in
     a cell, the cell's index, as do repeated coords and artefacts out of modality order."""
-    archive = Archive(_field(data, "axis_sizes", lambda v: [require_int("axis size", s, 1) for s in v]))
+    archive = _field(data, "axis_sizes", _empty_archive)
     for index, entry in enumerate(_field(data, "cells", list)):
         where = f" of cell {index}"
         artefacts = tuple([_artefact(a, modalities, where) for a in _field(entry, "artefacts", list, where)])

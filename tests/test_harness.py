@@ -907,6 +907,20 @@ def test_malformed_archive_names_file_and_field(tmp_path, capsys, command, make,
     assert capsys.readouterr().err == f"error: {path}: missing field {missing}\n"
 
 
+def test_archive_whose_grids_cannot_be_allocated_exits_2_naming_axis_sizes(tmp_path, capsys, monkeypatch):
+    # Axis sizes within numpy's limits can still ask for grids larger than
+    # memory; numpy's MemoryError becomes the loader's error for the field.
+    def no_memory(shape, dtype=float):
+        raise MemoryError(f"Unable to allocate an array with shape {shape}")
+
+    path = tmp_path / "archive.json"
+    path.write_text(json.dumps({"axis_sizes": [2**20, 2**20], "cells": [], "config_hash": ""}))
+    monkeypatch.setattr(np, "zeros", no_memory)
+    assert cli_main(["diversity", "--archive", str(path), "--modality", "0", "--distance", "euclidean"]) == 2
+    message = "field 'axis_sizes': cannot allocate grids of shape (1048576, 1048576)"
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 def cells(*cells):
     """A 4 x 4 archive's dict holding one well-formed cell per (coords,
     fitness) given, in that order."""

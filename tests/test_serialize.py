@@ -2,13 +2,15 @@
 stdlib, the vectorised payload encoding against its per-element oracle,
 exact payload and archive round trips (older list-form image archives
 included), the loader's field checks, the loader against the
-field-by-field oracle on valid and mutated archives, metrics rows
-against per-field formatting, one rendering per elite and per artefact
-within a run's files, and files that appear only complete."""
+field-by-field oracle on valid and mutated archives, both CLI analyses
+on mutated archive files, metrics rows against per-field formatting,
+one rendering per elite and per artefact within a run's files, and
+files that appear only complete."""
 import base64
 import contextlib
 import copy
 import functools
+import io
 import json
 import math
 import re
@@ -23,6 +25,7 @@ import oracles
 from melita import Archive, Artefact, RunConfig, Solution, ToyMediaDomain, VectorPairDomain, run
 from melita.archive import Cell
 from melita.harness import ExperimentConfig, experiment, run_experiment, serialize
+from melita.harness.cli import main as cli_main
 from melita.harness.serialize import (
     archive_from_dict,
     archive_to_dict,
@@ -313,6 +316,8 @@ MISSING = object()  # the field is deleted
         (("axis_sizes",), [4.5, True], "field 'axis_sizes': axis size must be an integer >= 1, got 4.5"),
         (("axis_sizes",), [4, True], "field 'axis_sizes': axis size must be an integer >= 1, got True"),
         (("axis_sizes",), [4, 0], "field 'axis_sizes': axis size must be an integer >= 1, got 0"),
+        (("axis_sizes",), [], "field 'axis_sizes': axis sizes must be positive, got ()"),
+        (("axis_sizes",), [2**40, 2**40], "field 'axis_sizes': array is too big"),
         (TOKENS_AT + ("modality",), 1.9, "field 'modality' of cell 0: modality must be an integer >= 0, got 1.9"),
         (TOKENS_AT + ("modality",), True, "field 'modality' of cell 0: modality must be an integer >= 0, got True"),
         (TOKENS_AT + ("modality",), -1, "field 'modality' of cell 0: modality must be an integer >= 0, got -1"),
@@ -343,7 +348,7 @@ MISSING = object()  # the field is deleted
         (("cells", 1), 5, "expected an object with field 'artefacts' of cell 1, got int"),
     ],
     ids=[
-        "float_axis", "bool_axis", "zero_axis", "float_modality", "bool_modality",
+        "float_axis", "bool_axis", "zero_axis", "no_axes", "huge_axes", "float_modality", "bool_modality",
         "negative_modality", "string_birth_step", "float_birth_step", "negative_birth_step",
         "float_width", "bool_height", "zero_width", "short_pixel_bytes", "long_pixel_bytes",
         "ragged_pixel_bytes", "bad_base64", "short_pixel_list", "nested_pixel_list",
@@ -474,9 +479,12 @@ MUTATIONS = st.one_of(
 )
 
 
-# The examples give each check of the loader's straight-line pass an input
-# on which, without that check, the pass would return an archive where the
-# oracle raises, or another archive.
+# Each example gives a field check of the loader's one pass an input that
+# json.loads never yields or that breaks one rule: a dict subclass missing
+# a field, a bool or numpy scalar where an int or float belongs, an int or
+# NaN fitness, a negative birth step, a repeated or truncated cell, a bool
+# in a payload, number-list pixels, the missing payload of a skipped
+# modality, and read-once iterators for lists.
 @settings(max_examples=500, deadline=None)
 @given(
     st.sampled_from(["vp_final", "vp_snapshot", "media_final", "media_snapshot"]),
@@ -521,6 +529,45 @@ def test_loader_matches_the_field_by_field_oracle(source, start, count, modaliti
         assert str(got.value) == str(exc)
     else:
         assert archive_signature(archive_from_dict(data, modalities=modalities)) == archive_signature(want)
+
+
+JSON_MUTATIONS = st.one_of(
+    st.tuples(st.just("drop"), st.sampled_from(FIELDS), PICKS, st.none()),
+    st.tuples(
+        st.just("retype"), st.sampled_from(FIELDS), PICKS,
+        st.sampled_from([v for v in RETYPED if not isinstance(v, np.generic)]),
+    ),
+    st.tuples(st.sampled_from(["int_fitness", "duplicate", "truncate", "pixel_list"]), st.just(""), PICKS, PICKS),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["vp_final", "vp_snapshot", "media_final", "media_snapshot"]),
+    st.integers(0, 8),
+    st.none() | st.integers(0, 4),
+    st.lists(JSON_MUTATIONS, max_size=3),
+)
+def test_cli_analyses_a_mutated_archive_file_or_exits_2_with_one_error_line(
+    tmp_path_factory, source, start, count, mutations
+):
+    # The oracle test's windows and mutations, those a JSON file can hold,
+    # written to a file that both analyses read through the CLI.
+    data = copy.deepcopy(loader_source(source))
+    data["cells"] = data["cells"][start : None if count is None else start + count]
+    for mutation in mutations:
+        data = mutated(data, *mutation)
+    path = tmp_path_factory.mktemp("archive") / "archive.json"
+    path.write_text(json.dumps(data))
+    for command in (["diversity", "--modality", "0", "--distance", "euclidean"], ["medoids", "-k", "1"]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli_main([command[0], "--archive", str(path), *command[1:]])
+        if code == 0:
+            assert err.getvalue() == ""
+        else:
+            assert code == 2 and err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert err.getvalue().endswith("\n") and "Traceback" not in err.getvalue()
 
 
 # Besides well-formed fields, the inputs where numpy's parser and Python's
