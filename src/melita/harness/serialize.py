@@ -147,8 +147,14 @@ def _empty_archive(value: Iterable) -> Archive:
         raise ValueError(f"cannot allocate grids of shape {tuple(sizes)}") from None
 
 
+# _modality and _birth_step pass a plain non-negative int, the one type
+# json.loads gives a valid field, straight through; require_int takes the rest.
 def _modality(value: object) -> int:
     return value if type(value) is int and value >= 0 else require_int("modality", value, 0)
+
+
+def _birth_step(value: object) -> int:
+    return value if type(value) is int and value >= 0 else require_int("birth_step", value, 0)
 
 
 def _skipped(value: object) -> None:
@@ -165,10 +171,6 @@ def _fitness(value: object) -> float:
     if type(value) not in (float, int):
         raise TypeError(f"expected a number, got {value!r}")
     return float(value)  # OverflowError for an int beyond float range
-
-
-def _birth_step(value: object) -> int:
-    return value if type(value) is int and value >= 0 else require_int("birth_step", value, 0)
 
 
 def archive_from_dict(data: dict, *, modalities: Container[int] | None = None) -> Archive:

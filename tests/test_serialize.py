@@ -548,6 +548,9 @@ JSON_MUTATIONS = st.one_of(
     st.none() | st.integers(0, 4),
     st.lists(JSON_MUTATIONS, max_size=3),
 )
+@example("media_final", 0, 2, [("retype", "payload[]", 0, 2**70)])  # OverflowError in a token list
+@example("vp_final", 0, 2, [("retype", "axis_sizes[]", 0, 2**70)])  # numpy's dimension limit
+@example("vp_final", 0, 2, [("drop", "axis_sizes[]", 0, None), ("drop", "axis_sizes[]", 0, None)])
 def test_cli_analyses_a_mutated_archive_file_or_exits_2_with_one_error_line(
     tmp_path_factory, source, start, count, mutations
 ):
