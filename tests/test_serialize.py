@@ -482,9 +482,9 @@ MUTATIONS = st.one_of(
 # Each example gives a field check of the loader's one pass an input that
 # json.loads never yields or that breaks one rule: a dict subclass missing
 # a field, a bool or numpy scalar where an int or float belongs, an int or
-# NaN fitness, a negative birth step, a repeated or truncated cell, a bool
-# in a payload, number-list pixels, the missing payload of a skipped
-# modality, and read-once iterators for lists.
+# NaN fitness, a negative birth step, a repeated cell, a truncated artefact
+# list, a bool in a payload, number-list pixels, the missing payload of a
+# skipped modality, and read-once iterators for lists.
 @settings(max_examples=500, deadline=None)
 @given(
     st.sampled_from(["vp_final", "vp_snapshot", "media_final", "media_snapshot"]),
